@@ -4,9 +4,14 @@ Vertices are the lattice [1..C]^n.  With mu = n(C^2-1)/6 the mean squared
 distance between uniform lattice points, xy is an edge iff
 |  ||x-y||^2 - mu | <= n.  Around every lattice point z sits the shell
 V_z = { x : | ||x-z||^2 - mu/4 | <= 3n/4 }; each edge's midpoint-plus-balance
-center lands both endpoints in that shell (guaranteed for n >= 2C), and
-covering every shell subgraph greedily, then deduplicating, yields an
-induced-matching cover of the whole graph.
+center lands both endpoints in that shell (guaranteed for n >= 2C).
+
+The cover assigns each edge to its first shell, the lowest center id whose
+shell contains both endpoints, and gives every shell subgraph G_z a
+first-fit induced-matching cover in which only its first-shell edges are
+kept.  Shells are independent, so their first-fit runs in lockstep in
+numpy, one edge of every running shell per step, with a per-vertex bitset
+of blocked matchings in place of a scan over the matchings.
 
 All band predicates are evaluated in exact integer arithmetic after scaling
 away the denominators (6 for mu, 24 for mu/4); no floats ever decide an edge.
@@ -19,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, ParameterError, VerificationError, check_caps
-from .graphs import Graph, MatchingCover, bits_of
+from .graphs import Graph, MatchingCover
 from .lattice import lattice_points, vertex_coords, vertex_id
 
 
@@ -205,40 +210,35 @@ def antipodal_gap(x, y, z) -> int:
     return direct
 
 
-def _shell_masks(p: GeomParams, g: Graph):
-    """Yield (z_id, member bitmask) per lattice center, ascending z."""
+# Bytes of temporary arrays the cover may hold at once: the packed
+# blocked[shell, vertex, matching] bits of one lockstep chunk of shells (a
+# chunk always takes at least one shell), and each block of distance or
+# edge-by-shell membership rows.
+_CHUNK_BYTES = 1 << 22
+
+
+def _shell_membership(p: GeomParams) -> np.ndarray:
+    """Bool (N, N) matrix: entry [z, x] says x lies in the shell V_z.
+
+    Membership depends only on ||x - z||, so the matrix is symmetric and row
+    x also lists the shells that contain x.
+    """
     pts = lattice_points(p.C, p.n)
     sq = (pts * pts).sum(axis=1)
-    target = p.n * (p.C * p.C - 1)
-    for z_id in range(g.n):
-        d2 = _pair_sq_dists(pts[z_id : z_id + 1], pts, sq, sq[z_id : z_id + 1])[0]
-        mask = np.abs(24 * d2 - target) <= 18 * p.n
-        packed = np.packbits(mask, bitorder="little")
-        yield z_id, int.from_bytes(packed.tobytes(), "little")
+    member = np.empty((len(pts), len(pts)), dtype=bool)
+    block = max(1, _CHUNK_BYTES // (8 * len(pts)))
+    for start in range(0, len(pts), block):
+        d2 = _pair_sq_dists(pts[start : start + block], pts, sq, sq[start : start + block])
+        member[start : start + block] = np.abs(24 * d2 - p.n * (p.C * p.C - 1)) <= 18 * p.n
+    return member
 
 
-def _greedy_cover_within(g: Graph, members: int) -> list[list[tuple[int, int]]]:
-    """First-fit induced-matching cover of the subgraph induced on `members`."""
-    matchings: list[list[tuple[int, int]]] = []
-    masks: list[int] = []
-    for u in bits_of(members):
-        row = g.neighbors_mask(u) & members
-        for v in bits_of(row >> (u + 1)):
-            v += u + 1
-            conflict = (
-                ((g.neighbors_mask(u) | g.neighbors_mask(v)) & members)
-                | (1 << u)
-                | (1 << v)
-            )
-            for i, pm in enumerate(masks):
-                if pm & conflict == 0:
-                    matchings[i].append((u, v))
-                    masks[i] |= (1 << u) | (1 << v)
-                    break
-            else:
-                matchings.append([(u, v)])
-                masks.append((1 << u) | (1 << v))
-    return matchings
+def _adjacency(g: Graph) -> np.ndarray:
+    """Bool (N, N) adjacency matrix of g."""
+    nbytes = (g.n + 7) // 8
+    buf = b"".join(g.neighbors_mask(u).to_bytes(nbytes, "little") for u in range(g.n))
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(g.n, nbytes)
+    return np.unpackbits(packed, axis=1, count=g.n, bitorder="little").astype(bool)
 
 
 def max_shell_degree(p: GeomParams, g: Graph | None = None) -> int:
@@ -246,47 +246,126 @@ def max_shell_degree(p: GeomParams, g: Graph | None = None) -> int:
     argument it is at most (10.5)^n)."""
     if g is None:
         g = build_geometric_graph(p)
-    best = 0
-    for _, members in _shell_masks(p, g):
-        for u in bits_of(members):
-            deg = (g.neighbors_mask(u) & members).bit_count()
-            if deg > best:
-                best = deg
-    return best
+    member = _shell_membership(p)
+    # deg[z, x] = |N(x) & V_z|, the degree of x in G_z when x is a member.
+    # The float matmul is exact: every entry is an integer count <= N << 2^53.
+    deg = member.astype(np.float64) @ _adjacency(g).astype(np.float64)
+    return int(deg.max(where=member, initial=0))
+
+
+def _first_shells(member: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Lowest shell id containing both endpoints of each edge; -1 for none."""
+    first = np.empty(len(eu), dtype=np.int64)
+    block = max(1, _CHUNK_BYTES // max(len(member), 1))
+    for start in range(0, len(eu), block):
+        both = member[eu[start : start + block]] & member[ev[start : start + block]]
+        f = both.argmax(axis=1)
+        f[~both[np.arange(len(f)), f]] = -1
+        first[start : start + block] = f
+    return first
+
+
+def _lockstep_first_fit(seqs, eu, ev, closed: np.ndarray) -> np.ndarray:
+    """First-fit matching index of every edge of every shell in one chunk.
+
+    seqs[c] holds shell c's edge ids in processing order, longest shell
+    first.  Step k places the k-th edge of every shell still running, so the
+    running shells are always a prefix.  blocked[c, x] is a bitset over
+    shell c's matchings: bit i is set once matching i has a vertex in N[x],
+    so edge uv fits matching i iff bit i is clear in blocked[c, u] and in
+    blocked[c, v].  The result is (len(seqs), len(seqs[0])), padded past
+    each shell's end.
+    """
+    lengths = np.array([len(s) for s in seqs])
+    steps = int(lengths[0])
+    U = np.zeros((len(seqs), steps), dtype=np.intp)
+    V = np.zeros((len(seqs), steps), dtype=np.intp)
+    for c, s in enumerate(seqs):
+        U[c, : len(s)] = eu[s]
+        V[c, : len(s)] = ev[s]
+    running = len(seqs) - np.searchsorted(lengths[::-1], np.arange(steps), side="right")
+    # A shell never has more matchings than edges, so steps + 1 bits suffice.
+    blocked = np.zeros((len(seqs), len(closed), steps // 64 + 1), dtype=np.uint64)
+    index = np.zeros((len(seqs), steps), dtype=np.int64)
+    rows = np.arange(len(seqs))
+    top = -1  # highest matching index used so far in this chunk
+    for k in range(steps):
+        r = rows[: running[k]]
+        u = U[r, k]
+        v = V[r, k]
+        words = (top + 1) // 64 + 1  # bit top+1 is clear in every shell
+        free = ~(blocked[r, u, :words] | blocked[r, v, :words])
+        j = (free != 0).argmax(axis=1)
+        word = free[r, j]
+        low = word & (~word + np.uint64(1))  # lowest clear bit of the blocked word
+        i = 64 * j + np.frexp(low.astype(np.float64))[1] - 1
+        index[r, k] = i
+        top = max(top, int(i.max()))
+        blocked[r, :, j] |= np.where(closed[u] | closed[v], low[:, None], np.uint64(0))
+    return index
 
 
 def decompose_geometric(p: GeomParams, g: Graph | None = None) -> MatchingCover:
-    """Cover E(g) by induced matchings via greedy covers of every shell.
+    """Cover E(g) by induced matchings, one first-fit cover per shell.
 
-    Shells are processed in ascending center id; duplicate edges are removed
-    from all but their first (z id, matching ordinal) occurrence and emptied
-    matchings dropped.  An edge covered by no shell raises VerificationError
-    (expected only when the n >= 2C coverage hypothesis fails).
+    Each edge belongs to its first shell: the lowest center id z whose shell
+    V_z contains both endpoints.  Every shell runs first-fit over all of its
+    edges in ascending (u, v) order, placing each edge in the lowest-index
+    matching of that shell that stays induced in G, and stops after its last
+    first-shell edge; shells with no first-shell edge are skipped.  The cover
+    keeps each edge only in its first shell, ordered by (z, matching index,
+    edge order), with emptied matchings dropped.  This is exactly the cover
+    of covering every shell in full and deduplicating.
+
+    Shells are independent, so numpy runs them in lockstep: chunks of
+    shells advance one edge per step, each tracking per vertex which of its
+    matchings are blocked (see _lockstep_first_fit).  An edge covered by no
+    shell raises VerificationError (expected only when the n >= 2C coverage
+    hypothesis fails).
     """
     if g is None:
         g = build_geometric_graph(p)
-    collected: list[list[tuple[int, int]]] = []
-    for _, members in _shell_masks(p, g):
-        collected.extend(_greedy_cover_within(g, members))
-    seen: set[tuple[int, int]] = set()
-    deduped: list[list[tuple[int, int]]] = []
-    for m in collected:
-        kept = [e for e in m if e not in seen]
-        seen.update(kept)
-        if kept:
-            deduped.append(kept)
-    for e in g.edges():
-        if e not in seen:
-            x = vertex_coords(e[0], p.C, p.n)
-            y = vertex_coords(e[1], p.C, p.n)
-            raise VerificationError(
-                f"edge {e} = {x}-{y} lies in no shell (n >= 2C hypothesis "
-                f"{'held' if p.n >= 2 * p.C else 'violated'})"
-            )
+    adj = _adjacency(g)
+    member = _shell_membership(p)
+    eu, ev = np.nonzero(np.triu(adj, 1))  # the order of g.edges()
+    first = _first_shells(member, eu, ev)
+    uncovered = np.flatnonzero(first < 0)
+    if len(uncovered):
+        e = (int(eu[uncovered[0]]), int(ev[uncovered[0]]))
+        x = vertex_coords(e[0], p.C, p.n)
+        y = vertex_coords(e[1], p.C, p.n)
+        raise VerificationError(
+            f"edge {e} = {x}-{y} lies in no shell (n >= 2C hypothesis "
+            f"{'held' if p.n >= 2 * p.C else 'violated'})"
+        )
+    last = np.full(g.n, -1, dtype=np.int64)
+    np.maximum.at(last, first, np.arange(len(first)))
+    seqs = {}
+    for z in np.flatnonzero(last >= 0):
+        stop = last[z] + 1
+        seqs[z] = np.flatnonzero(member[z, eu[:stop]] & member[z, ev[:stop]])
+    closed = adj | np.eye(g.n, dtype=bool)
+    order = sorted(seqs, key=lambda z: -len(seqs[z]))
+    match = np.empty(len(eu), dtype=np.int64)  # matching index in the first shell
+    start = 0
+    while start < len(order):
+        per_shell = g.n * (len(seqs[order[start]]) // 64 + 1) * 8
+        chunk = order[start : start + max(1, _CHUNK_BYTES // per_shell)]
+        start += len(chunk)
+        index = _lockstep_first_fit([seqs[z] for z in chunk], eu, ev, closed)
+        for c, z in enumerate(chunk):
+            mine = first[seqs[z]] == z
+            match[seqs[z][mine]] = index[c, : len(seqs[z])][mine]
+    # A stable sort on (z, matching index) keeps edge order within a matching.
+    key = first * len(eu) + match
+    rank = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[rank], prepend=-1)).tolist()
+    edges = list(zip(eu[rank].tolist(), ev[rank].tolist()))
+    matchings = [edges[a:b] for a, b in zip(starts, starts[1:] + [len(edges)])]
     d = g.max_degree()
-    if len(deduped) > g.n * 2 * d * d:
+    if len(matchings) > g.n * 2 * d * d:
         raise InternalCheckError("cover size exceeded the N * 2 d^2 bound")
-    return MatchingCover.from_matchings(deduped)
+    return MatchingCover.from_matchings(matchings)
 
 
 @dataclass
