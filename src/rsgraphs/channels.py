@@ -1,37 +1,33 @@
 """Shared-channel scheduling: N stations must deliver all N^2 directed messages.
 
 K_{N,N} is partitioned into subchannels, each subchannel's edges covered by
-bipartite induced matchings; one matching is broadcast per round.  A receiver
-hears cleanly iff exactly one scheduled transmitter targets it this round and
-no other scheduled transmitter is its in-neighbor within the subchannel
-graph, which is exactly what inducedness guarantees.
+induced matchings; one matching is broadcast per round.  A subchannel is a
+Graph on 2N vertices: transmitter u is vertex u and receiver v is vertex N+v,
+so its cover holds (u, N+v) edges and goes through the one cover verifier.
+build_schedule turns those edges back into (transmitter, receiver) station
+pairs.  A receiver hears cleanly iff exactly one scheduled transmitter
+targets it this round and no other scheduled transmitter is its in-neighbor
+within the subchannel graph, which is exactly what inducedness guarantees.
 """
 
 import random
 from dataclasses import dataclass, field
 
 from .codegraph import CodeGraphParams, two_channel_split
-from .errors import InternalCheckError, ParameterError
+from .errors import ParameterError
 from .geometric import GeomParams, build_geometric_graph, decompose_geometric
-from .graphs import (
-    BipartiteGraph,
-    MatchingCover,
-    bipartite_double,
-    bits_of,
-    doubled_matchings,
-    is_induced_matching_bipartite,
-    verify_cover_bipartite,
-)
+from .graphs import Graph, MatchingCover, bits_of, doubled_matchings, verify_cover_bipartite
 
 Matching = list[tuple[int, int]]
 
 
 @dataclass
 class ChannelPartition:
-    """Subchannels (graph, cover) whose edge sets partition K_{N,N} exactly."""
+    """Subchannels (graph on 2N vertices, cover) whose edge sets partition
+    K_{N,N} exactly."""
 
     n_stations: int
-    subchannels: list[tuple[BipartiteGraph, MatchingCover]]
+    subchannels: list[tuple[Graph, MatchingCover]]
     overflow_index: int | None = None  # subchannel holding unassigned pairs, if any
     attempts_used: int | None = None
     right_permutations: list[list[int]] | None = None
@@ -44,16 +40,16 @@ def validate_partition(cp: ChannelPartition) -> None:
     """Each subchannel cover must be valid and the edge sets must tile K_{N,N}."""
     n = cp.n_stations
     acc = [0] * n
-    for idx, (bg, cover) in enumerate(cp.subchannels):
-        if bg.left_n != n or bg.right_n != n:
+    for idx, (g, cover) in enumerate(cp.subchannels):
+        if g.n != 2 * n:
             raise ParameterError(f"subchannel {idx} is not on {n}x{n} stations")
-        rep = verify_cover_bipartite(bg, cover)
+        rep = verify_cover_bipartite(g, cover)
         if not rep.valid:
             raise ParameterError(
                 f"subchannel {idx} cover invalid ({len(rep.violations)} violations)"
             )
         for u in range(n):
-            row = bg.right_neighbors_mask(u)
+            row = g.neighbors_mask(u) >> n
             if acc[u] & row:
                 raise ParameterError(f"subchannel {idx} overlaps an earlier one at left {u}")
             acc[u] |= row
@@ -67,11 +63,9 @@ def partition_two(p: CodeGraphParams) -> ChannelPartition:
     """Two subchannels: the doubled code graph with its flip-class cover, and
     the remainder (diagonal plus high-agreement pairs) as singleton rounds."""
     split = two_channel_split(p)
-    singles = MatchingCover.from_matchings(
-        [[e] for e in split.remainder.edges()], normalize=False
-    )
+    singles = MatchingCover([[e] for e in split.remainder.edges()])
     cp = ChannelPartition(
-        n_stations=split.covered.left_n,
+        n_stations=split.covered.n // 2,
         subchannels=[(split.covered, split.cover), (split.remainder, singles)],
         overflow_index=1,
     )
@@ -128,8 +122,8 @@ def partition_shifts(
         g = build_geometric_graph(p)
     if cover is None:
         cover = decompose_geometric(p, g)
-    base = doubled_matchings(cover)
     n = g.n
+    base = doubled_matchings(cover, n)
     rng = random.Random(seed)
     best = None  # (overflow_size, attempt_index, perms, assigned, overflow)
     for attempt in range(max_attempts):
@@ -146,23 +140,20 @@ def partition_shifts(
             break
     ov_size, attempt, perms, assigned, overflow = best
     subchannels = []
-    for i, perm in enumerate(perms):
-        bg = BipartiteGraph(n, n, assigned[i])
+    for rows, perm in zip(assigned, perms):
         matchings = []
         for m in base:
-            rest = [(u, perm[v]) for u, v in m if (assigned[i][u] >> perm[v]) & 1]
+            # shift the right side: vertex n+v becomes n+perm[v]
+            rest = [(u, n + perm[w - n]) for u, w in m if (rows[u] >> perm[w - n]) & 1]
             if rest:
                 rest.sort()
-                if not is_induced_matching_bipartite(bg, rest):
-                    raise InternalCheckError("restricted shifted matching not induced")
                 matchings.append(rest)
-        subchannels.append((bg, MatchingCover.from_matchings(matchings, normalize=False)))
+        subchannels.append((Graph.from_bipartite_rows(rows), MatchingCover(matchings)))
     overflow_index = None
     if ov_size:
-        bg = BipartiteGraph(n, n, overflow)
-        singles = MatchingCover.from_matchings([[e] for e in bg.edges()], normalize=False)
+        g_ov = Graph.from_bipartite_rows(overflow)
         overflow_index = len(subchannels)
-        subchannels.append((bg, singles))
+        subchannels.append((g_ov, MatchingCover([[e] for e in g_ov.edges()])))
     cp = ChannelPartition(
         n_stations=n,
         subchannels=subchannels,
@@ -194,20 +185,26 @@ class Schedule:
 
 
 def build_schedule(cp: ChannelPartition, policy: str = "sequential") -> Schedule:
-    """Flatten a partition into rounds; total rounds = sum of cover sizes either way."""
+    """Flatten a partition into rounds of (transmitter, receiver) station
+    pairs; total rounds = sum of cover sizes either way."""
     if policy not in ("sequential", "round-robin"):
         raise ParameterError(f"unknown policy {policy!r}")
+    n = cp.n_stations
+
+    def stations(m: Matching) -> Matching:
+        return [(u, w - n) for u, w in m]
+
     rounds: list[tuple[int, Matching]] = []
     if policy == "sequential":
         for i, (_, cover) in enumerate(cp.subchannels):
             for m in cover.matchings:
-                rounds.append((i, list(m)))
+                rounds.append((i, stations(m)))
     else:
         queues = [list(cover.matchings) for _, cover in cp.subchannels]
         pos = 0
         while any(queues):
             if queues[pos]:
-                rounds.append((pos, list(queues[pos].pop(0))))
+                rounds.append((pos, stations(queues[pos].pop(0))))
             pos = (pos + 1) % len(queues)
     return Schedule(cp.n_stations, len(cp.subchannels), rounds)
 
@@ -238,7 +235,7 @@ def simulate(s: Schedule, n_stations: int | None = None) -> SimReport:
             if not (0 <= u < n and 0 <= v < n):
                 raise ParameterError(f"scheduled pair ({u},{v}) outside {n} stations")
             cols[v] |= 1 << u
-    delivered: set[tuple[int, int]] = set()
+    delivered = bytearray(n * n)  # flag of pair (u, v) at u * n + v
     garbled: list[tuple] = []
     doubles: list[tuple] = []
     for rnd, (i, m) in enumerate(s.rounds):
@@ -258,12 +255,12 @@ def simulate(s: Schedule, n_stations: int | None = None) -> SimReport:
             if interferers:
                 garbled.append((rnd, i, v, (u, *bits_of(interferers))))
                 continue
-            if (u, v) in delivered:
+            if delivered[u * n + v]:
                 doubles.append((rnd, u, v))
             else:
-                delivered.add((u, v))
+                delivered[u * n + v] = 1
     return SimReport(
-        delivered=len(delivered),
+        delivered=delivered.count(1),
         garbled_events=garbled,
         rounds_used=len(s.rounds),
         per_subchannel_rounds=s.per_subchannel_rounds(),

@@ -17,16 +17,7 @@ import numpy as np
 
 from .codes import CodeChain, validate_chain
 from .errors import InternalCheckError, ParameterError, check_caps
-from .graphs import (
-    BipartiteGraph,
-    Graph,
-    MatchingCover,
-    bipartite_double,
-    bits_of,
-    doubled_matchings,
-    is_induced_matching,
-    is_induced_matching_bipartite,
-)
+from .graphs import Graph, MatchingCover, bits_of, doubled_matchings, is_induced_matching
 from .lattice import lattice_points, vertex_id
 
 Coords = tuple[int, ...]
@@ -219,11 +210,12 @@ def cover_exponents(C: int, n: int, d: int) -> tuple[float, float]:
 
 @dataclass
 class TwoChannelSplit:
-    """Left/right duplication split: covered bipartite part, its cover, remainder."""
+    """K_{N,N} on 2N vertices (right station v is vertex N+v), split into the
+    bipartite double of the code graph with its doubled cover, and the rest."""
 
-    covered: BipartiteGraph
+    covered: Graph
     cover: MatchingCover
-    remainder: BipartiteGraph
+    remainder: Graph
 
 
 def two_channel_split(
@@ -231,23 +223,19 @@ def two_channel_split(
 ) -> TwoChannelSplit:
     """Split K_{N,N} into the doubled code graph plus everything else.
 
-    (u_left, v_right) belongs to the covered part iff uv is a code-graph
-    edge; the diagonal and all high-agreement pairs form the remainder.  The
-    doubled matchings are re-verified for bipartite inducedness.
+    (u, N+v) belongs to the covered part iff uv is a code-graph edge; the
+    diagonal and all high-agreement pairs form the remainder.  The doubled
+    cover is checked where it is used, by the K_{N,N} gate.
     """
     if g is None:
         g = build_code_graph(p)
     if cover is None:
         cover = enumerate_cover(p, g)
-    g1 = bipartite_double(g)
-    bip = doubled_matchings(cover)
-    for m in bip:
-        if not is_induced_matching_bipartite(g1, m):
-            raise InternalCheckError("doubled matching lost bipartite inducedness")
-    cover1 = MatchingCover.from_matchings(bip, normalize=False)
-    full = (1 << g.n) - 1
-    rem_rows = [full & ~g.neighbors_mask(u) for u in range(g.n)]
-    remainder = BipartiteGraph(g.n, g.n, rem_rows)
-    if g1.edge_count + remainder.edge_count != g.n * g.n:
+    n = g.n
+    full = (1 << n) - 1
+    rows = [g.neighbors_mask(u) for u in range(n)]
+    covered = Graph.from_bipartite_rows(rows)
+    remainder = Graph.from_bipartite_rows([full & ~r for r in rows])
+    if covered.edge_count + remainder.edge_count != n * n:
         raise InternalCheckError("split does not partition K_{N,N}")
-    return TwoChannelSplit(g1, cover1, remainder)
+    return TwoChannelSplit(covered, MatchingCover(doubled_matchings(cover, n)), remainder)

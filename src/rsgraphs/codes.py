@@ -152,14 +152,11 @@ def sample_parity_check(n: int, k: int, rng: random.Random) -> list[int]:
     vector always lies in the kernel.  For any fixed nonempty proper column
     subset, the subset's columns sum to zero with probability exactly 2^-(n-k).
     """
-    rows = []
-    for _ in range(n - k):
-        low = rng.getrandbits(n - 1) if n > 1 else 0
-        rows.append(low | ((low.bit_count() & 1) << (n - 1)))
-    return rows
+    return [_even_weight_row(n, rng) for _ in range(n - k)]
 
 
 def _even_weight_row(n: int, rng: random.Random) -> int:
+    """Random n-bit row whose bit n-1 is the parity of its first n-1 bits."""
     low = rng.getrandbits(n - 1) if n > 1 else 0
     return low | ((low.bit_count() & 1) << (n - 1))
 

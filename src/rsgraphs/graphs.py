@@ -5,11 +5,17 @@ set algebra exact and makes the induced-matching checks O(|M| * N/64)
 instead of O(|M|^2).  An induced matching M in G is a matching such that no
 edge of G joins endpoints of two distinct edges of M; a cover is a list of
 matchings that partitions E(G).
+
+A subgraph of K_{N,N} (a shared-channel subchannel, or the bipartite double
+of a graph) is a Graph on 2N vertices: left station u is vertex u and right
+station v is vertex N+v, so its covers hold (u, N+v) edges and go through
+the same verifier; verify_cover_bipartite adds the check that every edge
+joins the two sides.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import InternalCheckError, ParameterError
+from .errors import ParameterError
 
 Edge = tuple[int, int]
 Matching = list[Edge]
@@ -65,6 +71,20 @@ class Graph:
                     raise ParameterError(f"asymmetric adjacency between {u} and {v}")
         return cls(n, list(rows))
 
+    @classmethod
+    def from_bipartite_rows(cls, rows: list[int]) -> "Graph":
+        """Subgraph of K_{N,N} on 2N vertices, N = len(rows): rows[u] is the
+        bitmask of the right stations v joined to left station u, and v
+        becomes vertex N+v."""
+        n = len(rows)
+        cols = [0] * n
+        for u, r in enumerate(rows):
+            if r >> n:
+                raise ParameterError(f"row {u} has right stations outside 0..{n - 1}")
+            for v in bits_of(r):
+                cols[v] |= 1 << u
+        return cls(2 * n, [r << n for r in rows] + cols, sum(r.bit_count() for r in rows))
+
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n and bool((self._rows[u] >> v) & 1)
 
@@ -99,81 +119,11 @@ class Graph:
         return f"Graph(n={self.n}, m={self._m})"
 
 
-class BipartiteGraph:
-    """Bipartite graph; edges are ordered (left, right) pairs with independent id spaces."""
-
-    __slots__ = ("left_n", "right_n", "_rows", "_cols", "_m")
-
-    def __init__(self, left_n: int, right_n: int, rows: list[int]):
-        self.left_n = left_n
-        self.right_n = right_n
-        self._rows = rows
-        cols = [0] * right_n
-        for u, r in enumerate(rows):
-            for v in bits_of(r):
-                cols[v] |= 1 << u
-        self._cols = cols
-        self._m = sum(r.bit_count() for r in rows)
-
-    @classmethod
-    def from_edges(cls, left_n: int, right_n: int, edges) -> "BipartiteGraph":
-        rows = [0] * left_n
-        for u, v in edges:
-            if not (0 <= u < left_n and 0 <= v < right_n):
-                raise ParameterError(f"bipartite edge ({u},{v}) out of range")
-            rows[u] |= 1 << v
-        return cls(left_n, right_n, rows)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (
-            0 <= u < self.left_n
-            and 0 <= v < self.right_n
-            and bool((self._rows[u] >> v) & 1)
-        )
-
-    def right_neighbors_mask(self, u: int) -> int:
-        return self._rows[u]
-
-    def left_neighbors_mask(self, v: int) -> int:
-        return self._cols[v]
-
-    @property
-    def edge_count(self) -> int:
-        return self._m
-
-    def edges(self):
-        for u in range(self.left_n):
-            for v in bits_of(self._rows[u]):
-                yield (u, v)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BipartiteGraph)
-            and (self.left_n, self.right_n) == (other.left_n, other.right_n)
-            and self._rows == other._rows
-        )
-
-    def __repr__(self):
-        return f"BipartiteGraph({self.left_n}x{self.right_n}, m={self._m})"
-
-
 @dataclass
 class MatchingCover:
-    """A list of matchings with a derived edge -> matching-ordinal index.
-
-    The index always reflects the first occurrence of each edge, so it stays
-    consistent even while a defective cover is being inspected.
-    """
+    """A list of matchings, each a list of edges."""
 
     matchings: list[Matching]
-    edge_index: dict[Edge, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        index: dict[Edge, int] = {}
-        for i, m in enumerate(self.matchings):
-            for e in m:
-                index.setdefault(e, i)
-        self.edge_index = index
 
     @classmethod
     def from_matchings(cls, matchings, normalize: bool = True) -> "MatchingCover":
@@ -224,25 +174,7 @@ def is_induced_matching(g: Graph, m: Matching) -> bool:
     return True
 
 
-def is_induced_matching_bipartite(bg: BipartiteGraph, m: Matching) -> bool:
-    """Bipartite analogue: no bg-edge may join endpoints of distinct edges of m."""
-    left = right = 0
-    for u, v in m:
-        if not bg.has_edge(u, v):
-            raise ParameterError(f"pair ({u},{v}) is not an edge of the bipartite graph")
-        if (left >> u) & 1 or (right >> v) & 1:
-            return False
-        left |= 1 << u
-        right |= 1 << v
-    for u, v in m:
-        if bg.right_neighbors_mask(u) & right != 1 << v:
-            return False
-        if bg.left_neighbors_mask(v) & left != 1 << u:
-            return False
-    return True
-
-
-def _matching_violations(i: int, m: Matching, neighbor_mask, has_edge, violations):
+def _matching_violations(g: Graph, i: int, m: Matching, violations):
     """Collect shared-endpoint and cross-edge defects of matching i."""
     owner: dict[int, Edge] = {}
     pmask = 0
@@ -256,10 +188,10 @@ def _matching_violations(i: int, m: Matching, neighbor_mask, has_edge, violation
         return
     reported = set()
     for u, v in m:
-        if not has_edge(u, v):
+        if not g.has_edge(u, v):
             continue
         for a, b in ((u, v), (v, u)):
-            stray = neighbor_mask(a) & pmask & ~(1 << b) & ~(1 << a)
+            stray = g.neighbors_mask(a) & pmask & ~(1 << b) & ~(1 << a)
             for c in bits_of(stray):
                 other = owner[c]
                 if other == (u, v):
@@ -275,24 +207,37 @@ def verify_cover(g: Graph, c: MatchingCover) -> CoverReport:
 
     All defects are reported as (kind, witness) tuples; nothing raises.
     Kinds: shared-endpoint, cross-edge, multiply-covered, uncovered-edge,
-    edge-not-in-graph.
+    edge-not-in-graph.  A valid cover takes the fast path: one
+    is_induced_matching call per matching and two counts for the partition;
+    the witness searches run only where those checks fail.
     """
     violations: list[tuple] = []
-    locs: dict[Edge, list[int]] = {}
+    covered: set[Edge] = set()
+    placed = 0
     for i, m in enumerate(c.matchings):
+        in_graph = True
         for u, v in m:
             e = (u, v) if u <= v else (v, u)
-            if not g.has_edge(*e):
-                violations.append(("edge-not-in-graph", (i, e)))
+            if g.has_edge(*e):
+                covered.add(e)
+                placed += 1
             else:
-                locs.setdefault(e, []).append(i)
-        _matching_violations(i, m, g.neighbors_mask, g.has_edge, violations)
-    for e, where in sorted(locs.items()):
-        if len(where) > 1:
-            violations.append(("multiply-covered", (e, tuple(where))))
-    for e in g.edges():
-        if e not in locs:
-            violations.append(("uncovered-edge", e))
+                violations.append(("edge-not-in-graph", (i, e)))
+                in_graph = False
+        if not (in_graph and is_induced_matching(g, m)):
+            _matching_violations(g, i, m, violations)
+    if placed != len(covered):
+        locs: dict[Edge, list[int]] = {}
+        for i, m in enumerate(c.matchings):
+            for u, v in m:
+                e = (u, v) if u <= v else (v, u)
+                if e in covered:
+                    locs.setdefault(e, []).append(i)
+        for e, where in sorted(locs.items()):
+            if len(where) > 1:
+                violations.append(("multiply-covered", (e, tuple(where))))
+    if len(covered) != g.edge_count:
+        violations.extend(("uncovered-edge", e) for e in g.edges() if e not in covered)
     sizes = c.sizes()
     return CoverReport(
         valid=not violations,
@@ -303,87 +248,20 @@ def verify_cover(g: Graph, c: MatchingCover) -> CoverReport:
     )
 
 
-def verify_cover_bipartite(bg: BipartiteGraph, c: MatchingCover) -> CoverReport:
-    """verify_cover for bipartite graphs; matchings hold ordered (left, right) pairs."""
-    violations: list[tuple] = []
-    locs: dict[Edge, list[int]] = {}
-    for i, m in enumerate(c.matchings):
-        owner_l: dict[int, Edge] = {}
-        owner_r: dict[int, Edge] = {}
-        lmask = rmask = 0
-        for e in m:
-            u, v = e
-            if not bg.has_edge(u, v):
-                violations.append(("edge-not-in-graph", (i, e)))
-            else:
-                locs.setdefault(e, []).append(i)
-            if u in owner_l and owner_l[u] != e:
-                violations.append(("shared-endpoint", (i, ("left", u))))
-            if v in owner_r and owner_r[v] != e:
-                violations.append(("shared-endpoint", (i, ("right", v))))
-            owner_l.setdefault(u, e)
-            owner_r.setdefault(v, e)
-            lmask |= 1 << u
-            rmask |= 1 << v
-        reported = set()
-        for u, v in m:
-            if not bg.has_edge(u, v):
-                continue
-            for c_r in bits_of(bg.right_neighbors_mask(u) & rmask & ~(1 << v)):
-                other = owner_r[c_r]
-                key = (i, min((u, v), other), max((u, v), other))
-                if key not in reported:
-                    reported.add(key)
-                    violations.append(("cross-edge", (i, key[1], key[2])))
-            for c_l in bits_of(bg.left_neighbors_mask(v) & lmask & ~(1 << u)):
-                other = owner_l[c_l]
-                key = (i, min((u, v), other), max((u, v), other))
-                if key not in reported:
-                    reported.add(key)
-                    violations.append(("cross-edge", (i, key[1], key[2])))
-    for e, where in sorted(locs.items()):
-        if len(where) > 1:
-            violations.append(("multiply-covered", (e, tuple(where))))
-    for e in bg.edges():
-        if e not in locs:
-            violations.append(("uncovered-edge", e))
-    sizes = c.sizes()
-    return CoverReport(
-        valid=not violations,
-        violations=violations,
-        r_min=min(sizes, default=0),
-        r_max=max(sizes, default=0),
-        t=c.t,
-    )
+def verify_cover_bipartite(g: Graph, c: MatchingCover) -> CoverReport:
+    """The K_{N,N} gate: verify_cover for a graph on 2N vertices whose every
+    edge joins a left station u < N to a right station N+v.
 
-
-def greedy_induced_matching_cover(g: Graph) -> MatchingCover:
-    """First-fit cover of E(g) by induced matchings.
-
-    Edges are processed in ascending (min, max) order; each goes to the
-    lowest-index matching it does not conflict with.  An edge conflicts with
-    a matching if it shares an endpoint with it or a g-edge joins them, so at
-    most 2d-2 + (2d-2)(d-1) < 2d^2 matchings are ever blocked and the result
-    uses at most 2 * max_degree^2 matchings.
+    A graph with an edge inside one side is malformed and raises ParameterError.
     """
-    matchings: list[Matching] = []
-    masks: list[int] = []  # endpoint bitmask per matching
-    for u, v in g.edges():
-        conflict = g.neighbors_mask(u) | g.neighbors_mask(v) | (1 << u) | (1 << v)
-        for i, pm in enumerate(masks):
-            if pm & conflict == 0:
-                matchings[i].append((u, v))
-                masks[i] |= (1 << u) | (1 << v)
-                break
-        else:
-            matchings.append([(u, v)])
-            masks.append((1 << u) | (1 << v))
-    d = g.max_degree()
-    if len(matchings) > 2 * d * d:
-        raise InternalCheckError(
-            f"greedy cover used {len(matchings)} matchings, above the 2d^2 bound {2 * d * d}"
-        )
-    return MatchingCover.from_matchings(matchings)
+    half = g.n // 2
+    low = (1 << half) - 1
+    if g.n % 2 or any(
+        g.neighbors_mask(u) & low if u < half else g.neighbors_mask(u) >> half
+        for u in range(g.n)
+    ):
+        raise ParameterError(f"graph on {g.n} vertices is not a subgraph of K_{{N,N}}")
+    return verify_cover(g, c)
 
 
 def complement_degree(g: Graph, v: int) -> int:
@@ -393,21 +271,10 @@ def complement_degree(g: Graph, v: int) -> int:
     return g.n - 1 - g.degree(v)
 
 
-def bipartite_double(g: Graph) -> BipartiteGraph:
-    """Left/right duplication of g: (u_left, v_right) is an edge iff uv in E(g)."""
-    return BipartiteGraph(g.n, g.n, [g.neighbors_mask(u) for u in range(g.n)])
-
-
-def doubled_matchings(c: MatchingCover) -> list[Matching]:
-    """Image of each matching under duplication: uv becomes (u,v) and (v,u)."""
-    out = []
-    for m in c.matchings:
-        bm = []
-        for u, v in m:
-            bm.append((u, v))
-            bm.append((v, u))
-        out.append(sorted(bm))
-    return out
+def doubled_matchings(c: MatchingCover, n: int) -> list[Matching]:
+    """Image of each matching of a graph on n vertices in its bipartite double:
+    uv becomes the pairs (u, n+v) and (v, n+u)."""
+    return [sorted(p for u, v in m for p in ((u, n + v), (v, n + u))) for m in c.matchings]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ into a bipartite graph H and taking its induced-matching cover plus singleton
 parts for all non-H pairs keeps the sum near t + |non-H pairs|, far below the
 threshold for good parameters: every induced-matching part contributes
 exactly 1 to the H-restricted sum.
+
+H is a Graph on 2N vertices: left station i is vertex i and right station j
+is vertex N+j.  counterexample_partition turns its (i, N+j) edges into the
+(i, j) station pairs of the EdgePartition.
 """
 
 import math
@@ -18,7 +22,7 @@ from fractions import Fraction
 
 from .codegraph import CodeGraphParams, two_channel_split
 from .errors import InternalCheckError, ParameterError
-from .graphs import BipartiteGraph, is_induced_matching_bipartite
+from .graphs import Graph, verify_cover_bipartite
 
 
 @dataclass
@@ -93,10 +97,11 @@ def conjecture_threshold(N: int, k: int) -> float:
 
 @dataclass
 class CounterexampleParts:
-    """Duplication graph H, its matching-derived parts, and singleton fill."""
+    """Duplication graph H on 2N vertices, its matching-derived parts, and
+    singleton fill."""
 
     partition: EdgePartition
-    h: BipartiteGraph
+    h: Graph
     matching_parts: int
     missing_pairs: int
 
@@ -105,12 +110,12 @@ def counterexample_partition(p: CodeGraphParams) -> CounterexampleParts:
     """Parts = doubled flip-class matchings of the code graph + singleton non-H pairs."""
     split = two_channel_split(p)
     h = split.covered
-    parts: list[list[tuple[int, int]]] = [list(m) for m in split.cover.matchings]
-    for m in parts:
-        if not is_induced_matching_bipartite(h, m):
-            raise InternalCheckError("matching part lost inducedness in H")
-    singles = [[e] for e in split.remainder.edges()]
-    ep = EdgePartition(h.left_n, h.right_n, parts + singles)
+    if not verify_cover_bipartite(h, split.cover).valid:
+        raise InternalCheckError("matching part lost inducedness in H")
+    n = h.n // 2
+    parts = [[(i, w - n) for i, w in m] for m in split.cover.matchings]
+    singles = [[(i, w - n)] for i, w in split.remainder.edges()]
+    ep = EdgePartition(n, n, parts + singles)
     return CounterexampleParts(
         partition=ep,
         h=h,
@@ -119,17 +124,19 @@ def counterexample_partition(p: CodeGraphParams) -> CounterexampleParts:
     )
 
 
-def per_part_identity(ep: EdgePartition, h: BipartiteGraph) -> list[Fraction]:
+def per_part_identity(ep: EdgePartition, h: Graph) -> list[Fraction]:
     """H-restricted contribution sum_{(i,j) in H} deg_p(i) deg_p(j) / |p| per part.
 
+    H is on left_n + right_n vertices, right station j being vertex left_n + j.
     For a part that is an induced matching of H this is exactly 1.
     """
+    off = ep.left_n
     out = []
     for part, (ld, rd) in zip(ep.parts, ep.degree_tables()):
         s = Fraction(0)
         for i, deg_i in ld.items():
             for j, deg_j in rd.items():
-                if h.has_edge(i, j):
+                if h.has_edge(i, off + j):
                     s += Fraction(deg_i * deg_j, len(part))
         out.append(s)
     return out

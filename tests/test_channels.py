@@ -18,7 +18,7 @@ from rsgraphs.codegraph import CodeGraphParams
 from rsgraphs.codes import LinearCode, build_chain
 from rsgraphs.errors import ParameterError
 from rsgraphs.geometric import GeomParams
-from rsgraphs.graphs import BipartiteGraph, MatchingCover
+from rsgraphs.graphs import Graph, MatchingCover
 
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
 
@@ -61,7 +61,7 @@ def test_partition_two_small():
     assert covered.edge_count == 4  # both zero-agreement edges, doubled
     remainder, singles = cp.subchannels[1]
     assert remainder.edge_count == 12
-    assert remainder.has_edge(0, 0)
+    assert remainder.n == 8 and remainder.has_edge(0, 4)  # station pair (0, 0)
     assert cp.round_counts() == [2, 12]
 
 
@@ -75,13 +75,13 @@ def test_partition_two_desk_counts():
 
 
 def test_validate_partition_rejects_overlap_and_gap():
-    full = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    singles = MatchingCover.from_matchings([[e] for e in full.edges()], normalize=False)
+    full = Graph.from_bipartite_rows([0b11, 0b11])
+    singles = MatchingCover([[e] for e in full.edges()])
     ok = ChannelPartition(2, [(full, singles)])
     validate_partition(ok)
 
-    half = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
-    half_cover = MatchingCover.from_matchings([[e] for e in half.edges()], normalize=False)
+    half = Graph.from_bipartite_rows([0b01, 0b10])
+    half_cover = MatchingCover([[e] for e in half.edges()])
     with pytest.raises(ParameterError):
         validate_partition(ChannelPartition(2, [(half, half_cover)]))  # gap
     with pytest.raises(ParameterError):

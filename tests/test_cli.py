@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from rsgraphs import channels, codegraph, vempala
 from rsgraphs.cli import run
-from rsgraphs.graphs import read_cover, read_edge_list, verify_cover
+from rsgraphs.graphs import is_induced_matching, read_cover, read_edge_list, verify_cover
 
 PINNED_TEXT = "4 2\n11\n11\n10\n10\n"
 
@@ -236,6 +237,32 @@ def test_vempala_command(tmp_path, capsys):
     assert rep["per_part_identity_ok"] is True
     lines = (tmp_path / "parts.txt").read_text().splitlines()
     assert len(lines) == 972 + 2673
+
+
+def tampered_split(*args, **kwargs):
+    """The real split, with matching 0 merged with the first later matching
+    that makes it non-induced; every pair stays covered exactly once."""
+    split = codegraph.two_channel_split(*args, **kwargs)
+    ms = split.cover.matchings
+    j = next(j for j in range(1, len(ms)) if not is_induced_matching(split.covered, ms[0] + ms[j]))
+    ms[0] = sorted(ms[0] + ms.pop(j))
+    return split
+
+
+@pytest.mark.parametrize("command,exit_code", [("channel two", 1), ("vempala", 2)])
+def test_tampered_subchannel_cover_trips_the_gate(tmp_path, capsys, monkeypatch, command, exit_code):
+    # two_channel_split does not check its matchings; each artifact's gate must.
+    monkeypatch.setattr(channels, "two_channel_split", tampered_split)
+    monkeypatch.setattr(vempala, "two_channel_split", tampered_split)
+    gen = tmp_path / "gen.txt"
+    gen.write_text(PINNED_TEXT)
+    argv = command.split() + ["--c", "3", "--n", "4", "--d", "2", "--gen", str(gen)]
+    assert run(argv) == exit_code
+    err = capsys.readouterr().err
+    if command == "channel two":
+        assert "subchannel 0 cover invalid" in err
+    else:
+        assert "lost inducedness" in err
 
 
 def test_text_format(capsys):

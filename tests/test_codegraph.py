@@ -20,10 +20,7 @@ from rsgraphs.codegraph import (
 )
 from rsgraphs.codes import LinearCode, build_chain
 from rsgraphs.errors import ParameterError
-from rsgraphs.graphs import (
-    is_induced_matching_bipartite,
-    verify_cover,
-)
+from rsgraphs.graphs import is_induced_matching, verify_cover
 from rsgraphs.lattice import lattice_points, vertex_id
 
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
@@ -177,9 +174,11 @@ def test_two_channel_split_desk():
     assert split.covered.edge_count == 2 * 1944
     assert split.remainder.edge_count == 81 * 81 - 2 * 1944
     assert split.remainder.edge_count == 2673
-    # remainder holds the diagonal and every high-agreement pair
-    assert split.remainder.has_edge(0, 0)
-    assert not split.covered.has_edge(0, 0)
+    # remainder holds the diagonal and every high-agreement pair; station
+    # pair (u, v) is the edge (u, 81 + v)
+    assert split.remainder.n == split.covered.n == 2 * 81
+    assert split.remainder.has_edge(0, 81)
+    assert not split.covered.has_edge(0, 81)
     for u, v in itertools.islice(split.covered.edges(), 200):
         assert split.remainder.has_edge(u, v) is False
 
@@ -188,7 +187,7 @@ def test_two_channel_split_matchings_stay_induced():
     p = desk_params()
     split = two_channel_split(p)
     for m in split.cover.matchings[:40]:
-        assert is_induced_matching_bipartite(split.covered, m)
+        assert is_induced_matching(split.covered, m)
     assert split.cover.t == 972
     assert all(len(m) == 4 for m in split.cover.matchings)  # doubled pairs
 

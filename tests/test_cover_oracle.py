@@ -1,0 +1,234 @@
+"""Differential tests of the one cover verifier against the two it replaced.
+
+The oracles are the earlier implementations: verify_cover without its fast
+path, and the bipartite verifier that read (left, right) station pairs off
+N receiver bitmasks.  verify_cover must return the same CoverReport as the
+first; the K_{N,N} gate verify_cover_bipartite, run on the 2N-vertex graph
+with (u, N+v) edges, must agree with the second on validity and on the
+multiset of violation kinds.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rsgraphs.errors import ParameterError
+from rsgraphs.graphs import (
+    CoverReport,
+    Graph,
+    MatchingCover,
+    bits_of,
+    verify_cover,
+    verify_cover_bipartite,
+)
+from test_geometric_oracle import greedy_cover_within
+
+
+def _report(violations, c: MatchingCover) -> CoverReport:
+    sizes = c.sizes()
+    return CoverReport(
+        valid=not violations,
+        violations=violations,
+        r_min=min(sizes, default=0),
+        r_max=max(sizes, default=0),
+        t=c.t,
+    )
+
+
+def oracle_matching_violations(i, m, neighbor_mask, has_edge, violations):
+    owner = {}
+    pmask = 0
+    for e in m:
+        for x in e:
+            if x in owner and owner[x] != e:
+                violations.append(("shared-endpoint", (i, x)))
+            owner.setdefault(x, e)
+            pmask |= 1 << x
+    if any(e[0] == e[1] for e in m):
+        return
+    reported = set()
+    for u, v in m:
+        if not has_edge(u, v):
+            continue
+        for a, b in ((u, v), (v, u)):
+            stray = neighbor_mask(a) & pmask & ~(1 << b) & ~(1 << a)
+            for c in bits_of(stray):
+                other = owner[c]
+                if other == (u, v):
+                    continue
+                key = (i, min((u, v), other), max((u, v), other))
+                if key not in reported:
+                    reported.add(key)
+                    violations.append(("cross-edge", (i, key[1], key[2])))
+
+
+def oracle_verify_cover(g: Graph, c: MatchingCover) -> CoverReport:
+    """verify_cover as it was: every matching and every edge searched in full."""
+    violations = []
+    locs = {}
+    for i, m in enumerate(c.matchings):
+        for u, v in m:
+            e = (u, v) if u <= v else (v, u)
+            if not g.has_edge(*e):
+                violations.append(("edge-not-in-graph", (i, e)))
+            else:
+                locs.setdefault(e, []).append(i)
+        oracle_matching_violations(i, m, g.neighbors_mask, g.has_edge, violations)
+    for e, where in sorted(locs.items()):
+        if len(where) > 1:
+            violations.append(("multiply-covered", (e, tuple(where))))
+    for e in g.edges():
+        if e not in locs:
+            violations.append(("uncovered-edge", e))
+    return _report(violations, c)
+
+
+def oracle_verify_cover_bipartite(rows: list[int], c: MatchingCover) -> CoverReport:
+    """The bipartite verifier as it was, on N x N rows (rows[u] = right
+    neighbours of left u) and a cover of ordered (left, right) pairs."""
+    n = len(rows)
+    cols = [0] * n
+    for u, r in enumerate(rows):
+        for v in bits_of(r):
+            cols[v] |= 1 << u
+
+    def has_edge(u, v):
+        return 0 <= u < n and 0 <= v < n and bool((rows[u] >> v) & 1)
+
+    violations = []
+    locs = {}
+    for i, m in enumerate(c.matchings):
+        owner_l, owner_r = {}, {}
+        lmask = rmask = 0
+        for e in m:
+            u, v = e
+            if not has_edge(u, v):
+                violations.append(("edge-not-in-graph", (i, e)))
+            else:
+                locs.setdefault(e, []).append(i)
+            if u in owner_l and owner_l[u] != e:
+                violations.append(("shared-endpoint", (i, ("left", u))))
+            if v in owner_r and owner_r[v] != e:
+                violations.append(("shared-endpoint", (i, ("right", v))))
+            owner_l.setdefault(u, e)
+            owner_r.setdefault(v, e)
+            lmask |= 1 << u
+            rmask |= 1 << v
+        reported = set()
+        for u, v in m:
+            if not has_edge(u, v):
+                continue
+            strays = [owner_r[x] for x in bits_of(rows[u] & rmask & ~(1 << v))]
+            strays += [owner_l[x] for x in bits_of(cols[v] & lmask & ~(1 << u))]
+            for other in strays:
+                key = (i, min((u, v), other), max((u, v), other))
+                if key not in reported:
+                    reported.add(key)
+                    violations.append(("cross-edge", (i, key[1], key[2])))
+    for e, where in sorted(locs.items()):
+        if len(where) > 1:
+            violations.append(("multiply-covered", (e, tuple(where))))
+    for u in range(n):
+        for v in bits_of(rows[u]):
+            if (u, v) not in locs:
+                violations.append(("uncovered-edge", (u, v)))
+    return _report(violations, c)
+
+
+def damage(rnd, ms, edges, pairs):
+    """Apply one random defect to the matchings ms in place.
+
+    edges are the graph's edges, pairs every vertex pair a cover may name
+    (edges, non-edges and, for graphs, self-pairs and out-of-range ids).
+    """
+    kind = rnd.randrange(7)
+    if kind == 0 and any(ms):  # drop an edge: uncovered
+        m = rnd.choice([m for m in ms if m])
+        m.pop(rnd.randrange(len(m)))
+    elif kind == 1 and edges:  # repeat an edge: multiply covered, maybe not induced
+        target = rnd.choice(ms) if ms and rnd.random() < 0.7 else None
+        e = rnd.choice(edges)
+        if target is None:
+            ms.append([e])
+        else:
+            target.insert(rnd.randrange(len(target) + 1), e)
+    elif kind == 2 and pairs:  # any pair, in or out of the graph
+        if not ms:
+            ms.append([])
+        rnd.choice(ms).append(rnd.choice(pairs))
+    elif kind == 3 and len(ms) > 1:  # merge two matchings: shared endpoints, cross edges
+        a = ms.pop(rnd.randrange(len(ms)))
+        ms[rnd.randrange(len(ms))].extend(a)
+    elif kind == 4 and any(len(m) > 1 for m in ms):  # move an edge elsewhere
+        src = rnd.choice([m for m in ms if len(m) > 1])
+        e = src.pop(rnd.randrange(len(src)))
+        rnd.choice(ms).append(e)
+    elif kind == 5:
+        ms.insert(rnd.randrange(len(ms) + 1), [])
+    elif kind == 6 and ms:
+        rnd.shuffle(ms)
+
+
+@st.composite
+def graphs_with_covers(draw):
+    n = draw(st.integers(0, 9))
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.floats(0.0, 1.0))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density]
+    g = Graph.from_edges(n, edges)
+    ms = [list(m) for m in greedy_cover_within(g, (1 << n) - 1)]
+    both = edges + [(v, u) for u, v in edges]
+    pairs = [(u, v) for u in range(n + 2) for v in range(n + 2)]  # self-pairs, ids >= n
+    for _ in range(draw(st.integers(0, 6))):
+        damage(rnd, ms, both, pairs)
+    return g, MatchingCover(ms)
+
+
+@st.composite
+def rows_with_covers(draw):
+    n = draw(st.integers(0, 6))
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.floats(0.0, 1.0))
+    rows = [sum(1 << v for v in range(n) if rnd.random() < density) for _ in range(n)]
+    edges = [(u, v) for u in range(n) for v in bits_of(rows[u])]
+    g = Graph.from_bipartite_rows(rows)
+    # a valid cover of the 2N-vertex graph, read back as station pairs
+    ms = [[(u, w - n) for u, w in m] for m in greedy_cover_within(g, (1 << g.n) - 1)]
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        damage(rnd, ms, edges, pairs)
+    return rows, ms
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_with_covers())
+def test_verify_cover_equals_oracle(gc):
+    g, c = gc
+    assert verify_cover(g, c) == oracle_verify_cover(g, c)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows_with_covers())
+def test_bipartite_gate_agrees_with_oracle(rc):
+    rows, ms = rc
+    n = len(rows)
+    want = oracle_verify_cover_bipartite(rows, MatchingCover(ms))
+    got = verify_cover_bipartite(
+        Graph.from_bipartite_rows(rows), MatchingCover([[(u, n + v) for u, v in m] for m in ms])
+    )
+    assert got.valid == want.valid
+    assert Counter(k for k, _ in got.violations) == Counter(k for k, _ in want.violations)
+    assert (got.t, got.r_min, got.r_max) == (want.t, want.r_min, want.r_max)
+
+
+def test_bipartite_gate_rejects_an_edge_inside_one_side():
+    inside_left = Graph.from_edges(4, [(0, 1)])
+    inside_right = Graph.from_edges(4, [(2, 3)])
+    odd = Graph.from_edges(3, [(0, 2)])
+    for g in (inside_left, inside_right, odd):
+        with pytest.raises(ParameterError):
+            verify_cover_bipartite(g, MatchingCover([[e] for e in g.edges()]))
+    ok = Graph.from_edges(4, [(0, 2), (1, 3), (0, 3)])
+    assert verify_cover_bipartite(ok, MatchingCover([[e] for e in ok.edges()])).valid

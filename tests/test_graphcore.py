@@ -5,17 +5,13 @@ import random
 
 import pytest
 
-from rsgraphs.errors import InternalCheckError, ParameterError
+from rsgraphs.errors import ParameterError
 from rsgraphs.graphs import (
-    BipartiteGraph,
     Graph,
     MatchingCover,
-    bipartite_double,
     complement_degree,
     doubled_matchings,
-    greedy_induced_matching_cover,
     is_induced_matching,
-    is_induced_matching_bipartite,
     read_cover,
     read_edge_list,
     verify_cover,
@@ -23,6 +19,7 @@ from rsgraphs.graphs import (
     write_cover,
     write_edge_list,
 )
+from test_geometric_oracle import greedy_cover_within
 
 
 def naive_is_induced_matching(edges, m):
@@ -36,6 +33,14 @@ def naive_is_induced_matching(edges, m):
             if frozenset((x, y)) in eset:
                 return False
     return True
+
+
+def greedy_cover(g):
+    """First-fit induced-matching cover of all of g, held to the 2 d^2 bound."""
+    ms = greedy_cover_within(g, (1 << g.n) - 1)
+    d = g.max_degree()
+    assert len(ms) <= 2 * d * d
+    return MatchingCover.from_matchings(ms)
 
 
 def random_graph(n, p, rng):
@@ -141,7 +146,7 @@ def test_verify_cover_empty():
 
 def test_greedy_cover_k4_all_singletons():
     k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-    c = greedy_induced_matching_cover(k4)
+    c = greedy_cover(k4)
     assert c.t == 6
     assert all(len(m) == 1 for m in c.matchings)
     assert verify_cover(k4, c).valid
@@ -152,7 +157,7 @@ def test_greedy_cover_random_always_valid():
     for _ in range(60):
         n = rng.randrange(2, 16)
         g, _ = random_graph(n, rng.random() * 0.8, rng)
-        c = greedy_induced_matching_cover(g)
+        c = greedy_cover(g)
         rep = verify_cover(g, c)
         assert rep.valid
         assert c.t <= g.n * g.n  # far below the 2 d^2 gate at these sizes
@@ -160,7 +165,7 @@ def test_greedy_cover_random_always_valid():
 
 def test_greedy_cover_disjoint_edges_one_matching():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
-    c = greedy_induced_matching_cover(g)
+    c = greedy_cover(g)
     assert c.t == 1 and len(c.matchings[0]) == 3
 
 
@@ -173,40 +178,41 @@ def test_complement_degree():
 
 
 def test_bipartite_graph_and_double():
-    bg = BipartiteGraph.from_edges(2, 3, [(0, 0), (1, 2)])
-    assert bg.edge_count == 2
-    assert bg.has_edge(0, 0) and not bg.has_edge(0, 2)
-    assert list(bg.edges()) == [(0, 0), (1, 2)]
+    # left station u is vertex u, right station v is vertex N+v
+    bg = Graph.from_bipartite_rows([0b001, 0b100, 0b000])
+    assert bg.n == 6 and bg.edge_count == 2
+    assert bg.has_edge(0, 3) and bg.has_edge(5, 1) and not bg.has_edge(0, 5)
+    assert list(bg.edges()) == [(0, 3), (1, 5)]
+    with pytest.raises(ParameterError):
+        Graph.from_bipartite_rows([0b100, 0b000])  # right station 2 of 2
 
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    d = bipartite_double(g)
-    assert d.left_n == d.right_n == 3
+    d = Graph.from_bipartite_rows([g.neighbors_mask(u) for u in range(g.n)])
+    assert d.n == 6
     assert d.edge_count == 2 * g.edge_count
-    assert d.has_edge(0, 1) and d.has_edge(1, 0)
-    assert not d.has_edge(0, 0)
+    assert d.has_edge(0, 4) and d.has_edge(1, 3)
+    assert not d.has_edge(0, 3)
 
 
 def test_doubled_matchings_are_bipartite_induced():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5), (1, 2)])
-    d = bipartite_double(g)
+    d = Graph.from_bipartite_rows([g.neighbors_mask(u) for u in range(g.n)])
     c = MatchingCover.from_matchings([[(0, 1), (4, 5)]])
-    for dm in doubled_matchings(c):
-        assert is_induced_matching_bipartite(d, dm)
-    assert doubled_matchings(c)[0] == [(0, 1), (1, 0), (4, 5), (5, 4)]
+    for dm in doubled_matchings(c, g.n):
+        assert is_induced_matching(d, dm)
+    assert doubled_matchings(c, g.n)[0] == [(0, 7), (1, 6), (4, 11), (5, 10)]
 
 
 def test_verify_cover_bipartite_kinds():
-    bg = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    c = MatchingCover.from_matchings(
-        [[(0, 0), (1, 1)], [(0, 1), (1, 0)]], normalize=False
-    )
+    bg = Graph.from_bipartite_rows([0b11, 0b11])  # K_{2,2}
+    c = MatchingCover([[(0, 2), (1, 3)], [(0, 3), (1, 2)]])
     rep = verify_cover_bipartite(bg, c)
-    # (0,0) and (1,1) are joined by the bipartite edge (0,1); not induced
+    # (0,2) and (1,3) are joined by the edge (0,3); not induced
     assert not rep.valid
     assert any(k == "cross-edge" for k, _ in rep.violations)
 
-    path = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 0), (1, 1)])
-    c = MatchingCover.from_matchings([[(0, 0)], [(1, 0)], [(1, 1)]], normalize=False)
+    path = Graph.from_bipartite_rows([0b01, 0b11])
+    c = MatchingCover([[(0, 2)], [(1, 2)], [(1, 3)]])
     assert verify_cover_bipartite(path, c).valid
 
 
