@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 from .codegraph import CodeGraphParams, two_channel_split
 from .errors import ParameterError
 from .geometric import GeomParams, build_geometric_graph, decompose_geometric
-from .graphs import Graph, MatchingCover, bits_of, doubled_matchings, verify_cover_bipartite
+from .graphs import (
+    Graph,
+    MatchingCover,
+    bits_of,
+    doubled_matchings,
+    parse_int,
+    verify_cover_bipartite,
+)
 
 Matching = list[tuple[int, int]]
 
@@ -184,28 +191,15 @@ class Schedule:
         return max(self.per_subchannel_rounds(), default=0)
 
 
-def build_schedule(cp: ChannelPartition, policy: str = "sequential") -> Schedule:
+def build_schedule(cp: ChannelPartition) -> Schedule:
     """Flatten a partition into rounds of (transmitter, receiver) station
-    pairs; total rounds = sum of cover sizes either way."""
-    if policy not in ("sequential", "round-robin"):
-        raise ParameterError(f"unknown policy {policy!r}")
+    pairs, subchannel by subchannel; total rounds = sum of cover sizes."""
     n = cp.n_stations
-
-    def stations(m: Matching) -> Matching:
-        return [(u, w - n) for u, w in m]
-
-    rounds: list[tuple[int, Matching]] = []
-    if policy == "sequential":
-        for i, (_, cover) in enumerate(cp.subchannels):
-            for m in cover.matchings:
-                rounds.append((i, stations(m)))
-    else:
-        queues = [list(cover.matchings) for _, cover in cp.subchannels]
-        pos = 0
-        while any(queues):
-            if queues[pos]:
-                rounds.append((pos, stations(queues[pos].pop(0))))
-            pos = (pos + 1) % len(queues)
+    rounds = [
+        (i, [(u, w - n) for u, w in m])
+        for i, (_, cover) in enumerate(cp.subchannels)
+        for m in cover.matchings
+    ]
     return Schedule(cp.n_stations, len(cp.subchannels), rounds)
 
 
@@ -287,21 +281,21 @@ def read_schedule(path: str, n_stations: int | None = None) -> Schedule:
     max_id = -1
     max_chan = -1
     with open(path) as fh:
-        for lineno, line in enumerate(fh):
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             head, _, rest = line.partition(":")
             parts = head.split()
             if len(parts) != 4 or parts[0] != "round" or parts[2] != "chan":
-                raise ParameterError(f"{path}:{lineno + 1}: malformed round header")
-            if int(parts[1]) != len(rounds):
-                raise ParameterError(f"{path}:{lineno + 1}: round indices must be sequential")
-            chan = int(parts[3])
+                raise ParameterError(f"{path}:{lineno}: malformed round header")
+            if parse_int(parts[1], path, lineno) != len(rounds):
+                raise ParameterError(f"{path}:{lineno}: round indices must be sequential")
+            chan = parse_int(parts[3], path, lineno)
             m = []
             for tok in rest.split():
                 us, _, vs = tok.partition(">")
-                u, v = int(us), int(vs)
+                u, v = parse_int(us, path, lineno), parse_int(vs, path, lineno)
                 m.append((u, v))
                 max_id = max(max_id, u, v)
             max_chan = max(max_chan, chan)

@@ -1,8 +1,9 @@
 """Unified command-line interface.
 
-Exit codes: 0 success, 1 parameter error, 2 verification failure,
-3 resource refusal.  Identical argv and seed produce byte-identical reports
-and artifacts; reports carry the toolkit version and the resolved parameters.
+Exit codes: 0 success, 1 parameter error (a missing or unreadable input
+file included), 2 verification failure, 3 resource refusal.  Identical argv
+and seed produce byte-identical reports and artifacts; reports carry the
+toolkit version and the resolved parameters.
 """
 
 import argparse
@@ -243,7 +244,7 @@ def _cmd_channel_two(args) -> int:
     chain = _chain_from_args(args, args.n, args.d)
     p = codegraph.CodeGraphParams(args.c, args.n, args.d, chain)
     cp = channels.partition_two(p)
-    schedule = channels.build_schedule(cp, policy="sequential")
+    schedule = channels.build_schedule(cp)
     if args.out_schedule:
         channels.write_schedule(schedule, args.out_schedule)
     sim = channels.simulate(schedule)
@@ -272,7 +273,7 @@ def _cmd_channel_shifts(args) -> int:
     cp = channels.partition_shifts(
         p, args.channels, args.seed, max_attempts=args.attempts
     )
-    schedule = channels.build_schedule(cp, policy="sequential")
+    schedule = channels.build_schedule(cp)
     if args.out_schedule:
         channels.write_schedule(schedule, args.out_schedule)
     sim = channels.simulate(schedule)
@@ -520,7 +521,7 @@ def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
     except (VerificationError, InternalCheckError, SearchFailureError) as exc:

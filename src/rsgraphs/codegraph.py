@@ -7,6 +7,11 @@ proper [n-r, k] code partitions the ordered pairs into classes of size
 exactly 2^k; each class, read as 2^(k-1) unordered edges, is an induced
 matching, because cross endpoints of two class edges agree on at least
 r + (d - r) = d coordinates.  One matching per class covers every edge.
+
+Classes are computed on vertex ids, not coordinate tuples: swapping
+coordinate i of (a, b) adds the fixed step (b_i - a_i) C^(n-1-i) to a's id
+and subtracts it from b's, so the images of all edges under a codeword are
+masked sums of steps, taken for every edge at once in numpy.
 """
 
 import math
@@ -17,11 +22,12 @@ import numpy as np
 
 from .codes import CodeChain, validate_chain
 from .errors import InternalCheckError, ParameterError, check_caps
-from .graphs import Graph, MatchingCover, bits_of, doubled_matchings, is_induced_matching
-from .lattice import lattice_points, vertex_id
+from .graphs import Graph, MatchingCover, adjacency_matrix, doubled_matchings, is_induced_matching
+from .lattice import lattice_points
 
-Coords = tuple[int, ...]
-OrderedPair = tuple[Coords, Coords]
+# Vertex pairs per chunk of adjacency rows scanned by enumerate_cover; the
+# chunk's per-edge arrays stay a few MB.
+_CHUNK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,17 +64,6 @@ class CodeGraphParams:
         return self.C**self.n
 
 
-def agreement_set(a: Coords, b: Coords) -> tuple[int, ...]:
-    """Sorted coordinate indices where a and b agree (0-based)."""
-    if len(a) != len(b):
-        raise ParameterError("length mismatch")
-    return tuple(i for i, (x, y) in enumerate(zip(a, b)) if x == y)
-
-
-def is_code_edge(a: Coords, b: Coords, p: CodeGraphParams) -> bool:
-    return a != b and len(agreement_set(a, b)) < p.d
-
-
 def build_code_graph(
     p: CodeGraphParams, max_vertices: int | None = None, max_pairs: int | None = None
 ) -> Graph:
@@ -90,83 +85,58 @@ def build_code_graph(
     return Graph(N, rows)
 
 
-def x_flip(pair: OrderedPair, bits) -> OrderedPair:
-    """Swap the disagreement coordinates of (a, b) selected by the bit vector.
-
-    bits[j] = 1 swaps the j-th smallest index outside the agreement set; the
-    all-ones flip returns (b, a).
-    """
-    a, b = pair
-    free = [i for i in range(len(a)) if a[i] != b[i]]
-    bits = list(bits)
-    if len(bits) != len(free):
-        raise ParameterError(
-            f"flip vector must have length {len(free)}, got {len(bits)}"
-        )
-    c = list(a)
-    e = list(b)
-    for j, i in enumerate(free):
-        if bits[j]:
-            c[i], e[i] = b[i], a[i]
-    return tuple(c), tuple(e)
-
-
-def _class_pairs(pair: OrderedPair, p: CodeGraphParams) -> list[OrderedPair]:
-    a, b = pair
-    s = agreement_set(a, b)
-    if a == b or len(s) >= p.d:
-        raise ParameterError("pair is not an edge of the code graph")
-    code = p.chain.code_for_agreements(len(s))
-    free = [i for i in range(len(a)) if a[i] != b[i]]
-    out = []
-    for w in code.codewords():
-        c = list(a)
-        e = list(b)
-        for j, i in enumerate(free):
-            if (w >> j) & 1:
-                c[i], e[i] = b[i], a[i]
-        out.append((tuple(c), tuple(e)))
-    return out
-
-
-def class_canonical(pair: OrderedPair, p: CodeGraphParams) -> OrderedPair:
-    """Lexicographically least ordered pair in the flip class of `pair`."""
-    return min(_class_pairs(pair, p))
-
-
 def enumerate_cover(p: CodeGraphParams, g: Graph | None = None) -> MatchingCover:
     """One induced matching per flip class, in ascending canonical order.
 
-    Ordered pairs are scanned in ascending (a, b) id order; a pair already
-    seen in an earlier class is skipped, so each class is built exactly once,
-    from its canonical representative.  Every class is required to have 2^k
-    ordered pairs, give 2^(k-1) unordered edges, and pass the induced check.
+    Swapping coordinate i of an ordered pair (a, b) moves a's id by the step
+    (b_i - a_i) C^(n-1-i) and b's id by minus that step, so the image of
+    (a, b) under a codeword w is (a + s, b - s), s the sum of the steps at
+    the disagreement coordinates w selects (bit j picks the j-th smallest).
+    Its key a'N + b' is aN + b + s(N - 1), and a class's canonical key is the
+    least of these over the 2^k codewords of the code for the pair's
+    agreement count.  The edges u < v, in ascending order and stably sorted
+    by that key, are the classes in ascending canonical order with edges
+    ascending within each.  Every class must hold 2^(k-1) edges and pass the
+    induced check.
     """
     if g is None:
         g = build_code_graph(p)
-    k = p.k
-    pts = lattice_points(p.C, p.n)
-    coords = [tuple(int(x) for x in row) for row in pts]
-    seen: set[tuple[int, int]] = set()
-    matchings: list[list[tuple[int, int]]] = []
-    for a_id in range(g.n):
-        for b_id in bits_of(g.neighbors_mask(a_id)):
-            if (a_id, b_id) in seen:
-                continue
-            cls = _class_pairs((coords[a_id], coords[b_id]), p)
-            id_pairs = [(vertex_id(c, p.C), vertex_id(e, p.C)) for c, e in cls]
-            if len(set(id_pairs)) != 1 << k:
-                raise InternalCheckError("flip class has fewer than 2^k ordered pairs")
-            if min(id_pairs) != (a_id, b_id):
-                raise InternalCheckError("scan order missed a canonical representative")
-            seen.update(id_pairs)
-            edges = sorted({(u, v) if u < v else (v, u) for u, v in id_pairs})
-            if len(edges) != 1 << (k - 1):
-                raise InternalCheckError("flip class has a wrong unordered edge count")
-            if not is_induced_matching(g, edges):
-                raise InternalCheckError(f"flip class at {(a_id, b_id)} is not induced")
-            matchings.append(edges)
-    return MatchingCover.from_matchings(matchings)
+    N, n = g.n, p.n
+    size = 1 << (p.k - 1)  # edges per class
+    pts = lattice_points(p.C, n)
+    place = p.C ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # bits[r][j, c]: bit j of codeword c of the code for pairs agreeing on r coordinates
+    bits = [(np.array(c.codewords()) >> np.arange(c.n)[:, None]) & 1 for c in p.chain.codes]
+    adj = adjacency_matrix(g)
+    edges, keys = [], []
+    block = max(1, _CHUNK_PAIRS // N)
+    for start in range(0, N, block):
+        u, v = np.nonzero(np.triu(adj[start : start + block], start + 1))
+        u += start
+        step = (pts[v] - pts[u]) * place
+        free = step != 0
+        agree = n - free.sum(axis=1)
+        if (agree >= p.d).any():
+            raise ParameterError("pair is not an edge of the code graph")
+        shift = np.empty(len(u), dtype=np.int64)
+        for r, b in enumerate(bits):
+            sel = agree == r
+            cols = np.nonzero(free[sel])[1].reshape(-1, n - r)
+            shift[sel] = (np.take_along_axis(step[sel], cols, axis=1) @ b).min(axis=1)
+        edges.append(u * N + v)
+        keys.append(edges[-1] + (N - 1) * shift)
+    key = np.concatenate(keys)
+    if (np.unique(key, return_counts=True)[1] != size).any():
+        raise InternalCheckError("flip class has a wrong edge count")
+    u, v = np.divmod(np.concatenate(edges)[np.argsort(key, kind="stable")], N)
+    pairs = list(zip(u.tolist(), v.tolist()))
+    matchings = []
+    for start in range(0, len(pairs), size):
+        m = pairs[start : start + size]
+        if not is_induced_matching(g, m):
+            raise InternalCheckError(f"flip class at {m[0]} is not induced")
+        matchings.append(m)
+    return MatchingCover(matchings)
 
 
 @dataclass(frozen=True)

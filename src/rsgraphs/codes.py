@@ -16,6 +16,7 @@ from .errors import (
     ResourceLimitError,
     SearchFailureError,
 )
+from .graphs import parse_int
 
 MAX_ENUM_DIM = 24
 
@@ -237,12 +238,11 @@ class CodeChain:
         return self.codes[r]
 
 
-def build_chain(c: LinearCode, d: int, row_order=None) -> CodeChain:
-    """Chain c down to length n-d+1 by repeated row deletion.
+def build_chain(c: LinearCode, d: int) -> CodeChain:
+    """Chain c down to length n-d+1 by repeatedly deleting the last row.
 
-    row_order gives the index to delete at each step (relative to the current
-    length); default deletes the last row.  The starting code is re-verified
-    against distance >= d before any deletion.
+    The starting code is re-verified against distance >= d before any
+    deletion.
     """
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
@@ -251,13 +251,10 @@ def build_chain(c: LinearCode, d: int, row_order=None) -> CodeChain:
         raise ParameterError("chain root must be a verified proper code of full rank")
     if v.distance < d:
         raise ParameterError(f"chain root distance {v.distance} below required {d}")
-    if row_order is not None and len(row_order) != d - 1:
-        raise ParameterError(f"row_order must list {d - 1} deletions")
     cur = replace(c, claimed_d=v.distance)
     chain = [cur]
     for step in range(d - 1):
-        idx = cur.n - 1 if row_order is None else row_order[step]
-        cur = delete_row(cur, idx)
+        cur = delete_row(cur, cur.n - 1)
         if cur.claimed_d < d - 1 - step:
             raise InternalCheckError("chain slot lost its distance guarantee")
         chain.append(cur)
@@ -294,15 +291,15 @@ def read_generator(path: str) -> LinearCode:
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
-            raise ParameterError(f"{path}: malformed header, expected 'n k'")
-        n, k = int(header[0]), int(header[1])
+            raise ParameterError(f"{path}:1: malformed header, expected 'n k'")
+        n, k = (parse_int(t, path, 1) for t in header)
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             if len(line) != k or set(line) - {"0", "1"}:
-                raise ParameterError(f"{path}: row {line!r} is not {k} bits")
+                raise ParameterError(f"{path}:{lineno}: row {line!r} is not {k} bits")
             rows.append(line)
     if len(rows) != n:
         raise ParameterError(f"{path}: expected {n} rows, found {len(rows)}")

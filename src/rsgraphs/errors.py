@@ -1,7 +1,8 @@
 """Exception types and size caps shared across the toolkit.
 
-CLI exit-code mapping: ParameterError -> 1; VerificationError,
-InternalCheckError, SearchFailureError -> 2; ResourceLimitError -> 3.
+CLI exit-code mapping: ParameterError and OSError (a missing or unreadable
+file) -> 1; VerificationError, InternalCheckError, SearchFailureError -> 2;
+ResourceLimitError -> 3.
 """
 
 

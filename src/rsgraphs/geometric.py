@@ -24,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, ParameterError, VerificationError, check_caps
-from .graphs import Graph, MatchingCover
-from .lattice import lattice_points, vertex_coords, vertex_id
+from .graphs import Graph, MatchingCover, adjacency_matrix
+from .lattice import lattice_points, vertex_coords
 
 
 @dataclass(frozen=True)
@@ -233,14 +233,6 @@ def _shell_membership(p: GeomParams) -> np.ndarray:
     return member
 
 
-def _adjacency(g: Graph) -> np.ndarray:
-    """Bool (N, N) adjacency matrix of g."""
-    nbytes = (g.n + 7) // 8
-    buf = b"".join(g.neighbors_mask(u).to_bytes(nbytes, "little") for u in range(g.n))
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(g.n, nbytes)
-    return np.unpackbits(packed, axis=1, count=g.n, bitorder="little").astype(bool)
-
-
 def max_shell_degree(p: GeomParams, g: Graph | None = None) -> int:
     """Largest degree of any shell-induced subgraph G_z (by the volume
     argument it is at most (10.5)^n)."""
@@ -249,7 +241,7 @@ def max_shell_degree(p: GeomParams, g: Graph | None = None) -> int:
     member = _shell_membership(p)
     # deg[z, x] = |N(x) & V_z|, the degree of x in G_z when x is a member.
     # The float matmul is exact: every entry is an integer count <= N << 2^53.
-    deg = member.astype(np.float64) @ _adjacency(g).astype(np.float64)
+    deg = member.astype(np.float64) @ adjacency_matrix(g).astype(np.float64)
     return int(deg.max(where=member, initial=0))
 
 
@@ -325,7 +317,7 @@ def decompose_geometric(p: GeomParams, g: Graph | None = None) -> MatchingCover:
     """
     if g is None:
         g = build_geometric_graph(p)
-    adj = _adjacency(g)
+    adj = adjacency_matrix(g)
     member = _shell_membership(p)
     eu, ev = np.nonzero(np.triu(adj, 1))  # the order of g.edges()
     first = _first_shells(member, eu, ev)

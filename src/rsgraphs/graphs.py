@@ -15,6 +15,8 @@ joins the two sides.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterError
 
 Edge = tuple[int, int]
@@ -117,6 +119,14 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self._m})"
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """Bool (N, N) adjacency matrix of g."""
+    nbytes = (g.n + 7) // 8
+    buf = b"".join(g.neighbors_mask(u).to_bytes(nbytes, "little") for u in range(g.n))
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(g.n, nbytes)
+    return np.unpackbits(packed, axis=1, count=g.n, bitorder="little").astype(bool)
 
 
 @dataclass
@@ -280,6 +290,15 @@ def doubled_matchings(c: MatchingCover, n: int) -> list[Matching]:
 # ---------------------------------------------------------------------------
 # text formats
 
+def parse_int(token: str, path, lineno: int) -> int:
+    """The integer that a token of line `lineno` of `path` spells; any other
+    token raises ParameterError naming path:line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParameterError(f"{path}:{lineno}: expected an integer, got {token!r}") from None
+
+
 def write_edge_list(g: Graph, path: str) -> None:
     """First line "N M", then one "u v" line per edge with u < v, ascending."""
     with open(path, "w") as fh:
@@ -289,22 +308,24 @@ def write_edge_list(g: Graph, path: str) -> None:
 
 
 def read_edge_list(path: str) -> Graph:
+    edges: dict[Edge, None] = {}  # an ordered set: from_edges sees file order
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
-            raise ParameterError(f"{path}: malformed header, expected 'N M'")
-        n, m = int(header[0]), int(header[1])
-        edges = []
-        for line in fh:
-            if not line.strip():
-                continue
+            raise ParameterError(f"{path}:1: malformed header, expected 'N M'")
+        n, m = (parse_int(t, path, 1) for t in header)
+        for lineno, line in enumerate(fh, start=2):
             parts = line.split()
+            if not parts:
+                continue
             if len(parts) != 2:
-                raise ParameterError(f"{path}: malformed edge line {line!r}")
-            u, v = int(parts[0]), int(parts[1])
+                raise ParameterError(f"{path}:{lineno}: malformed edge line {line!r}")
+            u, v = parse_int(parts[0], path, lineno), parse_int(parts[1], path, lineno)
             if not u < v:
-                raise ParameterError(f"{path}: edge ({u},{v}) must satisfy u < v")
-            edges.append((u, v))
+                raise ParameterError(f"{path}:{lineno}: edge ({u},{v}) must satisfy u < v")
+            if (u, v) in edges:
+                raise ParameterError(f"{path}:{lineno}: edge ({u},{v}) repeats an earlier line")
+            edges[(u, v)] = None
     if len(edges) != m:
         raise ParameterError(f"{path}: header claims {m} edges, found {len(edges)}")
     return Graph.from_edges(n, edges)
@@ -320,16 +341,16 @@ def write_cover(c: MatchingCover, path: str) -> None:
 def read_cover(path: str) -> MatchingCover:
     matchings = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh):
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             head, _, rest = line.partition(":")
-            if int(head) != len(matchings):
-                raise ParameterError(f"{path}:{lineno + 1}: matching ordinals must be sequential")
+            if parse_int(head, path, lineno) != len(matchings):
+                raise ParameterError(f"{path}:{lineno}: matching ordinals must be sequential")
             m = []
             for tok in rest.split():
                 us, _, vs = tok.partition("-")
-                m.append((int(us), int(vs)))
+                m.append((parse_int(us, path, lineno), parse_int(vs, path, lineno)))
             matchings.append(m)
     return MatchingCover.from_matchings(matchings, normalize=False)

@@ -23,15 +23,6 @@ def lattice_points(C: int, n: int) -> np.ndarray:
     return pts
 
 
-def vertex_id(coords, C: int) -> int:
-    idx = 0
-    for c in coords:
-        if not 1 <= c <= C:
-            raise ParameterError(f"coordinate {c} outside [1..{C}]")
-        idx = idx * C + (c - 1)
-    return idx
-
-
 def vertex_coords(idx: int, C: int, n: int) -> tuple[int, ...]:
     if not 0 <= idx < C**n:
         raise ParameterError(f"vertex id {idx} outside [0..{C ** n})")

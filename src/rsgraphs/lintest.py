@@ -88,29 +88,6 @@ def walsh_correlation(f: BooleanFunction) -> Fraction:
     return Fraction(int(np.abs(w).max()), size)
 
 
-def blr_trial(f: BooleanFunction, x: int, y: int) -> bool:
-    """Single additivity probe: f(x) + f(y) == f(x + y)."""
-    size = 1 << f.m
-    if not (0 <= x < size and 0 <= y < size):
-        raise ParameterError("probe points outside the domain")
-    return (f(x) ^ f(y)) == f(x ^ y)
-
-
-def graph_test(g: Graph, f: BooleanFunction, seed: int) -> bool:
-    """One run of the graph test: uniform point per vertex, all edges must pass.
-
-    Points are drawn from random.Random(seed) in ascending vertex order, so
-    a run is reproducible from (graph, f, seed) alone.  An edgeless graph
-    accepts vacuously.
-    """
-    rng = random.Random(seed)
-    pts = [rng.getrandbits(f.m) for _ in range(g.n)]
-    for u, v in g.edges():
-        if (f(pts[u]) ^ f(pts[v])) != f(pts[u] ^ pts[v]):
-            return False
-    return True
-
-
 def estimate_soundness(
     g: Graph, f: BooleanFunction, trials: int, seed: int
 ) -> tuple[float, float]:

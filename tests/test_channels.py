@@ -92,16 +92,11 @@ def test_validate_partition_rejects_overlap_and_gap():
 
 def test_build_schedule_policies():
     cp = partition_two(small_params())
-    seq = build_schedule(cp, policy="sequential")
+    seq = build_schedule(cp)
     assert [i for i, _ in seq.rounds[:2]] == [0, 0]
     assert seq.per_subchannel_rounds() == [2, 12]
     assert seq.parallel_round_count() == 12
-
-    rr = build_schedule(cp, policy="round-robin")
-    assert len(rr.rounds) == len(seq.rounds) == 14
-    assert [i for i, _ in rr.rounds[:4]] == [0, 1, 0, 1]
-    with pytest.raises(ParameterError):
-        build_schedule(cp, policy="fifo")
+    assert len(seq.rounds) == 14
 
 
 def test_simulate_small_end_to_end():

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, reports, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rsgraphs
 from rsgraphs import channels, codegraph, vempala
 from rsgraphs.cli import run
 from rsgraphs.graphs import is_induced_matching, read_cover, read_edge_list, verify_cover
@@ -263,6 +268,38 @@ def test_tampered_subchannel_cover_trips_the_gate(tmp_path, capsys, monkeypatch,
         assert "subchannel 0 cover invalid" in err
     else:
         assert "lost inducedness" in err
+
+
+# (input file text, argv with {f} for its path, line the error must name)
+BAD_INPUTS = {
+    "edge-token": ("3 1\n0 x\n", ["limits", "mindeg", "--edges", "{f}", "--r", "2"], 2),
+    "edge-repeat": ("3 2\n0 1\n0 1\n", ["limits", "mindeg", "--edges", "{f}", "--r", "2"], 3),
+    "cover-token": ("zero: 0-1\n", ["limits", "triangle", "--edges", "{g}", "--cover", "{f}"], 1),
+    "schedule-token": ("round 0 chan 0: 0>1\nround 1 chan 0: 1>y\n",
+                       ["channel", "simulate", "--schedule", "{f}"], 2),
+    "generator-header": ("4 x\n11\n11\n10\n10\n",
+                         ["construct", "code", "--c", "3", "--n", "4", "--d", "2", "--gen", "{f}"], 1),
+    "missing-file": (None, ["limits", "mindeg", "--edges", "{f}", "--r", "2"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_file_exits_1_naming_the_line(tmp_path, case):
+    text, argv, line = BAD_INPUTS[case]
+    bad = tmp_path / "input.txt"
+    if text is not None:
+        bad.write_text(text)
+    good = tmp_path / "edges.txt"
+    good.write_text("2 1\n0 1\n")
+    argv = [a.format(f=bad, g=good) for a in argv]
+    src = str(Path(rsgraphs.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "rsgraphs.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    # a missing file has no line to name; the message names the file
+    assert (f"{bad}:{line}:" if line else str(bad)) in proc.stderr
 
 
 def test_text_format(capsys):

@@ -8,20 +8,17 @@ import pytest
 
 from rsgraphs.codegraph import (
     CodeGraphParams,
-    agreement_set,
     build_code_graph,
-    class_canonical,
     cover_exponents,
     enumerate_cover,
-    is_code_edge,
     missing_edge_count_bound,
     two_channel_split,
-    x_flip,
 )
 from rsgraphs.codes import LinearCode, build_chain
 from rsgraphs.errors import ParameterError
 from rsgraphs.graphs import is_induced_matching, verify_cover
-from rsgraphs.lattice import lattice_points, vertex_id
+from rsgraphs.lattice import lattice_points
+from test_codegraph_oracle import agreement_set, class_canonical, is_code_edge, vertex_id, x_flip
 
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
 

@@ -25,7 +25,8 @@ from rsgraphs.geometric import (
     shell,
 )
 from rsgraphs.graphs import verify_cover
-from rsgraphs.lattice import lattice_points, vertex_coords, vertex_id
+from rsgraphs.lattice import lattice_points, vertex_coords
+from test_codegraph_oracle import vertex_id
 
 
 def brute_band_graph(C, n):

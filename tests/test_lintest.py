@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rsgraphs.errors import ParameterError
@@ -12,9 +13,7 @@ from rsgraphs.graphs import Graph
 from rsgraphs.lintest import (
     BooleanFunction,
     and_function,
-    blr_trial,
     estimate_soundness,
-    graph_test,
     hw_bound,
     linear_function,
     load_table,
@@ -22,6 +21,14 @@ from rsgraphs.lintest import (
     random_function,
     walsh_correlation,
 )
+
+
+def blr_trial(f, x, y):
+    """Oracle: one additivity probe f(x) + f(y) == f(x + y)."""
+    size = 1 << f.m
+    if not (0 <= x < size and 0 <= y < size):
+        raise ParameterError("probe points outside the domain")
+    return (f(x) ^ f(y)) == f(x ^ y)
 
 
 def brute_correlation(f):
@@ -89,20 +96,20 @@ def test_graph_test_single_edge_is_one_blr_trial():
     g = Graph.from_edges(2, [(0, 1)])
     f = and_function(2)
     for seed in range(200):
-        rng = random.Random(seed)
-        x, y = rng.getrandbits(2), rng.getrandbits(2)
-        assert graph_test(g, f, seed) == blr_trial(f, x, y)
+        x, y = np.random.default_rng(seed).integers(0, 4, size=(1, 2))[0]
+        p_hat, _ = estimate_soundness(g, f, trials=1, seed=seed)
+        assert (p_hat == 1.0) == blr_trial(f, int(x), int(y))
 
 
 def test_graph_test_linear_always_accepts():
     g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 2)])
     f = linear_function(6, 0b110010)
-    assert all(graph_test(g, f, seed) for seed in range(100))
+    assert estimate_soundness(g, f, trials=100, seed=0)[0] == 1.0
 
 
 def test_graph_test_edgeless_vacuous():
     g = Graph.from_edges(3, [])
-    assert graph_test(g, random_function(3, 1), seed=0)
+    assert estimate_soundness(g, random_function(3, 1), trials=1, seed=0) == (1.0, 0.0)
 
 
 def test_estimate_soundness_matches_scalar_rate():
