@@ -21,6 +21,7 @@ from .graphs import (
     MatchingCover,
     bits_of,
     doubled_matchings,
+    numbered_lines,
     parse_int,
     verify_cover_bipartite,
 )
@@ -280,26 +281,25 @@ def read_schedule(path: str, n_stations: int | None = None) -> Schedule:
     rounds: list[tuple[int, Matching]] = []
     max_id = -1
     max_chan = -1
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(":")
-            parts = head.split()
-            if len(parts) != 4 or parts[0] != "round" or parts[2] != "chan":
-                raise ParameterError(f"{path}:{lineno}: malformed round header")
-            if parse_int(parts[1], path, lineno) != len(rounds):
-                raise ParameterError(f"{path}:{lineno}: round indices must be sequential")
-            chan = parse_int(parts[3], path, lineno)
-            m = []
-            for tok in rest.split():
-                us, _, vs = tok.partition(">")
-                u, v = parse_int(us, path, lineno), parse_int(vs, path, lineno)
-                m.append((u, v))
-                max_id = max(max_id, u, v)
-            max_chan = max(max_chan, chan)
-            rounds.append((chan, m))
+    for lineno, line in numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(":")
+        parts = head.split()
+        if len(parts) != 4 or parts[0] != "round" or parts[2] != "chan":
+            raise ParameterError(f"{path}:{lineno}: malformed round header")
+        if parse_int(parts[1], path, lineno) != len(rounds):
+            raise ParameterError(f"{path}:{lineno}: round indices must be sequential")
+        chan = parse_int(parts[3], path, lineno)
+        m = []
+        for tok in rest.split():
+            us, _, vs = tok.partition(">")
+            u, v = parse_int(us, path, lineno), parse_int(vs, path, lineno)
+            m.append((u, v))
+            max_id = max(max_id, u, v)
+        max_chan = max(max_chan, chan)
+        rounds.append((chan, m))
     if n_stations is None:
         n_stations = max_id + 1
     return Schedule(n_stations, max_chan + 1, rounds)

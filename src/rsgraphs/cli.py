@@ -23,6 +23,7 @@ from .errors import (
     ResourceLimitError,
     SearchFailureError,
     VerificationError,
+    check_caps,
 )
 
 
@@ -63,7 +64,6 @@ def _emit(report: dict, args) -> None:
 def _base_report(args, command: str, **params) -> dict:
     resolved = {
         "seed": args.seed,
-        "threads": args.threads,
         "format": args.format,
         "max_vertices": args.max_vertices,
     }
@@ -241,6 +241,7 @@ def _cmd_limits_mindeg(args) -> int:
 
 
 def _cmd_channel_two(args) -> int:
+    check_caps(args.c**args.n, args.max_vertices)
     chain = _chain_from_args(args, args.n, args.d)
     p = codegraph.CodeGraphParams(args.c, args.n, args.d, chain)
     cp = channels.partition_two(p)
@@ -269,6 +270,7 @@ def _cmd_channel_two(args) -> int:
 
 
 def _cmd_channel_shifts(args) -> int:
+    check_caps(args.c**args.n, args.max_vertices)
     p = geometric.GeomParams(args.c, args.n)
     cp = channels.partition_shifts(
         p, args.channels, args.seed, max_attempts=args.attempts
@@ -360,6 +362,7 @@ def _cmd_lintest(args) -> int:
 
 
 def _cmd_vempala(args) -> int:
+    check_caps(args.c**args.n, args.max_vertices)
     chain = _chain_from_args(args, args.n, args.d)
     p = codegraph.CodeGraphParams(args.c, args.n, args.d, chain)
     parts = vempala.counterexample_partition(p)
@@ -399,9 +402,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument("--max-vertices", type=int, default=None,
                         help="vertex cap for all-pairs construction work")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap, recorded in reports; operations are "
-                             "vectorized single-thread and stay deterministic")
     common.add_argument("--format", choices=("json", "text"), default="json")
 
     top = _Parser(prog="rsgraphs", description=__doc__)

@@ -16,7 +16,7 @@ from .errors import (
     ResourceLimitError,
     SearchFailureError,
 )
-from .graphs import parse_int
+from .graphs import numbered_lines, parse_int
 
 MAX_ENUM_DIM = 24
 
@@ -288,19 +288,19 @@ def write_generator(c: LinearCode, path: str) -> None:
 
 def read_generator(path: str) -> LinearCode:
     """Load a generator matrix; claimed_d is set to the verified true distance."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ParameterError(f"{path}:1: malformed header, expected 'n k'")
-        n, k = (parse_int(t, path, 1) for t in header)
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            if len(line) != k or set(line) - {"0", "1"}:
-                raise ParameterError(f"{path}:{lineno}: row {line!r} is not {k} bits")
-            rows.append(line)
+    lines = numbered_lines(path)
+    header = next(lines, (1, ""))[1].split()
+    if len(header) != 2:
+        raise ParameterError(f"{path}:1: malformed header, expected 'n k'")
+    n, k = (parse_int(t, path, 1) for t in header)
+    rows = []
+    for lineno, line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        if len(line) != k or set(line) - {"0", "1"}:
+            raise ParameterError(f"{path}:{lineno}: row {line!r} is not {k} bits")
+        rows.append(line)
     if len(rows) != n:
         raise ParameterError(f"{path}: expected {n} rows, found {len(rows)}")
     cols = tuple(

@@ -65,13 +65,15 @@ def mean_sq_distance(C: int, n: int) -> Fraction:
     return Fraction(n * (C * C - 1), 6)
 
 
-def in_edge_band(sq_dist: int, p: GeomParams) -> bool:
-    """Exact test of | sq_dist - mu | <= n, scaled by 6."""
+def in_edge_band(sq_dist, p: GeomParams):
+    """Exact test of | sq_dist - mu | <= n, scaled by 6; elementwise on an
+    integer array."""
     return abs(6 * sq_dist - p.n * (p.C * p.C - 1)) <= 6 * p.n
 
 
-def in_shell_band(sq_dist: int, p: GeomParams) -> bool:
-    """Exact test of | sq_dist - mu/4 | <= 3n/4, scaled by 24."""
+def in_shell_band(sq_dist, p: GeomParams):
+    """Exact test of | sq_dist - mu/4 | <= 3n/4, scaled by 24; elementwise on
+    an integer array."""
     return abs(24 * sq_dist - p.n * (p.C * p.C - 1)) <= 18 * p.n
 
 
@@ -90,13 +92,12 @@ def build_geometric_graph(
     check_caps(N, max_vertices, max_pairs)
     pts = lattice_points(p.C, p.n)
     sq = (pts * pts).sum(axis=1)
-    target = p.n * (p.C * p.C - 1)
     rows: list[int] = []
     block = max(1, 2**22 // max(N, 1))
     for start in range(0, N, block):
         stop = min(start + block, N)
         d2 = _pair_sq_dists(pts[start:stop], pts, sq, sq[start:stop])
-        mask = np.abs(6 * d2 - target) <= 6 * p.n
+        mask = in_edge_band(d2, p)
         mask[np.arange(start, stop) - start, np.arange(start, stop)] = False
         packed = np.packbits(mask, axis=1, bitorder="little")
         for r in packed:
@@ -190,9 +191,7 @@ def shell(z, p: GeomParams) -> list[int]:
         raise ParameterError("coordinate length mismatch")
     pts = lattice_points(p.C, p.n)
     d2 = ((pts - np.asarray(z, dtype=np.int64)) ** 2).sum(axis=1)
-    target = p.n * (p.C * p.C - 1)
-    mask = np.abs(24 * d2 - target) <= 18 * p.n
-    return [int(i) for i in np.flatnonzero(mask)]
+    return [int(i) for i in np.flatnonzero(in_shell_band(d2, p))]
 
 
 def antipodal_gap(x, y, z) -> int:
@@ -229,7 +228,7 @@ def _shell_membership(p: GeomParams) -> np.ndarray:
     block = max(1, _CHUNK_BYTES // (8 * len(pts)))
     for start in range(0, len(pts), block):
         d2 = _pair_sq_dists(pts[start : start + block], pts, sq, sq[start : start + block])
-        member[start : start + block] = np.abs(24 * d2 - p.n * (p.C * p.C - 1)) <= 18 * p.n
+        member[start : start + block] = in_shell_band(d2, p)
     return member
 
 
@@ -377,13 +376,12 @@ def scan_shell_antipodal_gaps(p: GeomParams, z_ids) -> ShellGapScan:
     z_ids = list(z_ids)
     pts = lattice_points(p.C, p.n)
     sq = (pts * pts).sum(axis=1)
-    target = p.n * (p.C * p.C - 1)
     pairs = 0
     max_gap = -1
     violations: list[tuple[int, int, int]] = []
     for z_id in z_ids:
         dz = _pair_sq_dists(pts[z_id : z_id + 1], pts, sq, sq[z_id : z_id + 1])[0]
-        member_ids = np.flatnonzero(np.abs(24 * dz - target) <= 18 * p.n)
+        member_ids = np.flatnonzero(in_shell_band(dz, p))
         spts = pts[member_ids]
         ssq = sq[member_ids]
         sdz = dz[member_ids]
@@ -391,7 +389,7 @@ def scan_shell_antipodal_gaps(p: GeomParams, z_ids) -> ShellGapScan:
         for start in range(0, len(member_ids), block):
             stop = min(start + block, len(member_ids))
             d2 = _pair_sq_dists(spts[start:stop], spts, ssq, ssq[start:stop])
-            adj = np.abs(6 * d2 - target) <= 6 * p.n
+            adj = in_edge_band(d2, p)
             idx = np.arange(start, stop)
             adj[idx - start, idx] = False
             gap = 2 * sdz[start:stop, None] + 2 * sdz[None, :] - d2

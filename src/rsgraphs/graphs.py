@@ -290,13 +290,22 @@ def doubled_matchings(c: MatchingCover, n: int) -> list[Matching]:
 # ---------------------------------------------------------------------------
 # text formats
 
+def numbered_lines(path):
+    """Yield (line number, line) over the text file at `path`, counting from
+    1; bytes that do not decode as text raise ParameterError naming the path."""
+    with open(path) as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path}: not a text file ({exc.reason})") from None
+
+
 def parse_int(token: str, path, lineno: int) -> int:
-    """The integer that a token of line `lineno` of `path` spells; any other
-    token raises ParameterError naming path:line."""
-    try:
+    """The integer that a token of ASCII decimal digits on line `lineno` of
+    `path` spells; any other token raises ParameterError naming path:line."""
+    if token.isascii() and token.isdigit():
         return int(token)
-    except ValueError:
-        raise ParameterError(f"{path}:{lineno}: expected an integer, got {token!r}") from None
+    raise ParameterError(f"{path}:{lineno}: expected an integer, got {token!r}")
 
 
 def write_edge_list(g: Graph, path: str) -> None:
@@ -309,23 +318,23 @@ def write_edge_list(g: Graph, path: str) -> None:
 
 def read_edge_list(path: str) -> Graph:
     edges: dict[Edge, None] = {}  # an ordered set: from_edges sees file order
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ParameterError(f"{path}:1: malformed header, expected 'N M'")
-        n, m = (parse_int(t, path, 1) for t in header)
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ParameterError(f"{path}:{lineno}: malformed edge line {line!r}")
-            u, v = parse_int(parts[0], path, lineno), parse_int(parts[1], path, lineno)
-            if not u < v:
-                raise ParameterError(f"{path}:{lineno}: edge ({u},{v}) must satisfy u < v")
-            if (u, v) in edges:
-                raise ParameterError(f"{path}:{lineno}: edge ({u},{v}) repeats an earlier line")
-            edges[(u, v)] = None
+    lines = numbered_lines(path)
+    header = next(lines, (1, ""))[1].split()
+    if len(header) != 2:
+        raise ParameterError(f"{path}:1: malformed header, expected 'N M'")
+    n, m = (parse_int(t, path, 1) for t in header)
+    for lineno, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise ParameterError(f"{path}:{lineno}: malformed edge line {line!r}")
+        u, v = parse_int(parts[0], path, lineno), parse_int(parts[1], path, lineno)
+        if not u < v:
+            raise ParameterError(f"{path}:{lineno}: edge ({u},{v}) must satisfy u < v")
+        if (u, v) in edges:
+            raise ParameterError(f"{path}:{lineno}: edge ({u},{v}) repeats an earlier line")
+        edges[(u, v)] = None
     if len(edges) != m:
         raise ParameterError(f"{path}: header claims {m} edges, found {len(edges)}")
     return Graph.from_edges(n, edges)
@@ -340,17 +349,16 @@ def write_cover(c: MatchingCover, path: str) -> None:
 
 def read_cover(path: str) -> MatchingCover:
     matchings = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(":")
-            if parse_int(head, path, lineno) != len(matchings):
-                raise ParameterError(f"{path}:{lineno}: matching ordinals must be sequential")
-            m = []
-            for tok in rest.split():
-                us, _, vs = tok.partition("-")
-                m.append((parse_int(us, path, lineno), parse_int(vs, path, lineno)))
-            matchings.append(m)
+    for lineno, line in numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(":")
+        if parse_int(head, path, lineno) != len(matchings):
+            raise ParameterError(f"{path}:{lineno}: matching ordinals must be sequential")
+        m = []
+        for tok in rest.split():
+            us, _, vs = tok.partition("-")
+            m.append((parse_int(us, path, lineno), parse_int(vs, path, lineno)))
+        matchings.append(m)
     return MatchingCover.from_matchings(matchings, normalize=False)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .graphs import Graph
+from .graphs import Graph, numbered_lines
 
 MAX_TRANSFORM_DIM = 24
 
@@ -145,8 +145,7 @@ def min_bound(N: int, d_f, r: int, t: int) -> float:
 
 def load_table(path: str, m: int) -> BooleanFunction:
     """Read a truth table of 2^m characters '0'/'1' (whitespace ignored)."""
-    with open(path) as fh:
-        text = "".join(fh.read().split())
+    text = "".join("".join(line.split()) for _, line in numbered_lines(path))
     if len(text) != 1 << m or set(text) - {"0", "1"}:
         raise ParameterError(f"{path}: expected 2^{m} characters of 0/1")
     return BooleanFunction(m, np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))

@@ -17,6 +17,7 @@ is vertex N+j.  counterexample_partition turns its (i, N+j) edges into the
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,43 +50,28 @@ class EdgePartition:
                 f"parts cover {len(seen)} of {self.left_n * self.right_n} pairs"
             )
 
-    def degree_tables(self):
-        """Per-part sparse degree tables: (left: {i: deg}, right: {j: deg})."""
-        tables = []
-        for part in self.parts:
-            ld: dict[int, int] = {}
-            rd: dict[int, int] = {}
-            for i, j in part:
-                ld[i] = ld.get(i, 0) + 1
-                rd[j] = rd.get(j, 0) + 1
-            tables.append((ld, rd))
-        return tables
+
+def _pair_terms(part):
+    """(i, j, deg_p(i) * deg_p(j)) over the left vertices i and right
+    vertices j of the part p."""
+    left = Counter(i for i, _ in part)
+    right = Counter(j for _, j in part)
+    return [(i, j, di * dj) for i, di in left.items() for j, dj in right.items()]
 
 
 def vempala_sum(ep: EdgePartition) -> Fraction:
-    """sum_{i,j} min(1, sum_p deg_p(i) deg_p(j) / |p|) in exact rationals."""
-    tables = ep.degree_tables()
-    sizes = [len(part) for part in ep.parts]
-    left_incidence: list[list[tuple[int, int]]] = [[] for _ in range(ep.left_n)]
-    right_incidence: list[dict[int, int]] = [dict() for _ in range(ep.right_n)]
-    for pid, (ld, rd) in enumerate(tables):
-        for i, deg in ld.items():
-            left_incidence[i].append((pid, deg))
-        for j, deg in rd.items():
-            right_incidence[j][pid] = deg
-    one = Fraction(1)
-    total = Fraction(0)
-    for i in range(ep.left_n):
-        inc = left_incidence[i]
-        for j in range(ep.right_n):
-            rj = right_incidence[j]
-            s = Fraction(0)
-            for pid, deg_i in inc:
-                deg_j = rj.get(pid)
-                if deg_j:
-                    s += Fraction(deg_i * deg_j, sizes[pid])
-            total += min(one, s)
-    return total
+    """sum_{i,j} min(1, sum_p deg_p(i) deg_p(j) / |p|) in exact rationals.
+
+    With L the lcm of the part sizes, L * S_ij is the integer
+    sum_p deg_p(i) deg_p(j) (L / |p|), so the sum is sum min(L, L S_ij) / L.
+    """
+    L = math.lcm(*(len(part) for part in ep.parts))
+    scaled = [0] * (ep.left_n * ep.right_n)  # L * S_ij at i * right_n + j
+    for part in ep.parts:
+        w = L // len(part)
+        for i, j, d in _pair_terms(part):
+            scaled[i * ep.right_n + j] += d * w
+    return Fraction(sum(min(L, s) for s in scaled), L)
 
 
 def conjecture_threshold(N: int, k: int) -> float:
@@ -131,15 +117,10 @@ def per_part_identity(ep: EdgePartition, h: Graph) -> list[Fraction]:
     For a part that is an induced matching of H this is exactly 1.
     """
     off = ep.left_n
-    out = []
-    for part, (ld, rd) in zip(ep.parts, ep.degree_tables()):
-        s = Fraction(0)
-        for i, deg_i in ld.items():
-            for j, deg_j in rd.items():
-                if h.has_edge(i, off + j):
-                    s += Fraction(deg_i * deg_j, len(part))
-        out.append(s)
-    return out
+    return [
+        Fraction(sum(d for i, j, d in _pair_terms(part) if h.has_edge(i, off + j)), len(part))
+        for part in ep.parts
+    ]
 
 
 @dataclass

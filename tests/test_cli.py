@@ -70,9 +70,19 @@ def test_construct_geometric_deterministic(capsys):
     assert a == b
 
 
-def test_resource_cap_exit_code(capsys):
-    assert run(["construct", "geometric", "--c", "3", "--n", "4",
-                "--max-vertices", "2"]) == 3
+@pytest.mark.parametrize("command", [
+    "construct geometric", "construct code", "channel two", "channel shifts", "vempala",
+])
+def test_resource_cap_exit_code(tmp_path, capsys, command):
+    # every command that builds an 81-vertex graph refuses a cap of 10
+    gen = tmp_path / "gen.txt"
+    gen.write_text(PINNED_TEXT)
+    extra = {
+        "construct geometric": [],
+        "channel shifts": ["--channels", "3"],
+    }.get(command, ["--d", "2", "--gen", str(gen)])
+    argv = command.split() + ["--c", "3", "--n", "4", *extra, "--max-vertices", "10"]
+    assert run(argv) == 3
     assert "resource refusal" in capsys.readouterr().err
 
 
@@ -270,9 +280,25 @@ def test_tampered_subchannel_cover_trips_the_gate(tmp_path, capsys, monkeypatch,
         assert "lost inducedness" in err
 
 
-# (input file text, argv with {f} for its path, line the error must name)
+NOT_TEXT = b"\xff\xfe\x00\x01"
+
+# (input file text or bytes, argv with {f} for its path, line the error must
+# name; None when the message names only the path)
 BAD_INPUTS = {
     "edge-token": ("3 1\n0 x\n", ["limits", "mindeg", "--edges", "{f}", "--r", "2"], 2),
+    "edge-underscore": ("12 1\n1_0 11\n", ["limits", "mindeg", "--edges", "{f}", "--r", "2"], 2),
+    "edge-plus": ("3 1\n+0 1\n", ["limits", "mindeg", "--edges", "{f}", "--r", "2"], 2),
+    "edge-not-text": (NOT_TEXT, ["limits", "mindeg", "--edges", "{f}", "--r", "2"], None),
+    "cover-non-ascii-digit": ("0: 0-\u0661\n", ["limits", "triangle", "--edges", "{g}", "--cover", "{f}"], 1),
+    "cover-not-text": (NOT_TEXT, ["limits", "triangle", "--edges", "{g}", "--cover", "{f}"], None),
+    "schedule-plus": ("round 0 chan 0: 0>+1\n", ["channel", "simulate", "--schedule", "{f}"], 1),
+    "schedule-not-text": (NOT_TEXT, ["channel", "simulate", "--schedule", "{f}"], None),
+    "generator-minus": ("4 -2\n11\n11\n10\n10\n",
+                        ["construct", "code", "--c", "3", "--n", "4", "--d", "2", "--gen", "{f}"], 1),
+    "generator-not-text": (NOT_TEXT,
+                           ["construct", "code", "--c", "3", "--n", "4", "--d", "2", "--gen", "{f}"], None),
+    "table-not-text": (NOT_TEXT, ["lintest", "--edges", "{g}", "--cover", "{c}", "--m", "1",
+                                  "--f", "table:{f}", "--trials", "1"], None),
     "edge-repeat": ("3 2\n0 1\n0 1\n", ["limits", "mindeg", "--edges", "{f}", "--r", "2"], 3),
     "cover-token": ("zero: 0-1\n", ["limits", "triangle", "--edges", "{g}", "--cover", "{f}"], 1),
     "schedule-token": ("round 0 chan 0: 0>1\nround 1 chan 0: 1>y\n",
@@ -287,18 +313,22 @@ BAD_INPUTS = {
 def test_bad_input_file_exits_1_naming_the_line(tmp_path, case):
     text, argv, line = BAD_INPUTS[case]
     bad = tmp_path / "input.txt"
-    if text is not None:
-        bad.write_text(text)
+    if isinstance(text, bytes):
+        bad.write_bytes(text)
+    elif text is not None:
+        bad.write_text(text, encoding="utf-8")
     good = tmp_path / "edges.txt"
     good.write_text("2 1\n0 1\n")
-    argv = [a.format(f=bad, g=good) for a in argv]
+    cover = tmp_path / "cover.txt"
+    cover.write_text("0: 0-1\n")
+    argv = [a.format(f=bad, g=good, c=cover) for a in argv]
     src = str(Path(rsgraphs.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-m", "rsgraphs.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    # a missing file has no line to name; the message names the file
+    # a missing or non-text file has no line to name; the message names the file
     assert (f"{bad}:{line}:" if line else str(bad)) in proc.stderr
 
 

@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsgraphs.codegraph import CodeGraphParams
 from rsgraphs.codes import LinearCode, build_chain
 from rsgraphs.errors import ParameterError
+from rsgraphs.graphs import Graph
 from rsgraphs.vempala import (
     EdgePartition,
     conjecture_threshold,
@@ -34,8 +37,63 @@ def brute_vempala_sum(ep):
     return total
 
 
+def degree_tables(ep):
+    """Per-part sparse degree tables: (left: {i: deg}, right: {j: deg})."""
+    tables = []
+    for part in ep.parts:
+        ld: dict[int, int] = {}
+        rd: dict[int, int] = {}
+        for i, j in part:
+            ld[i] = ld.get(i, 0) + 1
+            rd[j] = rd.get(j, 0) + 1
+        tables.append((ld, rd))
+    return tables
+
+
+def oracle_per_part_identity(ep, h):
+    """Oracle: sum_{(i,j) in H} deg_p(i) deg_p(j) / |p| per part, one
+    Fraction term at a time over the part's degree tables."""
+    off = ep.left_n
+    out = []
+    for part, (ld, rd) in zip(ep.parts, degree_tables(ep)):
+        s = Fraction(0)
+        for i, deg_i in ld.items():
+            for j, deg_j in rd.items():
+                if h.has_edge(i, off + j):
+                    s += Fraction(deg_i * deg_j, len(part))
+        out.append(s)
+    return out
+
+
 def all_pairs(n, k):
     return [(i, j) for i in range(n) for j in range(k)]
+
+
+@st.composite
+def partitions_with_h(draw):
+    """A random partition of [n] x [k] (n, k <= 5) and a random H on n + k
+    vertices whose edges (i, n + j) are a random subset of the pairs."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 5))
+    pairs = draw(st.permutations(all_pairs(n, k)))
+    cut_after = draw(st.lists(st.booleans(), min_size=len(pairs) - 1, max_size=len(pairs) - 1))
+    bounds = [0] + [a + 1 for a, cut in enumerate(cut_after) if cut] + [len(pairs)]
+    parts = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+    in_h = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    h = Graph.from_edges(n + k, [(i, n + j) for (i, j), b in zip(all_pairs(n, k), in_h) if b])
+    return EdgePartition(n, k, parts), h
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitions_with_h())
+def test_kernels_match_oracles_on_random_partitions(case):
+    ep, h = case
+    total = vempala_sum(ep)
+    assert isinstance(total, Fraction)
+    assert total == brute_vempala_sum(ep)
+    idents = per_part_identity(ep, h)
+    assert all(isinstance(v, Fraction) for v in idents)
+    assert idents == oracle_per_part_identity(ep, h)
 
 
 def test_partition_validation():
@@ -99,6 +157,7 @@ def test_counterexample_small_instance():
     assert parts.missing_pairs == 12
     assert len(ep.parts) == parts.matching_parts + parts.missing_pairs
     idents = per_part_identity(ep, parts.h)
+    assert idents == oracle_per_part_identity(ep, parts.h)
     assert all(v == 1 for v in idents[: parts.matching_parts])
     # singleton non-H parts contribute 0 to the H-restricted sum
     assert all(v == 0 for v in idents[parts.matching_parts :])
@@ -109,6 +168,9 @@ def test_counterexample_small_instance():
 def test_counterexample_desk_counts():
     p = CodeGraphParams(3, 4, 2, build_chain(PINNED, 2))
     parts = counterexample_partition(p)
+    assert per_part_identity(parts.partition, parts.h) == oracle_per_part_identity(
+        parts.partition, parts.h
+    )
     assert parts.matching_parts == 972
     assert parts.missing_pairs == 2673
     assert parts.partition.left_n == parts.partition.right_n == 81
