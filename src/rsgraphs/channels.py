@@ -12,6 +12,9 @@ within the subchannel graph, which is exactly what inducedness guarantees.
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .codegraph import CodeGraphParams, two_channel_split
 from .errors import ParameterError
@@ -28,6 +31,9 @@ from .graphs import (
 
 Matching = list[tuple[int, int]]
 
+# Block entries (round x pair x pair) that simulate gathers at once.
+_CHUNK_CELLS = 1 << 16
+
 
 @dataclass
 class ChannelPartition:
@@ -39,9 +45,6 @@ class ChannelPartition:
     overflow_index: int | None = None  # subchannel holding unassigned pairs, if any
     attempts_used: int | None = None
     right_permutations: list[list[int]] | None = None
-
-    def round_counts(self) -> list[int]:
-        return [cover.t for _, cover in self.subchannels]
 
 
 def validate_partition(cp: ChannelPartition) -> None:
@@ -220,47 +223,108 @@ def simulate(s: Schedule, n_stations: int | None = None) -> SimReport:
     (for a valid partition schedule that is exactly the subchannel graph).
     Within a round, receiver v hears cleanly iff exactly one scheduled
     transmitter targets v and no other scheduled transmitter u' has (u', v)
-    in the subchannel's edge set.
+    in the subchannel's edge set.  A round whose block of its channel's
+    edge set, transmitters by receivers, holds just the round's own pairs
+    delivers every pair; only the other rounds are replayed receiver by
+    receiver.
     """
     n = s.n_stations if n_stations is None else n_stations
-    chan_cols: dict[int, list[int]] = {}
-    for i, m in s.rounds:
-        cols = chan_cols.setdefault(i, [0] * n)
-        for u, v in m:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParameterError(f"scheduled pair ({u},{v}) outside {n} stations")
-            cols[v] |= 1 << u
-    delivered = bytearray(n * n)  # flag of pair (u, v) at u * n + v
+    sizes, key = _pair_keys(s, n)
+    ids = sorted({i for i, _ in s.rounds})
+    chan = np.searchsorted(ids, np.fromiter((i for i, _ in s.rounds), dtype=np.int64))
+    edges = np.zeros((len(ids), n * n), dtype=bool)  # per channel, at u * n + v
+    edges[np.repeat(chan, sizes), key] = True
+    clean = _clean_rounds(sizes, key, chan, edges, n)
     garbled: list[tuple] = []
-    doubles: list[tuple] = []
-    for rnd, (i, m) in enumerate(s.rounds):
-        cols = chan_cols[i]
-        targets: dict[int, set[int]] = {}
-        tmask = 0
-        for u, v in m:
-            targets.setdefault(v, set()).add(u)
-            tmask |= 1 << u
-        for v in sorted(targets):
-            us = sorted(targets[v])
-            if len(us) > 1:
-                garbled.append((rnd, i, v, tuple(us)))
-                continue
-            u = us[0]
-            interferers = tmask & cols[v] & ~(1 << u)
-            if interferers:
-                garbled.append((rnd, i, v, (u, *bits_of(interferers))))
-                continue
-            if delivered[u * n + v]:
-                doubles.append((rnd, u, v))
-            else:
-                delivered[u * n + v] = 1
+    replayed: list[tuple[int, int]] = []  # (round, u * n + v) heard in a replay
+    for r in np.flatnonzero(~clean).tolist():
+        i, m = s.rounds[r]
+        events, heard = _replay_round(m, edges[chan[r]].reshape(n, n))
+        garbled.extend((r, i, v, us) for v, us in events)
+        replayed.extend((r, u * n + v) for u, v in heard)
+    extra = np.array(replayed, dtype=np.int64).reshape(-1, 2)
+    key = key[np.repeat(clean, sizes)]  # every pair of a clean round is heard
+    seen = np.zeros(n * n, dtype=bool)
+    seen[key] = True
+    seen[extra[:, 1]] = True
+    delivered = int(np.count_nonzero(seen))
+    doubles = []
+    if delivered < len(key) + len(extra):
+        rnd = np.concatenate((np.repeat(np.flatnonzero(clean), sizes[clean]), extra[:, 0]))
+        doubles = _double_deliveries(rnd, np.concatenate((key, extra[:, 1])), n)
     return SimReport(
-        delivered=delivered.count(1),
+        delivered=delivered,
         garbled_events=garbled,
         rounds_used=len(s.rounds),
         per_subchannel_rounds=s.per_subchannel_rounds(),
         double_deliveries=doubles,
     )
+
+
+def _pair_keys(s: Schedule, n: int):
+    """Round sizes, and the key u * n + v of each scheduled pair (u, v) in
+    schedule order; a pair outside the n stations raises ParameterError."""
+    sizes = np.fromiter((len(m) for _, m in s.rounds), dtype=np.int64, count=len(s.rounds))
+    flat = chain.from_iterable(chain.from_iterable(m for _, m in s.rounds))
+    pairs = np.fromiter(flat, dtype=np.int64, count=2 * int(sizes.sum())).reshape(-1, 2)
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+        u, v = pairs[((pairs < 0) | (pairs >= n)).any(axis=1).argmax()].tolist()
+        raise ParameterError(f"scheduled pair ({u},{v}) outside {n} stations")
+    key = pairs[:, 0] * n
+    key += pairs[:, 1]
+    return sizes, key
+
+
+def _clean_rounds(sizes, key, chan, edges, n: int) -> np.ndarray:
+    """Per round, whether it surely delivers every pair: its s x s block of
+    the channel's edges, transmitters by receivers, holds just its own s
+    pairs.  (Two pairs with one receiver put an edge off the diagonal.)  One
+    gather per round size; empty and one-pair rounds are clean."""
+    start = np.cumsum(sizes) - sizes
+    clean = sizes <= 1
+    for size in sorted(set(sizes.tolist()) - {0, 1}):
+        rounds = np.flatnonzero(sizes == size)
+        step = max(1, _CHUNK_CELLS // (size * size))
+        for a in range(0, len(rounds), step):
+            r = rounds[a : a + step]
+            us, vs = np.divmod(key[start[r, None] + np.arange(size)], n)
+            block = edges[chan[r, None, None], us[:, :, None] * n + vs[:, None, :]]
+            clean[r] = block.sum(axis=(1, 2)) == size
+    return clean
+
+
+def _double_deliveries(rnd, key, n: int) -> list[tuple]:
+    """(round, u, v) of every delivery of a pair heard earlier, in replay
+    order: by round, then receiver."""
+    order = np.lexsort((key % n, rnd))
+    rnd, key = rnd[order], key[order]
+    repeat = np.ones(len(key), dtype=bool)
+    repeat[np.unique(key, return_index=True)[1]] = False
+    u, v = np.divmod(key[repeat], n)
+    return list(zip(rnd[repeat].tolist(), u.tolist(), v.tolist()))
+
+
+def _replay_round(m: Matching, edges: np.ndarray):
+    """Replay one round against its channel's transmitter x receiver edge
+    matrix, receivers ascending: the garbled receivers with their
+    transmitters, and the (u, v) pairs heard cleanly."""
+    targets: dict[int, set[int]] = {}
+    for u, v in m:
+        targets.setdefault(v, set()).add(u)
+    senders = sorted({u for u, _ in m})
+    events, heard = [], []
+    for v in sorted(targets):
+        us = sorted(targets[v])
+        if len(us) > 1:
+            events.append((v, tuple(us)))
+            continue
+        u = us[0]
+        others = [w for w in senders if w != u and edges[w, v]]
+        if others:
+            events.append((v, (u, *others)))
+        else:
+            heard.append((u, v))
+    return events, heard
 
 
 def meshulam_lower_bound(N: int, C: int) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from . import channels, codegraph, codes, geometric, graphs, limits, lintest, vempala
 from .errors import (
+    DEFAULT_MAX_PAIR_CHECKS,
     InternalCheckError,
     ParameterError,
     ResourceLimitError,
@@ -334,6 +335,12 @@ def _make_function(descriptor: str, m: int, seed: int) -> lintest.BooleanFunctio
 
 def _cmd_lintest(args) -> int:
     g = graphs.read_edge_list(args.edges)
+    check_caps(g.n, args.max_vertices)
+    if args.trials * g.n > DEFAULT_MAX_PAIR_CHECKS:
+        raise ResourceLimitError(
+            f"{args.trials} trials x {g.n} vertices exceed the cap of "
+            f"{DEFAULT_MAX_PAIR_CHECKS} drawn points"
+        )
     cover = graphs.read_cover(args.cover)
     rep = graphs.verify_cover(g, cover)
     if not rep.valid:

@@ -163,11 +163,12 @@ def missing_edge_count_bound(C: int, n: int, d: int) -> MissingEdgeBound:
 
 
 def cover_exponents(C: int, n: int, d: int) -> tuple[float, float]:
-    """Exponent formulas (e, f): t = O(N^e / r) style matching count and
-    missing-pair exponent, with N = C^n.
+    """Exponent formulas (e, f) with N = C^n and x = d/n.
 
-    e = 1 + (H(d/n) + (1 - d/n) log2(C-1)) / log2(C)
-    f = 2 - (1 - H(d/n)) / log2(C)
+    e = 1 + (H(x) + (1 - x) log2(C-1)) / log2(C) is the missing-pair
+    exponent: the code graph misses N^(e + o(1)) vertex pairs.
+    f = 2 - (1 - H(x)) / log2(C) is the matching-count exponent: a GV code
+    chain gives a cover of t = N^(f + o(1)) induced matchings.
     """
     if not 0 < d < n:
         raise ParameterError("exponent formulas need 0 < d < n")

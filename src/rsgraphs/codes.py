@@ -233,10 +233,6 @@ class CodeChain:
     def k(self) -> int:
         return self.codes[0].k
 
-    def code_for_agreements(self, r: int) -> LinearCode:
-        """The length-(n-r) code used for pairs agreeing on r coordinates."""
-        return self.codes[r]
-
 
 def build_chain(c: LinearCode, d: int) -> CodeChain:
     """Chain c down to length n-d+1 by repeatedly deleting the last row.

@@ -121,9 +121,6 @@ class BalanceVector:
     def entries(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(h, 2) for h in self.halves)
 
-    def dot(self, a) -> Fraction:
-        return Fraction(sum(ai * h for ai, h in zip(a, self.halves)), 2)
-
 
 def balance_vector(a, C: int) -> BalanceVector:
     """Signs w_i in {+-1/2} on the support of a with |<a, w>| <= C/2.

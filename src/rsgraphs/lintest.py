@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .errors import ParameterError, ResourceLimitError
 from .graphs import Graph, numbered_lines
 
 MAX_TRANSFORM_DIM = 24
+# Edge-by-trial cells that estimate_soundness checks per chunk of edges.
+_CHUNK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -94,20 +97,30 @@ def estimate_soundness(
     """Monte Carlo acceptance frequency of the graph test, with binomial stderr.
 
     Vectorized over trials with numpy's seeded PCG64 stream; results replay
-    bit-exact for a fixed (graph, f, trials, seed).
+    bit-exact for a fixed (graph, f, trials, seed).  The points are one
+    (trials, N) draw, checked over chunks of edges at a time; the walk stops
+    after the first chunk that leaves no trial accepting.
     """
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, 1 << f.m, size=(trials, g.n), dtype=np.int64)
-    acc = np.ones(trials, dtype=bool)
+    # One row of points per vertex, in the narrowest dtype that holds them.
+    x = np.ascontiguousarray(pts.T, dtype=np.min_scalar_type((1 << f.m) - 1))
+    del pts
     table = f.table
-    for u, v in g.edges():
-        xu = pts[:, u]
-        xv = pts[:, v]
-        acc &= (table[xu] ^ table[xv]) == table[xu ^ xv]
-        if not acc.any():
+    fx = table[x]
+    acc = np.ones(trials, dtype=bool)
+    edges = g.edges()
+    per_chunk = max(1, _CHUNK_CELLS // trials)
+    while acc.any():
+        uv = np.fromiter(chain.from_iterable(islice(edges, per_chunk)), dtype=np.int64)
+        if not uv.size:
             break
+        u, v = uv[0::2], uv[1::2]
+        # x[u] ^ x[v] < 2^m indexes the table; mode="clip" skips the bounds check
+        fuv = table.take(x[u] ^ x[v], mode="clip")
+        acc &= ~(fx[u] ^ fx[v] ^ fuv).any(axis=0)
     p_hat = float(acc.sum()) / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return p_hat, stderr

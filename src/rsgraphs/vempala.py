@@ -17,13 +17,18 @@ is vertex N+j.  counterexample_partition turns its (i, N+j) edges into the
 """
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
 
 from .codegraph import CodeGraphParams, two_channel_split
 from .errors import InternalCheckError, ParameterError
-from .graphs import Graph, verify_cover_bipartite
+from .graphs import Graph, adjacency_matrix, verify_cover_bipartite
+
+# Pairs of whole parts whose left x right blocks are expanded at a time.
+_CHUNK_PAIRS = 1 << 12
 
 
 @dataclass
@@ -33,30 +38,59 @@ class EdgePartition:
     left_n: int
     right_n: int
     parts: list[list[tuple[int, int]]]
+    # The parts flattened: part sizes, and the (i, j) pairs part after part.
+    _sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    _pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for part in self.parts:
-            if not part:
-                raise ParameterError("empty parts are not allowed")
-            for i, j in part:
-                if not (0 <= i < self.left_n and 0 <= j < self.right_n):
-                    raise ParameterError(f"pair ({i},{j}) outside {self.left_n}x{self.right_n}")
-                if (i, j) in seen:
-                    raise ParameterError(f"pair ({i},{j}) appears in two parts")
-                seen.add((i, j))
-        if len(seen) != self.left_n * self.right_n:
-            raise ParameterError(
-                f"parts cover {len(seen)} of {self.left_n * self.right_n} pairs"
-            )
+        n, k = self.left_n, self.right_n
+        sizes = np.fromiter(map(len, self.parts), dtype=np.int64, count=len(self.parts))
+        flat = chain.from_iterable(chain.from_iterable(self.parts))
+        pairs = np.fromiter(flat, dtype=np.int64, count=2 * int(sizes.sum())).reshape(-1, 2)
+        i, j = pairs[:, 0], pairs[:, 1]
+        outside = (i < 0) | (i >= n) | (j < 0) | (j >= k)
+        repeated = np.ones(len(pairs), dtype=bool)
+        repeated[np.unique(i * k + j, return_index=True)[1]] = False
+        # Report the defect a scan over the parts meets first; an empty part
+        # is met before the pairs of the parts after it.
+        bad = np.flatnonzero(outside | repeated)
+        empty = np.flatnonzero(sizes == 0)
+        if empty.size and (not bad.size or (np.cumsum(sizes) - sizes)[empty[0]] <= bad[0]):
+            raise ParameterError("empty parts are not allowed")
+        if bad.size:
+            a, b = pairs[bad[0]].tolist()
+            if outside[bad[0]]:
+                raise ParameterError(f"pair ({a},{b}) outside {n}x{k}")
+            raise ParameterError(f"pair ({a},{b}) appears in two parts")
+        if len(pairs) != n * k:
+            raise ParameterError(f"parts cover {len(pairs)} of {n * k} pairs")
+        self._sizes = sizes
+        self._pairs = pairs
 
 
-def _pair_terms(part):
-    """(i, j, deg_p(i) * deg_p(j)) over the left vertices i and right
-    vertices j of the part p."""
-    left = Counter(i for i, _ in part)
-    right = Counter(j for _, j in part)
-    return [(i, j, di * dj) for i, di in left.items() for j, dj in right.items()]
+def _block_terms(ep: EdgePartition):
+    """Yield arrays (p, i, j, deg_p(i), deg_p(j)) over every part p, left
+    vertex i of p and right vertex j of p, parts ascending, for chunks of
+    whole parts that hold up to _CHUNK_PAIRS pairs (or one larger part)."""
+    sizes, pairs = ep._sizes, ep._pairs
+    ends = np.cumsum(sizes)
+    a = 0
+    while a < len(sizes):
+        lo = ends[a] - sizes[a]
+        b = max(a + 1, int(np.searchsorted(ends, lo + _CHUNK_PAIRS, side="right")))
+        part = np.repeat(np.arange(a, b), sizes[a:b])
+        chunk = pairs[lo : ends[b - 1]]
+        lkey, ldeg = np.unique(part * ep.left_n + chunk[:, 0], return_counts=True)
+        rkey, rdeg = np.unique(part * ep.right_n + chunk[:, 1], return_counts=True)
+        lp, li = np.divmod(lkey, ep.left_n)
+        rp, rj = np.divmod(rkey, ep.right_n)
+        # Each left entry of part p meets the block of p's right entries.
+        width = np.bincount(rp - a, minlength=b - a)[lp - a]
+        left = np.repeat(np.arange(len(lkey)), width)
+        start = np.cumsum(width) - width
+        right = np.repeat(np.searchsorted(rp, lp) - start, width) + np.arange(len(left))
+        yield lp[left], li[left], rj[right], ldeg[left], rdeg[right]
+        a = b
 
 
 def vempala_sum(ep: EdgePartition) -> Fraction:
@@ -64,14 +98,18 @@ def vempala_sum(ep: EdgePartition) -> Fraction:
 
     With L the lcm of the part sizes, L * S_ij is the integer
     sum_p deg_p(i) deg_p(j) (L / |p|), so the sum is sum min(L, L S_ij) / L.
+    S_ij <= min(N, k), so every term and entry is below L max(N, k): they
+    add up in int64 when that is below 2^63, and in Python ints otherwise.
     """
-    L = math.lcm(*(len(part) for part in ep.parts))
-    scaled = [0] * (ep.left_n * ep.right_n)  # L * S_ij at i * right_n + j
-    for part in ep.parts:
-        w = L // len(part)
-        for i, j, d in _pair_terms(part):
-            scaled[i * ep.right_n + j] += d * w
-    return Fraction(sum(min(L, s) for s in scaled), L)
+    n, k = ep.left_n, ep.right_n
+    L = math.lcm(*ep._sizes.tolist())
+    dtype = np.int64 if L * max(n, k) < 2**63 else object
+    weight = L // ep._sizes.astype(dtype)
+    scaled = np.zeros(n * k, dtype=dtype)  # L * S_ij at i * k + j
+    for p, i, j, di, dj in _block_terms(ep):
+        np.add.at(scaled, i * k + j, di.astype(dtype) * dj.astype(dtype) * weight[p])
+    np.minimum(scaled, L, out=scaled)
+    return Fraction(int(scaled.sum(dtype=object)), L)
 
 
 def conjecture_threshold(N: int, k: int) -> float:
@@ -114,13 +152,17 @@ def per_part_identity(ep: EdgePartition, h: Graph) -> list[Fraction]:
     """H-restricted contribution sum_{(i,j) in H} deg_p(i) deg_p(j) / |p| per part.
 
     H is on left_n + right_n vertices, right station j being vertex left_n + j.
-    For a part that is an induced matching of H this is exactly 1.
+    For a part that is an induced matching of H this is exactly 1.  A part's
+    sum is at most |p|^2, so int64 holds it.
     """
-    off = ep.left_n
-    return [
-        Fraction(sum(d for i, j, d in _pair_terms(part) if h.has_edge(i, off + j)), len(part))
-        for part in ep.parts
-    ]
+    adj = adjacency_matrix(h)
+    sums = np.zeros(len(ep._sizes), dtype=np.int64)
+    for p, i, j, di, dj in _block_terms(ep):
+        hit = adj[i, ep.left_n + j]
+        np.add.at(sums, p[hit], di[hit] * dj[hit])
+    ratios = list(zip(sums.tolist(), ep._sizes.tolist()))
+    fractions = {r: Fraction(*r) for r in set(ratios)}  # few distinct values
+    return [fractions[r] for r in ratios]
 
 
 @dataclass

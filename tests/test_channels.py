@@ -1,10 +1,16 @@
 """Subchannel partitions of K_{N,N} and the round-by-round delivery simulation."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rsgraphs import channels
 from rsgraphs.channels import (
     ChannelPartition,
     Schedule,
+    SimReport,
     build_schedule,
     meshulam_lower_bound,
     partition_shifts,
@@ -18,13 +24,98 @@ from rsgraphs.codegraph import CodeGraphParams
 from rsgraphs.codes import LinearCode, build_chain
 from rsgraphs.errors import ParameterError
 from rsgraphs.geometric import GeomParams
-from rsgraphs.graphs import Graph, MatchingCover
+from rsgraphs.graphs import Graph, MatchingCover, bits_of
 
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
 
 
+def round_counts(cp):
+    return [cover.t for _, cover in cp.subchannels]
+
+
 def small_params():
     return CodeGraphParams(2, 2, 1, build_chain(LinearCode(2, 1, (0b11,), claimed_d=2), 1))
+
+
+def oracle_simulate(s, n_stations=None):
+    """Oracle: replay round by round with bitmask columns per channel and a
+    delivered flag per station pair."""
+    n = s.n_stations if n_stations is None else n_stations
+    chan_cols = {}
+    for i, m in s.rounds:
+        cols = chan_cols.setdefault(i, [0] * n)
+        for u, v in m:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParameterError(f"scheduled pair ({u},{v}) outside {n} stations")
+            cols[v] |= 1 << u
+    delivered = bytearray(n * n)
+    garbled = []
+    doubles = []
+    for rnd, (i, m) in enumerate(s.rounds):
+        cols = chan_cols[i]
+        targets = {}
+        tmask = 0
+        for u, v in m:
+            targets.setdefault(v, set()).add(u)
+            tmask |= 1 << u
+        for v in sorted(targets):
+            us = sorted(targets[v])
+            if len(us) > 1:
+                garbled.append((rnd, i, v, tuple(us)))
+                continue
+            u = us[0]
+            interferers = tmask & cols[v] & ~(1 << u)
+            if interferers:
+                garbled.append((rnd, i, v, (u, *bits_of(interferers))))
+                continue
+            if delivered[u * n + v]:
+                doubles.append((rnd, u, v))
+            else:
+                delivered[u * n + v] = 1
+    return SimReport(
+        delivered=delivered.count(1),
+        garbled_events=garbled,
+        rounds_used=len(s.rounds),
+        per_subchannel_rounds=s.per_subchannel_rounds(),
+        double_deliveries=doubles,
+    )
+
+
+@st.composite
+def schedules(draw):
+    """Random rounds over up to 4 channels (ids with gaps): rounds with
+    repeated receivers, transmitters and pairs or with distinct ones, pairs
+    repeated across rounds, empty rounds, and a station count that may
+    leave pairs out of range."""
+    n = draw(st.integers(1, 10))
+    chans = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
+    station = st.integers(0, n - 1)
+    pair = st.tuples(station, station)
+    any_pairs = st.lists(pair, max_size=5)
+    distinct = st.lists(pair, max_size=5, unique_by=(lambda p: p[0], lambda p: p[1]))
+    rounds = draw(st.lists(
+        st.tuples(st.sampled_from(chans), any_pairs | distinct), max_size=25,
+    ))
+    for _ in range(draw(st.integers(0, 4))):  # repeat earlier rounds
+        if rounds:
+            rounds.append(rounds[draw(st.integers(0, len(rounds) - 1))])
+    n_stations = draw(st.none() | st.integers(1, n))
+    return Schedule(n, max(chans) + 1, rounds), n_stations
+
+
+@settings(max_examples=400, deadline=None)
+@given(schedules(), st.integers(1, 64))
+def test_simulate_matches_oracle_on_random_schedules(case, chunk_cells):
+    s, n_stations = case
+    with mock.patch.object(channels, "_CHUNK_CELLS", chunk_cells):
+        try:
+            want = oracle_simulate(s, n_stations)
+        except ParameterError as exc:
+            with pytest.raises(ParameterError) as got:
+                simulate(s, n_stations)
+            assert str(got.value) == str(exc)
+            return
+        assert simulate(s, n_stations) == want
 
 
 def naive_delivery(schedule):
@@ -62,7 +153,7 @@ def test_partition_two_small():
     remainder, singles = cp.subchannels[1]
     assert remainder.edge_count == 12
     assert remainder.n == 8 and remainder.has_edge(0, 4)  # station pair (0, 0)
-    assert cp.round_counts() == [2, 12]
+    assert round_counts(cp) == [2, 12]
 
 
 def test_partition_two_desk_counts():
@@ -71,7 +162,7 @@ def test_partition_two_desk_counts():
     assert cp.n_stations == 81
     assert cp.subchannels[0][0].edge_count == 3888
     assert cp.subchannels[1][0].edge_count == 2673
-    assert cp.round_counts() == [972, 2673]
+    assert round_counts(cp) == [972, 2673]
 
 
 def test_validate_partition_rejects_overlap_and_gap():
@@ -111,8 +202,13 @@ def test_simulate_small_end_to_end():
 
 
 def test_simulate_matches_oracle_on_mutations():
-    cp = partition_two(small_params())
-    base = build_schedule(cp)
+    # the small instance, then the desk instance of acceptance criterion 8
+    for params in (small_params(), CodeGraphParams(3, 4, 2, build_chain(PINNED, 2))):
+        check_mutations(build_schedule(partition_two(params)))
+
+
+def check_mutations(base):
+    assert simulate(base) == oracle_simulate(base)
 
     # move one remainder pair into another round with the same receiver
     rounds = [(i, list(m)) for i, m in base.rounds]
@@ -134,6 +230,7 @@ def test_simulate_matches_oracle_on_mutations():
     rounds = [(i, m) for i, m in rounds if m]
     mutated = Schedule(base.n_stations, base.num_subchannels, rounds)
     rep = simulate(mutated)
+    assert rep == oracle_simulate(mutated)
     _, want_garbles, want_doubles = naive_delivery(mutated)
     assert len(rep.garbled_events) == want_garbles >= 1
 
@@ -143,6 +240,7 @@ def test_simulate_matches_oracle_on_mutations():
     rounds2.append((i0, list(m0)))
     dup = Schedule(base.n_stations, base.num_subchannels, rounds2)
     rep2 = simulate(dup)
+    assert rep2 == oracle_simulate(dup)
     _, want_garbles2, want_doubles2 = naive_delivery(dup)
     assert len(rep2.garbled_events) == want_garbles2
     assert len(rep2.double_deliveries) == want_doubles2
@@ -170,7 +268,7 @@ def test_partition_shifts_deterministic():
     a = partition_shifts(p, 2, seed=9, max_attempts=5)
     b = partition_shifts(p, 2, seed=9, max_attempts=5)
     assert a.right_permutations == b.right_permutations
-    assert a.round_counts() == b.round_counts()
+    assert round_counts(a) == round_counts(b)
     sa = build_schedule(a)
     sb = build_schedule(b)
     assert sa.rounds == sb.rounds

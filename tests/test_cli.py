@@ -72,11 +72,24 @@ def test_construct_geometric_deterministic(capsys):
 
 @pytest.mark.parametrize("command", [
     "construct geometric", "construct code", "channel two", "channel shifts", "vempala",
+    "lintest",
 ])
 def test_resource_cap_exit_code(tmp_path, capsys, command):
-    # every command that builds an 81-vertex graph refuses a cap of 10
+    # every command that builds or reads an 81-vertex graph refuses a cap of 10
     gen = tmp_path / "gen.txt"
     gen.write_text(PINNED_TEXT)
+    if command == "lintest":
+        edges, cover = tmp_path / "edges.txt", tmp_path / "cover.txt"
+        assert run(["construct", "code", "--c", "3", "--n", "4", "--d", "2", "--gen", str(gen),
+                    "--out", str(edges), "--cover", str(cover)]) == 0
+        capsys.readouterr()
+        lt = ["lintest", "--edges", str(edges), "--cover", str(cover), "--m", "4", "--f", "and"]
+        assert run(lt + ["--trials", "10", "--max-vertices", "10"]) == 3
+        assert "resource refusal" in capsys.readouterr().err
+        # trials x N points past the pair-check cap are refused before the draw
+        assert run(lt + ["--trials", str(10**8 // 81 + 1)]) == 3
+        assert "resource refusal" in capsys.readouterr().err
+        return
     extra = {
         "construct geometric": [],
         "channel shifts": ["--channels", "3"],

@@ -99,7 +99,7 @@ def test_class_canonical_small():
 def test_class_transitivity_witness():
     p = desk_params()
     pair = ((1, 2, 1, 2), (2, 1, 2, 3))  # zero agreements
-    code = p.chain.code_for_agreements(0)
+    code = p.chain.codes[0]
     for w1 in code.codewords():
         for w2 in code.codewords():
             bits1 = [(w1 >> j) & 1 for j in range(4)]

@@ -71,7 +71,7 @@ def class_pairs(pair: OrderedPair, p: CodeGraphParams) -> list[OrderedPair]:
     s = agreement_set(a, b)
     if a == b or len(s) >= p.d:
         raise ParameterError("pair is not an edge of the code graph")
-    code = p.chain.code_for_agreements(len(s))
+    code = p.chain.codes[len(s)]
     free = [i for i in range(len(a)) if a[i] != b[i]]
     return [x_flip(pair, [(w >> j) & 1 for j in range(len(free))]) for w in code.codewords()]
 

@@ -210,8 +210,8 @@ def test_build_chain_frozen_cases():
     assert [c.n for c in chain.codes] == [4, 3]
     assert [verify_code(c).distance for c in chain.codes] == [2, 1]
     assert chain.k == 2
-    assert chain.code_for_agreements(0).n == 4
-    assert chain.code_for_agreements(1).n == 3
+    assert chain.codes[0].n == 4
+    assert chain.codes[1].n == 3
 
     rep = LinearCode(6, 1, ((1 << 6) - 1,), claimed_d=6)
     chain = build_chain(rep, 3)

@@ -4,10 +4,14 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rsgraphs import lintest
 from rsgraphs.errors import ParameterError
 from rsgraphs.graphs import Graph
 from rsgraphs.lintest import (
@@ -29,6 +33,55 @@ def blr_trial(f, x, y):
     if not (0 <= x < size and 0 <= y < size):
         raise ParameterError("probe points outside the domain")
     return (f(x) ^ f(y)) == f(x ^ y)
+
+
+def oracle_estimate_soundness(g, f, trials, seed):
+    """Oracle: the same (trials, N) draw, checked one edge at a time, with an
+    exit after the first edge that leaves no trial accepting."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 1 << f.m, size=(trials, g.n), dtype=np.int64)
+    acc = np.ones(trials, dtype=bool)
+    table = f.table
+    for u, v in g.edges():
+        xu = pts[:, u]
+        xv = pts[:, v]
+        acc &= (table[xu] ^ table[xv]) == table[xu ^ xv]
+        if not acc.any():
+            break
+    p_hat = float(acc.sum()) / trials
+    stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    return p_hat, stderr
+
+
+@st.composite
+def soundness_cases(draw):
+    """A random graph, a random, linear or AND table with m <= 12, trials,
+    seed, and the edge-by-trial cells per chunk."""
+    n = draw(st.integers(1, 24))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e, keep in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    m = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("random", "linear", "and")))
+    if kind == "random":
+        f = random_function(m, draw(st.integers(0, 2**16)))
+    elif kind == "linear":
+        f = linear_function(m, draw(st.integers(0, (1 << m) - 1)))
+    else:
+        f = and_function(m, draw(st.integers(1, m)))
+    trials = draw(st.integers(1, 500))
+    cells = draw(st.integers(1, 4 * trials))
+    return Graph.from_edges(n, edges), f, trials, draw(st.integers(0, 2**32)), cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(soundness_cases())
+def test_estimate_soundness_matches_oracle(case):
+    g, f, trials, seed, cells = case
+    with mock.patch.object(lintest, "_CHUNK_CELLS", cells):
+        assert estimate_soundness(g, f, trials, seed) == oracle_estimate_soundness(
+            g, f, trials, seed
+        )
 
 
 def brute_correlation(f):

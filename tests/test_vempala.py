@@ -1,6 +1,10 @@
 """Exact evaluation of the bipartite local-density sum and its counterexample."""
 
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 from rsgraphs.codegraph import CodeGraphParams
 from rsgraphs.codes import LinearCode, build_chain
 from rsgraphs.errors import ParameterError
+from rsgraphs import vempala
 from rsgraphs.graphs import Graph
 from rsgraphs.vempala import (
     EdgePartition,
@@ -65,6 +70,35 @@ def oracle_per_part_identity(ep, h):
     return out
 
 
+def pair_terms(part):
+    """(i, j, deg_p(i) * deg_p(j)) over the left vertices i and right
+    vertices j of the part p."""
+    left = Counter(i for i, _ in part)
+    right = Counter(j for _, j in part)
+    return [(i, j, di * dj) for i, di in left.items() for j, dj in right.items()]
+
+
+def oracle_vempala_sum(ep):
+    """Oracle: L * S_ij summed part by part in Python ints, L the lcm of the
+    part sizes."""
+    L = math.lcm(*(len(part) for part in ep.parts))
+    scaled = [0] * (ep.left_n * ep.right_n)
+    for part in ep.parts:
+        w = L // len(part)
+        for i, j, d in pair_terms(part):
+            scaled[i * ep.right_n + j] += d * w
+    return Fraction(sum(min(L, s) for s in scaled), L)
+
+
+def pair_terms_per_part_identity(ep, h):
+    """Oracle: per part, the sum of its pair terms on H edges over |p|."""
+    off = ep.left_n
+    return [
+        Fraction(sum(d for i, j, d in pair_terms(part) if h.has_edge(i, off + j)), len(part))
+        for part in ep.parts
+    ]
+
+
 def all_pairs(n, k):
     return [(i, j) for i in range(n) for j in range(k)]
 
@@ -85,15 +119,77 @@ def partitions_with_h(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(partitions_with_h())
-def test_kernels_match_oracles_on_random_partitions(case):
+@given(partitions_with_h(), st.integers(1, 30))
+def test_kernels_match_oracles_on_random_partitions(case, chunk_pairs):
     ep, h = case
-    total = vempala_sum(ep)
+    with mock.patch.object(vempala, "_CHUNK_PAIRS", chunk_pairs):
+        total = vempala_sum(ep)
+        idents = per_part_identity(ep, h)
     assert isinstance(total, Fraction)
-    assert total == brute_vempala_sum(ep)
-    idents = per_part_identity(ep, h)
+    assert total == brute_vempala_sum(ep) == oracle_vempala_sum(ep)
     assert all(isinstance(v, Fraction) for v in idents)
-    assert idents == oracle_per_part_identity(ep, h)
+    assert idents == oracle_per_part_identity(ep, h) == pair_terms_per_part_identity(ep, h)
+
+
+# Parts of every prime size up to 47 have lcm L ~ 6.1e17, so L * 328 passes
+# 2^63 and the sum accumulates in Python ints; with 53, L itself does.
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 2), st.sampled_from((PRIMES, PRIMES + (53,))), st.data())
+def test_vempala_sum_past_int64_matches_oracle(n, primes, data):
+    k = sum(primes)
+    assert math.lcm(*primes) * k >= 2**63
+    pairs = data.draw(st.permutations(all_pairs(n, k)))
+    sizes = data.draw(st.permutations(primes * n))
+    bounds = [0, *itertools.accumulate(sizes)]
+    ep = EdgePartition(n, k, [pairs[a:b] for a, b in zip(bounds, bounds[1:])])
+    assert vempala_sum(ep) == oracle_vempala_sum(ep)
+    in_h = data.draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))
+    h = Graph.from_edges(n + k, [(i, n + j) for (i, j), b in zip(all_pairs(n, k), in_h) if b])
+    assert per_part_identity(ep, h) == pair_terms_per_part_identity(ep, h)
+
+
+def test_vempala_sum_past_int64_brute_force():
+    k = sum(PRIMES)
+    bounds = [0, *itertools.accumulate(PRIMES)]
+    ep = EdgePartition(1, k, [all_pairs(1, k)[a:b] for a, b in zip(bounds, bounds[1:])])
+    # a part of q cells in the one row has deg(0) = q, so each cell gets S = 1
+    assert vempala_sum(ep) == brute_vempala_sum(ep) == k
+
+
+def oracle_validation_error(left_n, right_n, parts):
+    """Oracle: the message of the first defect a scan over the parts meets,
+    or None for a partition."""
+    seen = set()
+    for part in parts:
+        if not part:
+            return "empty parts are not allowed"
+        for i, j in part:
+            if not (0 <= i < left_n and 0 <= j < right_n):
+                return f"pair ({i},{j}) outside {left_n}x{right_n}"
+            if (i, j) in seen:
+                return f"pair ({i},{j}) appears in two parts"
+            seen.add((i, j))
+    if len(seen) != left_n * right_n:
+        return f"parts cover {len(seen)} of {left_n * right_n} pairs"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_partition_validation_matches_oracle(n, k, data):
+    # pairs from a slightly larger box, repeats allowed, and empty parts
+    cell = st.tuples(st.integers(-1, n), st.integers(-1, k))
+    parts = data.draw(st.lists(st.lists(cell, max_size=4), max_size=8))
+    want = oracle_validation_error(n, k, parts)
+    if want is None:
+        EdgePartition(n, k, parts)
+    else:
+        with pytest.raises(ParameterError) as exc:
+            EdgePartition(n, k, parts)
+        assert str(exc.value) == want
 
 
 def test_partition_validation():
