@@ -5,14 +5,15 @@ induced matchings; one matching is broadcast per round.  A subchannel is a
 Graph on 2N vertices: transmitter u is vertex u and receiver v is vertex N+v,
 so its cover holds (u, N+v) edges and goes through the one cover verifier.
 build_schedule turns those edges back into (transmitter, receiver) station
-pairs.  A receiver hears cleanly iff exactly one scheduled transmitter
-targets it this round and no other scheduled transmitter is its in-neighbor
-within the subchannel graph, which is exactly what inducedness guarantees.
+pairs; like a cover, a schedule is held in columns, and simulate and the
+schedule files work on those arrays.  A receiver hears cleanly iff exactly
+one scheduled transmitter targets it this round and no other scheduled
+transmitter is its in-neighbor within the subchannel graph, which is
+exactly what inducedness guarantees.
 """
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -23,10 +24,16 @@ from .graphs import (
     Graph,
     MatchingCover,
     bits_of,
-    doubled_matchings,
+    doubled_cover,
+    group_arrays,
     numbered_lines,
+    offsets_of,
+    pair_groups,
     parse_int,
+    parse_pairs,
+    unpack_rows,
     verify_cover_bipartite,
+    write_groups,
 )
 
 Matching = list[tuple[int, int]]
@@ -50,7 +57,7 @@ class ChannelPartition:
 def validate_partition(cp: ChannelPartition) -> None:
     """Each subchannel cover must be valid and the edge sets must tile K_{N,N}."""
     n = cp.n_stations
-    acc = [0] * n
+    acc = np.zeros((n, n), dtype=bool)
     for idx, (g, cover) in enumerate(cp.subchannels):
         if g.n != 2 * n:
             raise ParameterError(f"subchannel {idx} is not on {n}x{n} stations")
@@ -59,25 +66,25 @@ def validate_partition(cp: ChannelPartition) -> None:
             raise ParameterError(
                 f"subchannel {idx} cover invalid ({len(rep.violations)} violations)"
             )
-        for u in range(n):
-            row = g.neighbors_mask(u) >> n
-            if acc[u] & row:
-                raise ParameterError(f"subchannel {idx} overlaps an earlier one at left {u}")
-            acc[u] |= row
-    full = (1 << n) - 1
-    for u in range(n):
-        if acc[u] != full:
-            raise ParameterError(f"left station {u} is missing pairs; not a partition")
+        # left station u's right stations, u < n: the gate put none below n
+        block = unpack_rows([g.neighbors_mask(u) >> n for u in range(n)], n)
+        clash = (acc & block).any(axis=1)
+        if clash.any():
+            left = clash.argmax()
+            raise ParameterError(f"subchannel {idx} overlaps an earlier one at left {left}")
+        acc |= block
+    gap = ~acc.all(axis=1)
+    if gap.any():
+        raise ParameterError(f"left station {gap.argmax()} is missing pairs; not a partition")
 
 
 def partition_two(p: CodeGraphParams) -> ChannelPartition:
     """Two subchannels: the doubled code graph with its flip-class cover, and
     the remainder (diagonal plus high-agreement pairs) as singleton rounds."""
     split = two_channel_split(p)
-    singles = MatchingCover([[e] for e in split.remainder.edges()])
     cp = ChannelPartition(
         n_stations=split.covered.n // 2,
-        subchannels=[(split.covered, split.cover), (split.remainder, singles)],
+        subchannels=[(split.covered, split.cover), (split.remainder, split.singles)],
         overflow_index=1,
     )
     validate_partition(cp)
@@ -134,7 +141,7 @@ def partition_shifts(
     if cover is None:
         cover = decompose_geometric(p, g)
     n = g.n
-    base = doubled_matchings(cover, n)
+    base = doubled_cover(cover, n).matchings
     rng = random.Random(seed)
     best = None  # (overflow_size, attempt_index, perms, assigned, overflow)
     for attempt in range(max_attempts):
@@ -176,19 +183,37 @@ def partition_shifts(
     return cp
 
 
-@dataclass
 class Schedule:
-    """Ordered rounds of (subchannel id, matching of (transmitter, receiver) pairs)."""
+    """Ordered rounds in columns: round r broadcasts on subchannel chans[r]
+    the (transmitter, receiver) pairs pairs[offsets[r]:offsets[r + 1]].
 
-    n_stations: int
-    num_subchannels: int
-    rounds: list[tuple[int, Matching]]
+    Schedule(n, k, rounds) takes a list of (subchannel id, matching) rounds;
+    .rounds gives them back as such.
+    """
+
+    __slots__ = ("n_stations", "num_subchannels", "chans", "offsets", "pairs")
+
+    def __init__(self, n_stations: int, num_subchannels: int, rounds: list[tuple[int, Matching]]):
+        self.n_stations = n_stations
+        self.num_subchannels = num_subchannels
+        self.chans = np.fromiter((i for i, _ in rounds), dtype=np.int64, count=len(rounds))
+        self.offsets, self.pairs = group_arrays([m for _, m in rounds])
+
+    @classmethod
+    def from_arrays(
+        cls, n_stations: int, num_subchannels: int, chans, offsets, pairs
+    ) -> "Schedule":
+        s = cls.__new__(cls)
+        s.n_stations, s.num_subchannels = n_stations, num_subchannels
+        s.chans, s.offsets, s.pairs = chans, offsets, pairs
+        return s
+
+    @property
+    def rounds(self) -> list[tuple[int, Matching]]:
+        return list(zip(self.chans.tolist(), pair_groups(self.pairs, self.offsets)))
 
     def per_subchannel_rounds(self) -> list[int]:
-        counts = [0] * self.num_subchannels
-        for i, _ in self.rounds:
-            counts[i] += 1
-        return counts
+        return np.bincount(self.chans, minlength=self.num_subchannels).tolist()
 
     def parallel_round_count(self) -> int:
         """Rounds needed if distinct subchannels may broadcast concurrently."""
@@ -198,13 +223,12 @@ class Schedule:
 def build_schedule(cp: ChannelPartition) -> Schedule:
     """Flatten a partition into rounds of (transmitter, receiver) station
     pairs, subchannel by subchannel; total rounds = sum of cover sizes."""
-    n = cp.n_stations
-    rounds = [
-        (i, [(u, w - n) for u, w in m])
-        for i, (_, cover) in enumerate(cp.subchannels)
-        for m in cover.matchings
-    ]
-    return Schedule(cp.n_stations, len(cp.subchannels), rounds)
+    covers = [cover for _, cover in cp.subchannels]
+    chans = np.repeat(np.arange(len(covers)), [c.t for c in covers])
+    sizes = np.concatenate([np.diff(c.offsets) for c in covers])
+    pairs = np.concatenate([c.pairs for c in covers])
+    pairs[:, 1] -= cp.n_stations
+    return Schedule.from_arrays(cp.n_stations, len(covers), chans, offsets_of(sizes), pairs)
 
 
 @dataclass
@@ -229,18 +253,23 @@ def simulate(s: Schedule, n_stations: int | None = None) -> SimReport:
     receiver.
     """
     n = s.n_stations if n_stations is None else n_stations
-    sizes, key = _pair_keys(s, n)
-    ids = sorted({i for i, _ in s.rounds})
-    chan = np.searchsorted(ids, np.fromiter((i for i, _ in s.rounds), dtype=np.int64))
+    offsets, pairs = s.offsets, s.pairs
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+        u, v = pairs[((pairs < 0) | (pairs >= n)).any(axis=1).argmax()].tolist()
+        raise ParameterError(f"scheduled pair ({u},{v}) outside {n} stations")
+    sizes = np.diff(offsets)
+    key = pairs[:, 0] * n
+    key += pairs[:, 1]
+    ids, chan = np.unique(s.chans, return_inverse=True)
     edges = np.zeros((len(ids), n * n), dtype=bool)  # per channel, at u * n + v
     edges[np.repeat(chan, sizes), key] = True
-    clean = _clean_rounds(sizes, key, chan, edges, n)
+    clean = _clean_rounds(offsets, pairs, chan, edges, n)
     garbled: list[tuple] = []
     replayed: list[tuple[int, int]] = []  # (round, u * n + v) heard in a replay
     for r in np.flatnonzero(~clean).tolist():
-        i, m = s.rounds[r]
+        m = pairs[s.offsets[r] : s.offsets[r + 1]].tolist()
         events, heard = _replay_round(m, edges[chan[r]].reshape(n, n))
-        garbled.extend((r, i, v, us) for v, us in events)
+        garbled.extend((r, int(s.chans[r]), v, us) for v, us in events)
         replayed.extend((r, u * n + v) for u, v in heard)
     extra = np.array(replayed, dtype=np.int64).reshape(-1, 2)
     key = key[np.repeat(clean, sizes)]  # every pair of a clean round is heard
@@ -255,39 +284,26 @@ def simulate(s: Schedule, n_stations: int | None = None) -> SimReport:
     return SimReport(
         delivered=delivered,
         garbled_events=garbled,
-        rounds_used=len(s.rounds),
+        rounds_used=len(s.chans),
         per_subchannel_rounds=s.per_subchannel_rounds(),
         double_deliveries=doubles,
     )
 
 
-def _pair_keys(s: Schedule, n: int):
-    """Round sizes, and the key u * n + v of each scheduled pair (u, v) in
-    schedule order; a pair outside the n stations raises ParameterError."""
-    sizes = np.fromiter((len(m) for _, m in s.rounds), dtype=np.int64, count=len(s.rounds))
-    flat = chain.from_iterable(chain.from_iterable(m for _, m in s.rounds))
-    pairs = np.fromiter(flat, dtype=np.int64, count=2 * int(sizes.sum())).reshape(-1, 2)
-    if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
-        u, v = pairs[((pairs < 0) | (pairs >= n)).any(axis=1).argmax()].tolist()
-        raise ParameterError(f"scheduled pair ({u},{v}) outside {n} stations")
-    key = pairs[:, 0] * n
-    key += pairs[:, 1]
-    return sizes, key
-
-
-def _clean_rounds(sizes, key, chan, edges, n: int) -> np.ndarray:
+def _clean_rounds(offsets, pairs, chan, edges, n: int) -> np.ndarray:
     """Per round, whether it surely delivers every pair: its s x s block of
     the channel's edges, transmitters by receivers, holds just its own s
     pairs.  (Two pairs with one receiver put an edge off the diagonal.)  One
     gather per round size; empty and one-pair rounds are clean."""
-    start = np.cumsum(sizes) - sizes
+    sizes = np.diff(offsets)
     clean = sizes <= 1
-    for size in sorted(set(sizes.tolist()) - {0, 1}):
+    for size in np.unique(sizes[sizes > 1]).tolist():
         rounds = np.flatnonzero(sizes == size)
         step = max(1, _CHUNK_CELLS // (size * size))
         for a in range(0, len(rounds), step):
             r = rounds[a : a + step]
-            us, vs = np.divmod(key[start[r, None] + np.arange(size)], n)
+            ends = pairs[offsets[r, None] + np.arange(size)]
+            us, vs = ends[:, :, 0], ends[:, :, 1]
             block = edges[chan[r, None, None], us[:, :, None] * n + vs[:, None, :]]
             clean[r] = block.sum(axis=(1, 2)) == size
     return clean
@@ -336,15 +352,20 @@ def meshulam_lower_bound(N: int, C: int) -> float:
 
 def write_schedule(s: Schedule, path: str) -> None:
     """One line per round: "round <idx> chan <i>: u1>v1 u2>v2 ..."."""
-    with open(path, "w") as fh:
-        for idx, (i, m) in enumerate(s.rounds):
-            fh.write(f"round {idx} chan {i}:" + "".join(f" {u}>{v}" for u, v in m) + "\n")
+    chans = s.chans
+
+    def heads(a, b):
+        return [f"round {r} chan {i}:" for r, i in zip(range(a, b), chans[a:b].tolist())]
+
+    write_groups(path, heads, s.pairs, s.offsets, ">")
 
 
 def read_schedule(path: str, n_stations: int | None = None) -> Schedule:
-    rounds: list[tuple[int, Matching]] = []
-    max_id = -1
-    max_chan = -1
+    if n_stations is not None and n_stations < 0:
+        raise ParameterError(f"need a nonnegative station count, got {n_stations}")
+    chans: list[int] = []
+    sizes: list[int] = []
+    flat: list[int] = []
     for lineno, line in numbered_lines(path):
         line = line.strip()
         if not line:
@@ -353,17 +374,18 @@ def read_schedule(path: str, n_stations: int | None = None) -> Schedule:
         parts = head.split()
         if len(parts) != 4 or parts[0] != "round" or parts[2] != "chan":
             raise ParameterError(f"{path}:{lineno}: malformed round header")
-        if parse_int(parts[1], path, lineno) != len(rounds):
+        if parse_int(parts[1], path, lineno) != len(chans):
             raise ParameterError(f"{path}:{lineno}: round indices must be sequential")
         chan = parse_int(parts[3], path, lineno)
-        m = []
-        for tok in rest.split():
-            us, _, vs = tok.partition(">")
-            u, v = parse_int(us, path, lineno), parse_int(vs, path, lineno)
-            m.append((u, v))
-            max_id = max(max_id, u, v)
-        max_chan = max(max_chan, chan)
-        rounds.append((chan, m))
+        if chan >> 63:
+            raise ParameterError(f"{path}:{lineno}: channel {chan} does not fit in 64 bits")
+        chans.append(chan)
+        ids = parse_pairs(rest.split(), ">", path, lineno)
+        flat.extend(ids)
+        sizes.append(len(ids) // 2)
+    pairs = np.array(flat, dtype=np.int64).reshape(-1, 2)
     if n_stations is None:
-        n_stations = max_id + 1
-    return Schedule(n_stations, max_chan + 1, rounds)
+        n_stations = int(pairs.max()) + 1 if len(pairs) else 0
+    k = max(chans, default=-1) + 1
+    chan_ids = np.array(chans, dtype=np.int64)
+    return Schedule.from_arrays(n_stations, k, chan_ids, offsets_of(sizes), pairs)

@@ -82,6 +82,26 @@ def _max_gv_dimension(n: int, d: int) -> int:
     return k
 
 
+def _check_stations(n: int, max_vertices) -> None:
+    """The caps for N stations: N vertices, and N^2 station pairs."""
+    check_caps(n, max_vertices)
+    if n * n > DEFAULT_MAX_PAIR_CHECKS:
+        raise ResourceLimitError(
+            f"{n * n} station pairs exceed the cap of {DEFAULT_MAX_PAIR_CHECKS} pair checks"
+        )
+
+
+def _check_counts(p: codegraph.CodeGraphParams, built: dict) -> None:
+    """Each built count must equal its exact value from cover_counts."""
+    want = codegraph.cover_counts(p.C, p.n, p.d, p.k)
+    exact = {"edges": want.edges, "covered_pairs": 2 * want.edges, "t": want.t,
+             "remainder_pairs": want.remainder}
+    wrong = [f"{key}={got} (exact {exact[key]})"
+             for key, got in built.items() if got != exact[key]]
+    if wrong:
+        raise InternalCheckError("built counts differ from the exact counts: " + ", ".join(wrong))
+
+
 def _chain_from_args(args, n: int, d: int) -> codes.CodeChain:
     """Code chain for the flip-class cover: from --gen, or GV search at max k."""
     gen = getattr(args, "gen", None)
@@ -142,6 +162,7 @@ def _cmd_construct_code(args) -> int:
     rep = graphs.verify_cover(g, cover)
     if not rep.valid:
         raise InternalCheckError(f"flip-class cover failed verification: {rep.violations[:3]}")
+    _check_counts(p, {"edges": g.edge_count, "t": rep.t})
     if args.out:
         graphs.write_edge_list(g, args.out)
     if args.cover:
@@ -206,6 +227,7 @@ def _cmd_codes_verify(args) -> int:
 
 def _cmd_limits_triangle(args) -> int:
     g = graphs.read_edge_list(args.edges)
+    check_caps(g.n, args.max_vertices)
     cover = graphs.read_cover(args.cover)
     tg = limits.triangle_graph(g, cover)
     total, per_edge = limits.triangle_census(tg.graph)
@@ -228,6 +250,7 @@ def _cmd_limits_triangle(args) -> int:
 
 def _cmd_limits_mindeg(args) -> int:
     g = graphs.read_edge_list(args.edges)
+    check_caps(g.n, args.max_vertices)
     rep = limits.check_min_degree_bound(g, args.r)
     report = _base_report(args, "limits mindeg", edges=args.edges, r=args.r)
     report.update(
@@ -242,15 +265,20 @@ def _cmd_limits_mindeg(args) -> int:
 
 
 def _cmd_channel_two(args) -> int:
-    check_caps(args.c**args.n, args.max_vertices)
+    _check_stations(args.c**args.n, args.max_vertices)
     chain = _chain_from_args(args, args.n, args.d)
     p = codegraph.CodeGraphParams(args.c, args.n, args.d, chain)
     cp = channels.partition_two(p)
+    (covered, cover), (remainder, singles) = cp.subchannels
+    counts = {"covered_pairs": covered.edge_count, "t": cover.t,
+              "remainder_pairs": remainder.edge_count}
+    _check_counts(p, counts)
     schedule = channels.build_schedule(cp)
+    del cp, cover, singles  # the schedule holds a copy of every pair
     if args.out_schedule:
         channels.write_schedule(schedule, args.out_schedule)
     sim = channels.simulate(schedule)
-    n = cp.n_stations
+    n = schedule.n_stations
     if sim.delivered != n * n or sim.garbled_events:
         raise InternalCheckError("two-channel schedule failed to deliver cleanly")
     report = _base_report(args, "channel two", c=args.c, n=args.n, d=args.d,
@@ -261,8 +289,8 @@ def _cmd_channel_two(args) -> int:
         rounds_sequential=sim.rounds_used,
         rounds_parallel=schedule.parallel_round_count(),
         per_subchannel_rounds=sim.per_subchannel_rounds,
-        covered_pairs=cp.subchannels[0][0].edge_count,
-        remainder_pairs=cp.subchannels[1][0].edge_count,
+        covered_pairs=counts["covered_pairs"],
+        remainder_pairs=counts["remainder_pairs"],
         delivered=sim.delivered,
         garbled=len(sim.garbled_events),
     )
@@ -306,6 +334,7 @@ def _cmd_channel_shifts(args) -> int:
 
 def _cmd_channel_simulate(args) -> int:
     schedule = channels.read_schedule(args.schedule, n_stations=args.stations)
+    _check_stations(schedule.n_stations, args.max_vertices)
     sim = channels.simulate(schedule)
     report = _base_report(args, "channel simulate", schedule=args.schedule)
     report.update(
@@ -369,7 +398,7 @@ def _cmd_lintest(args) -> int:
 
 
 def _cmd_vempala(args) -> int:
-    check_caps(args.c**args.n, args.max_vertices)
+    _check_stations(args.c**args.n, args.max_vertices)
     chain = _chain_from_args(args, args.n, args.d)
     p = codegraph.CodeGraphParams(args.c, args.n, args.d, chain)
     parts = vempala.counterexample_partition(p)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .codes import CodeChain, validate_chain
 from .errors import InternalCheckError, ParameterError, check_caps
-from .graphs import Graph, MatchingCover, adjacency_matrix, doubled_matchings, is_induced_matching
+from .graphs import Graph, MatchingCover, adjacency_matrix, doubled_cover
 from .lattice import lattice_points
 
 # Vertex pairs per chunk of adjacency rows scanned by enumerate_cover; the
@@ -96,8 +96,9 @@ def enumerate_cover(p: CodeGraphParams, g: Graph | None = None) -> MatchingCover
     least of these over the 2^k codewords of the code for the pair's
     agreement count.  The edges u < v, in ascending order and stably sorted
     by that key, are the classes in ascending canonical order with edges
-    ascending within each.  Every class must hold 2^(k-1) edges and pass the
-    induced check.
+    ascending within each.  Every class must hold 2^(k-1) edges; the
+    classes are induced by the agreement argument, and the cover gates that
+    use them (verify_cover, verify_cover_bipartite) check it.
     """
     if g is None:
         g = build_code_graph(p)
@@ -129,14 +130,7 @@ def enumerate_cover(p: CodeGraphParams, g: Graph | None = None) -> MatchingCover
     if (np.unique(key, return_counts=True)[1] != size).any():
         raise InternalCheckError("flip class has a wrong edge count")
     u, v = np.divmod(np.concatenate(edges)[np.argsort(key, kind="stable")], N)
-    pairs = list(zip(u.tolist(), v.tolist()))
-    matchings = []
-    for start in range(0, len(pairs), size):
-        m = pairs[start : start + size]
-        if not is_induced_matching(g, m):
-            raise InternalCheckError(f"flip class at {m[0]} is not induced")
-        matchings.append(m)
-    return MatchingCover(matchings)
+    return MatchingCover.from_arrays(np.stack((u, v), axis=1), np.arange(0, len(u) + 1, size))
 
 
 @dataclass(frozen=True)
@@ -179,14 +173,38 @@ def cover_exponents(C: int, n: int, d: int) -> tuple[float, float]:
     return e, f
 
 
+@dataclass(frozen=True)
+class CoverCounts:
+    """Exact sizes of the second construction at (C, n, d, k)."""
+
+    edges: int  # code-graph edges
+    t: int  # flip classes, each 2^(k-1) edges
+    remainder: int  # station pairs (u, v) with uv not an edge, diagonal included
+
+
+def cover_counts(C: int, n: int, d: int, k: int) -> CoverCounts:
+    """edges = (N/2) sum_{r<d} C(n,r) (C-1)^(n-r), t = edges / 2^(k-1) and
+    remainder = N^2 - 2 edges, in exact ints (N = C^n).
+
+    Every vertex has sum_{r<d} C(n,r) (C-1)^(n-r) neighbours: the words that
+    agree with it on exactly r < d coordinates.  The flip classes split the
+    edges into classes of exactly 2^(k-1).
+    """
+    N = C**n
+    edges = N * sum(math.comb(n, r) * (C - 1) ** (n - r) for r in range(d)) // 2
+    return CoverCounts(edges, edges >> (k - 1), N * N - 2 * edges)
+
+
 @dataclass
 class TwoChannelSplit:
     """K_{N,N} on 2N vertices (right station v is vertex N+v), split into the
-    bipartite double of the code graph with its doubled cover, and the rest."""
+    bipartite double of the code graph with its doubled cover, and the rest
+    with its edges as one-edge matchings."""
 
     covered: Graph
     cover: MatchingCover
     remainder: Graph
+    singles: MatchingCover
 
 
 def two_channel_split(
@@ -195,18 +213,24 @@ def two_channel_split(
     """Split K_{N,N} into the doubled code graph plus everything else.
 
     (u, N+v) belongs to the covered part iff uv is a code-graph edge; the
-    diagonal and all high-agreement pairs form the remainder.  The doubled
-    cover is checked where it is used, by the K_{N,N} gate.
+    diagonal and all high-agreement pairs form the remainder, whose pairs
+    are its one-edge matchings in ascending order.  The doubled cover is
+    checked where it is used, by the K_{N,N} gate.
     """
     if g is None:
         g = build_code_graph(p)
     if cover is None:
         cover = enumerate_cover(p, g)
     n = g.n
-    full = (1 << n) - 1
-    rows = [g.neighbors_mask(u) for u in range(n)]
-    covered = Graph.from_bipartite_rows(rows)
-    remainder = Graph.from_bipartite_rows([full & ~r for r in rows])
+    adj = adjacency_matrix(g)
+    rest = ~adj
+    covered = Graph.from_bipartite_matrix(adj)
+    remainder = Graph.from_bipartite_matrix(rest)
     if covered.edge_count + remainder.edge_count != n * n:
         raise InternalCheckError("split does not partition K_{N,N}")
-    return TwoChannelSplit(covered, MatchingCover(doubled_matchings(cover, n)), remainder)
+    at = np.flatnonzero(rest)
+    pairs = np.empty((len(at), 2), dtype=np.int64)
+    np.divmod(at, n, out=(pairs[:, 0], pairs[:, 1]))
+    pairs[:, 1] += n
+    singles = MatchingCover.from_arrays(pairs, np.arange(len(at) + 1))
+    return TwoChannelSplit(covered, doubled_cover(cover, n), remainder, singles)

@@ -347,13 +347,14 @@ def decompose_geometric(p: GeomParams, g: Graph | None = None) -> MatchingCover:
     # A stable sort on (z, matching index) keeps edge order within a matching.
     key = first * len(eu) + match
     rank = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[rank], prepend=-1)).tolist()
-    edges = list(zip(eu[rank].tolist(), ev[rank].tolist()))
-    matchings = [edges[a:b] for a, b in zip(starts, starts[1:] + [len(edges)])]
+    starts = np.flatnonzero(np.diff(key[rank], prepend=-1))
+    cover = MatchingCover.from_arrays(
+        np.stack((eu[rank], ev[rank]), axis=1), np.append(starts, len(rank))
+    )
     d = g.max_degree()
-    if len(matchings) > g.n * 2 * d * d:
+    if cover.t > g.n * 2 * d * d:
         raise InternalCheckError("cover size exceeded the N * 2 d^2 bound")
-    return MatchingCover.from_matchings(matchings)
+    return cover
 
 
 @dataclass

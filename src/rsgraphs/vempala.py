@@ -12,41 +12,54 @@ threshold for good parameters: every induced-matching part contributes
 exactly 1 to the H-restricted sum.
 
 H is a Graph on 2N vertices: left station i is vertex i and right station j
-is vertex N+j.  counterexample_partition turns its (i, N+j) edges into the
-(i, j) station pairs of the EdgePartition.
+is vertex N+j.  counterexample_partition turns the (i, N+j) pairs of the
+split's doubled cover and singleton remainder into the (i, j) station pairs
+of the EdgePartition, array to array.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
 from .codegraph import CodeGraphParams, two_channel_split
 from .errors import InternalCheckError, ParameterError
-from .graphs import Graph, adjacency_matrix, verify_cover_bipartite
+from .graphs import (
+    Graph,
+    adjacency_matrix,
+    group_arrays,
+    offsets_of,
+    pair_groups,
+    verify_cover_bipartite,
+    write_groups,
+)
 
 # Pairs of whole parts whose left x right blocks are expanded at a time.
 _CHUNK_PAIRS = 1 << 12
 
 
-@dataclass
 class EdgePartition:
-    """Partition of the complete bipartite edge set [N] x [k] into parts."""
+    """Partition of the complete bipartite edge set [N] x [k] into parts,
+    held flattened: the part sizes, and the (i, j) pairs part after part.
 
-    left_n: int
-    right_n: int
-    parts: list[list[tuple[int, int]]]
-    # The parts flattened: part sizes, and the (i, j) pairs part after part.
-    _sizes: np.ndarray = field(init=False, repr=False, compare=False)
-    _pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    EdgePartition(n, k, parts) takes a list of parts, each a list of (i, j)
+    pairs; .parts gives them back as such.
+    """
 
-    def __post_init__(self):
-        n, k = self.left_n, self.right_n
-        sizes = np.fromiter(map(len, self.parts), dtype=np.int64, count=len(self.parts))
-        flat = chain.from_iterable(chain.from_iterable(self.parts))
-        pairs = np.fromiter(flat, dtype=np.int64, count=2 * int(sizes.sum())).reshape(-1, 2)
+    __slots__ = ("left_n", "right_n", "_sizes", "_pairs")
+
+    def __init__(self, left_n: int, right_n: int, parts: list[list[tuple[int, int]]]):
+        offsets, pairs = group_arrays(parts)
+        self._set(left_n, right_n, np.diff(offsets), pairs)
+
+    @classmethod
+    def from_arrays(cls, left_n: int, right_n: int, sizes, pairs) -> "EdgePartition":
+        ep = cls.__new__(cls)
+        ep._set(left_n, right_n, sizes, pairs)
+        return ep
+
+    def _set(self, n: int, k: int, sizes: np.ndarray, pairs: np.ndarray) -> None:
         i, j = pairs[:, 0], pairs[:, 1]
         outside = (i < 0) | (i >= n) | (j < 0) | (j >= k)
         repeated = np.ones(len(pairs), dtype=bool)
@@ -64,8 +77,12 @@ class EdgePartition:
             raise ParameterError(f"pair ({a},{b}) appears in two parts")
         if len(pairs) != n * k:
             raise ParameterError(f"parts cover {len(pairs)} of {n * k} pairs")
-        self._sizes = sizes
-        self._pairs = pairs
+        self.left_n, self.right_n = n, k
+        self._sizes, self._pairs = sizes, pairs
+
+    @property
+    def parts(self) -> list[list[tuple[int, int]]]:
+        return pair_groups(self._pairs, offsets_of(self._sizes))
 
 
 def _block_terms(ep: EdgePartition):
@@ -137,14 +154,15 @@ def counterexample_partition(p: CodeGraphParams) -> CounterexampleParts:
     if not verify_cover_bipartite(h, split.cover).valid:
         raise InternalCheckError("matching part lost inducedness in H")
     n = h.n // 2
-    parts = [[(i, w - n) for i, w in m] for m in split.cover.matchings]
-    singles = [[(i, w - n)] for i, w in split.remainder.edges()]
-    ep = EdgePartition(n, n, parts + singles)
+    covers = (split.cover, split.singles)
+    pairs = np.concatenate([c.pairs for c in covers])
+    pairs[:, 1] -= n
+    sizes = np.concatenate([np.diff(c.offsets) for c in covers])
     return CounterexampleParts(
-        partition=ep,
+        partition=EdgePartition.from_arrays(n, n, sizes, pairs),
         h=h,
-        matching_parts=len(parts),
-        missing_pairs=len(singles),
+        matching_parts=split.cover.t,
+        missing_pairs=split.singles.t,
     )
 
 
@@ -183,6 +201,5 @@ def conjecture_verdict(ep: EdgePartition) -> ConjectureVerdict:
 
 def write_partition(ep: EdgePartition, path: str) -> None:
     """One line per part: "part <id>: u>v u>v ..."."""
-    with open(path, "w") as fh:
-        for pid, part in enumerate(ep.parts):
-            fh.write(f"part {pid}:" + "".join(f" {u}>{v}" for u, v in part) + "\n")
+    write_groups(path, lambda a, b: [f"part {p}:" for p in range(a, b)], ep._pairs,
+                 offsets_of(ep._sizes), ">")

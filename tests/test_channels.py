@@ -1,12 +1,14 @@
 """Subchannel partitions of K_{N,N} and the round-by-round delivery simulation."""
 
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rsgraphs import channels
+from rsgraphs import channels, graphs
 from rsgraphs.channels import (
     ChannelPartition,
     Schedule,
@@ -20,11 +22,13 @@ from rsgraphs.channels import (
     validate_partition,
     write_schedule,
 )
-from rsgraphs.codegraph import CodeGraphParams
-from rsgraphs.codes import LinearCode, build_chain
-from rsgraphs.errors import ParameterError
+from rsgraphs.codegraph import CodeGraphParams, build_code_graph, enumerate_cover
+from rsgraphs.codes import LinearCode, build_chain, gv_search
+from rsgraphs.errors import ParameterError, SearchFailureError
 from rsgraphs.geometric import GeomParams
-from rsgraphs.graphs import Graph, MatchingCover, bits_of
+from rsgraphs.graphs import Graph, MatchingCover, bits_of, write_cover
+from test_codegraph_oracle import oracle_enumerate_cover
+from test_cover_oracle import doubled_matchings
 
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
 
@@ -313,3 +317,51 @@ def test_schedule_roundtrip(tmp_path):
     path.write_text("round 1 chan 0: 0>1\n")
     with pytest.raises(ParameterError):
         read_schedule(path)
+
+
+def oracle_cover_text(cover) -> str:
+    """The cover file as the tuple writer wrote it."""
+    return "".join(
+        f"{i}:" + "".join(f" {u}-{v}" for u, v in m) + "\n" for i, m in enumerate(cover.matchings)
+    )
+
+
+def oracle_schedule_text(g, cover) -> str:
+    """The two-channel schedule file as the tuple path wrote it: the doubled
+    matchings of the cover, then one round per remainder pair (u, v), read
+    off the complement of g's bitmask rows."""
+    n = g.n
+    full = (1 << n) - 1
+    rounds = [(0, [(u, w - n) for u, w in m]) for m in doubled_matchings(cover, n)]
+    rounds += [(1, [(u, v)]) for u in range(n) for v in bits_of(full & ~g.neighbors_mask(u))]
+    return "".join(
+        f"round {idx} chan {i}:" + "".join(f" {u}>{v}" for u, v in m) + "\n"
+        for idx, (i, m) in enumerate(rounds)
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(C, n) for C in (2, 3, 4) for n in range(2, 9) if C**n <= 256]),
+    st.data(),
+    st.integers(1, 64),
+)
+def test_written_cover_and_schedule_equal_the_tuple_path(cn, data, write_pairs):
+    C, n = cn
+    d = data.draw(st.integers(1, n - 1), label="d")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    try:
+        root = gv_search(n, k, d - 1, seed)
+    except (ParameterError, SearchFailureError):
+        assume(False)
+    p = CodeGraphParams(C, n, d, build_chain(root, d))
+    g = build_code_graph(p)
+    oracle = oracle_enumerate_cover(p, g)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(graphs, "_WRITE_PAIRS", write_pairs):
+        cover_path, schedule_path = Path(tmp) / "cover.txt", Path(tmp) / "schedule.txt"
+        write_cover(enumerate_cover(p, g), cover_path)
+        write_schedule(build_schedule(partition_two(p)), schedule_path)
+        assert cover_path.read_text() == oracle_cover_text(oracle)
+        assert schedule_path.read_text() == oracle_schedule_text(g, oracle)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, artifacts, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ import pytest
 import rsgraphs
 from rsgraphs import channels, codegraph, vempala
 from rsgraphs.cli import run
-from rsgraphs.graphs import is_induced_matching, read_cover, read_edge_list, verify_cover
+from rsgraphs.graphs import MatchingCover, read_cover, read_edge_list, verify_cover
+from test_cover_oracle import is_induced_matching
 
 PINNED_TEXT = "4 2\n11\n11\n10\n10\n"
 
@@ -70,19 +72,42 @@ def test_construct_geometric_deterministic(capsys):
     assert a == b
 
 
-@pytest.mark.parametrize("command", [
-    "construct geometric", "construct code", "channel two", "channel shifts", "vempala",
-    "lintest",
-])
-def test_resource_cap_exit_code(tmp_path, capsys, command):
+# argv, with {gen}, {edges}, {cover} and {sched} for the artifacts of the
+# pinned 81-vertex instance and {empty} for an empty file; the exit code expected
+CAP_CASES = {
     # every command that builds or reads an 81-vertex graph refuses a cap of 10
+    "construct geometric": ("construct geometric --c 3 --n 4 --max-vertices 10", 3),
+    "construct code": ("construct code --c 3 --n 4 --d 2 --gen {gen} --max-vertices 10", 3),
+    "channel two": ("channel two --c 3 --n 4 --d 2 --gen {gen} --max-vertices 10", 3),
+    "channel shifts": ("channel shifts --c 3 --n 4 --channels 3 --max-vertices 10", 3),
+    "vempala": ("vempala --c 3 --n 4 --d 2 --gen {gen} --max-vertices 10", 3),
+    "limits triangle": ("limits triangle --edges {edges} --cover {cover} --max-vertices 10", 3),
+    "limits mindeg": ("limits mindeg --edges {edges} --r 2 --max-vertices 10", 3),
+    "channel simulate": ("channel simulate --schedule {sched} --max-vertices 10", 3),
+    # N = 10201 stations: C(N, 2) is under the pair cap, N^2 station pairs are not
+    "channel two pairs": ("channel two --c 101 --n 2 --d 1", 3),
+    "vempala pairs": ("vempala --c 101 --n 2 --d 1", 3),
+    # an explicit station count is capped too, and must not be negative
+    "channel simulate stations": ("channel simulate --schedule {sched} --stations 2000 "
+                                  "--max-vertices 100", 3),
+    "channel simulate negative stations": ("channel simulate --schedule {empty} --stations -3", 1),
+}
+
+
+@pytest.mark.parametrize("command", [*CAP_CASES, "lintest"])
+def test_resource_cap_exit_code(tmp_path, capsys, command):
     gen = tmp_path / "gen.txt"
     gen.write_text(PINNED_TEXT)
-    if command == "lintest":
-        edges, cover = tmp_path / "edges.txt", tmp_path / "cover.txt"
+    edges, cover = tmp_path / "edges.txt", tmp_path / "cover.txt"
+    sched, empty = tmp_path / "sched.txt", tmp_path / "empty.txt"
+    empty.write_text("")
+    if command == "lintest" or command.startswith(("limits", "channel simulate")):
         assert run(["construct", "code", "--c", "3", "--n", "4", "--d", "2", "--gen", str(gen),
                     "--out", str(edges), "--cover", str(cover)]) == 0
+        assert run(["channel", "two", "--c", "3", "--n", "4", "--d", "2", "--gen", str(gen),
+                    "--out-schedule", str(sched)]) == 0
         capsys.readouterr()
+    if command == "lintest":
         lt = ["lintest", "--edges", str(edges), "--cover", str(cover), "--m", "4", "--f", "and"]
         assert run(lt + ["--trials", "10", "--max-vertices", "10"]) == 3
         assert "resource refusal" in capsys.readouterr().err
@@ -90,13 +115,11 @@ def test_resource_cap_exit_code(tmp_path, capsys, command):
         assert run(lt + ["--trials", str(10**8 // 81 + 1)]) == 3
         assert "resource refusal" in capsys.readouterr().err
         return
-    extra = {
-        "construct geometric": [],
-        "channel shifts": ["--channels", "3"],
-    }.get(command, ["--d", "2", "--gen", str(gen)])
-    argv = command.split() + ["--c", "3", "--n", "4", *extra, "--max-vertices", "10"]
-    assert run(argv) == 3
-    assert "resource refusal" in capsys.readouterr().err
+    template, exit_code = CAP_CASES[command]
+    argv = template.format(gen=gen, edges=edges, cover=cover, sched=sched, empty=empty).split()
+    assert run(argv) == exit_code
+    err = capsys.readouterr().err
+    assert ("resource refusal" if exit_code == 3 else "parameter error") in err
 
 
 def test_construct_code_pinned_generator(tmp_path, capsys):
@@ -274,6 +297,7 @@ def tampered_split(*args, **kwargs):
     ms = split.cover.matchings
     j = next(j for j in range(1, len(ms)) if not is_induced_matching(split.covered, ms[0] + ms[j]))
     ms[0] = sorted(ms[0] + ms.pop(j))
+    split.cover = MatchingCover(ms)
     return split
 
 
@@ -291,6 +315,22 @@ def test_tampered_subchannel_cover_trips_the_gate(tmp_path, capsys, monkeypatch,
         assert "subchannel 0 cover invalid" in err
     else:
         assert "lost inducedness" in err
+
+
+@pytest.mark.parametrize("command,field", [("construct code", "edges"),
+                                           ("channel two", "remainder")])
+def test_tampered_exact_count_trips_the_gate(tmp_path, capsys, monkeypatch, command, field):
+    exact = codegraph.cover_counts
+
+    def tampered(*args):
+        counts = exact(*args)
+        return dataclasses.replace(counts, **{field: getattr(counts, field) + 1})
+
+    monkeypatch.setattr(codegraph, "cover_counts", tampered)
+    gen = tmp_path / "gen.txt"
+    gen.write_text(PINNED_TEXT)
+    assert run(command.split() + ["--c", "3", "--n", "4", "--d", "2", "--gen", str(gen)]) == 2
+    assert "built counts differ from the exact counts" in capsys.readouterr().err
 
 
 NOT_TEXT = b"\xff\xfe\x00\x01"
@@ -316,6 +356,11 @@ BAD_INPUTS = {
     "cover-token": ("zero: 0-1\n", ["limits", "triangle", "--edges", "{g}", "--cover", "{f}"], 1),
     "schedule-token": ("round 0 chan 0: 0>1\nround 1 chan 0: 1>y\n",
                        ["channel", "simulate", "--schedule", "{f}"], 2),
+    # ids are held in int64 arrays; 2^64 cannot be one
+    "schedule-huge-id": ("round 0 chan 0: 0>1\nround 1 chan 0: 1>18446744073709551616\n",
+                         ["channel", "simulate", "--schedule", "{f}"], 2),
+    "cover-huge-id": ("0: 0-1\n1: 18446744073709551616-1\n",
+                      ["limits", "triangle", "--edges", "{g}", "--cover", "{f}"], 2),
     "generator-header": ("4 x\n11\n11\n10\n10\n",
                          ["construct", "code", "--c", "3", "--n", "4", "--d", "2", "--gen", "{f}"], 1),
     "missing-file": (None, ["limits", "mindeg", "--edges", "{f}", "--r", "2"], None),

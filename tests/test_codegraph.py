@@ -8,17 +8,20 @@ import pytest
 
 from rsgraphs.codegraph import (
     CodeGraphParams,
+    CoverCounts,
     build_code_graph,
+    cover_counts,
     cover_exponents,
     enumerate_cover,
     missing_edge_count_bound,
     two_channel_split,
 )
-from rsgraphs.codes import LinearCode, build_chain
+from rsgraphs.codes import LinearCode, build_chain, gv_search
 from rsgraphs.errors import ParameterError
-from rsgraphs.graphs import is_induced_matching, verify_cover
+from rsgraphs.graphs import verify_cover
 from rsgraphs.lattice import lattice_points
 from test_codegraph_oracle import agreement_set, class_canonical, is_code_edge, vertex_id, x_flip
+from test_cover_oracle import is_induced_matching
 
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
 
@@ -178,6 +181,23 @@ def test_two_channel_split_desk():
     assert not split.covered.has_edge(0, 81)
     for u, v in itertools.islice(split.covered.edges(), 200):
         assert split.remainder.has_edge(u, v) is False
+
+
+@pytest.mark.parametrize("params,want", [
+    (desk_params, CoverCounts(edges=1944, t=972, remainder=2673)),
+    # C=3 n=5 d=2 with the GV root the CLI picks: the largest k, k=2
+    (lambda: CodeGraphParams(3, 5, 2, build_chain(gv_search(5, 2, 1, 0), 2)),
+     CoverCounts(edges=13608, t=6804, remainder=31833)),
+])
+def test_cover_counts_equal_the_built_split(params, want):
+    p = params()
+    assert cover_counts(p.C, p.n, p.d, p.k) == want
+    g = build_code_graph(p)
+    cover = enumerate_cover(p, g)
+    split = two_channel_split(p, g, cover)
+    assert (g.edge_count, cover.t, split.remainder.edge_count) == (want.edges, want.t, want.remainder)
+    assert split.covered.edge_count == 2 * want.edges
+    assert split.singles.t == want.remainder
 
 
 def test_two_channel_split_matchings_stay_induced():

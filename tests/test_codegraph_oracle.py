@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from rsgraphs.codegraph import CodeGraphParams, build_code_graph, enumerate_cover
 from rsgraphs.codes import LinearCode, build_chain, gv_search
 from rsgraphs.errors import InternalCheckError, ParameterError, SearchFailureError
-from rsgraphs.graphs import Graph, MatchingCover, bits_of, is_induced_matching
+from rsgraphs.graphs import Graph, MatchingCover, bits_of
 from rsgraphs.lattice import lattice_points
+from test_cover_oracle import is_induced_matching
 
 Coords = tuple[int, ...]
 OrderedPair = tuple[Coords, Coords]

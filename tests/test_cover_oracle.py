@@ -1,19 +1,23 @@
-"""Differential tests of the one cover verifier against the two it replaced.
+"""Differential tests of the one cover verifier against the code it replaced.
 
-The oracles are the earlier implementations: verify_cover without its fast
-path, and the bipartite verifier that read (left, right) station pairs off
-N receiver bitmasks.  verify_cover must return the same CoverReport as the
-first; the K_{N,N} gate verify_cover_bipartite, run on the 2N-vertex graph
-with (u, N+v) edges, must agree with the second on validity and on the
-multiset of violation kinds.
+The oracles are earlier implementations: verify_cover searching every
+matching and every edge pair by pair, with is_induced_matching, the
+bitmask induced-matching check the array verifier replaced, and the
+bipartite verifier that read (left, right) station pairs off N receiver
+bitmasks.  verify_cover must return the same CoverReport as the first; the
+K_{N,N} gate verify_cover_bipartite, run on the 2N-vertex graph with
+(u, N+v) edges, must return that same report too, and agree with the second
+on validity and on the multiset of violation kinds.
 """
 
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rsgraphs import graphs
 from rsgraphs.errors import ParameterError
 from rsgraphs.graphs import (
     CoverReport,
@@ -24,6 +28,34 @@ from rsgraphs.graphs import (
     verify_cover_bipartite,
 )
 from test_geometric_oracle import greedy_cover_within
+
+
+def is_induced_matching(g: Graph, m) -> bool:
+    """True iff m is a matching in g and no g-edge joins distinct edges of m.
+
+    Every listed edge must be an edge of g; anything else signals a malformed
+    cover and raises ParameterError rather than returning False.
+    """
+    seen = 0
+    for u, v in m:
+        if not g.has_edge(u, v):
+            raise ParameterError(f"pair ({u},{v}) is not an edge of the graph")
+        if (seen >> u) & 1 or (seen >> v) & 1:
+            return False
+        seen |= (1 << u) | (1 << v)
+    for u, v in m:
+        # Within the endpoint set, each endpoint may see only its partner.
+        if g.neighbors_mask(u) & seen != 1 << v:
+            return False
+        if g.neighbors_mask(v) & seen != 1 << u:
+            return False
+    return True
+
+
+def doubled_matchings(c: MatchingCover, n: int):
+    """Image of each matching of a graph on n vertices in its bipartite double:
+    uv becomes the pairs (u, n+v) and (v, n+u)."""
+    return [sorted(p for u, v in m for p in ((u, n + v), (v, n + u))) for m in c.matchings]
 
 
 def _report(violations, c: MatchingCover) -> CoverReport:
@@ -137,13 +169,18 @@ def oracle_verify_cover_bipartite(rows: list[int], c: MatchingCover) -> CoverRep
     return _report(violations, c)
 
 
-def damage(rnd, ms, edges, pairs):
-    """Apply one random defect to the matchings ms in place.
+# Damage kinds that keep every pair an edge and each edge covered once, so
+# that only the matchings' inducedness can fail.
+SAME_PAIRS = (3, 4, 5, 6, 7)
+
+
+def damage(rnd, ms, edges, pairs, kinds=range(8)):
+    """Apply one random defect of the given kinds to the matchings ms in place.
 
     edges are the graph's edges, pairs every vertex pair a cover may name
     (edges, non-edges and, for graphs, self-pairs and out-of-range ids).
     """
-    kind = rnd.randrange(7)
+    kind = rnd.choice(kinds)
     if kind == 0 and any(ms):  # drop an edge: uncovered
         m = rnd.choice([m for m in ms if m])
         m.pop(rnd.randrange(len(m)))
@@ -169,6 +206,10 @@ def damage(rnd, ms, edges, pairs):
         ms.insert(rnd.randrange(len(ms) + 1), [])
     elif kind == 6 and ms:
         rnd.shuffle(ms)
+    elif kind == 7 and any(ms):  # write a pair as v-u
+        m = rnd.choice([m for m in ms if m])
+        i = rnd.randrange(len(m))
+        m[i] = m[i][::-1]
 
 
 @st.composite
@@ -181,8 +222,9 @@ def graphs_with_covers(draw):
     ms = [list(m) for m in greedy_cover_within(g, (1 << n) - 1)]
     both = edges + [(v, u) for u, v in edges]
     pairs = [(u, v) for u in range(n + 2) for v in range(n + 2)]  # self-pairs, ids >= n
+    kinds = draw(st.sampled_from([range(8), SAME_PAIRS]))
     for _ in range(draw(st.integers(0, 6))):
-        damage(rnd, ms, both, pairs)
+        damage(rnd, ms, both, pairs, kinds)
     return g, MatchingCover(ms)
 
 
@@ -197,30 +239,50 @@ def rows_with_covers(draw):
     # a valid cover of the 2N-vertex graph, read back as station pairs
     ms = [[(u, w - n) for u, w in m] for m in greedy_cover_within(g, (1 << g.n) - 1)]
     pairs = [(u, v) for u in range(n) for v in range(n)]
+    kinds = draw(st.sampled_from([range(8), SAME_PAIRS]))
     for _ in range(draw(st.integers(0, 6))):
-        damage(rnd, ms, edges, pairs)
+        damage(rnd, ms, edges, pairs, kinds)
     return rows, ms
 
 
 @settings(max_examples=400, deadline=None)
-@given(graphs_with_covers())
-def test_verify_cover_equals_oracle(gc):
+@given(graphs_with_covers(), st.integers(1, 64))
+def test_verify_cover_equals_oracle(gc, chunk_cells):
     g, c = gc
-    assert verify_cover(g, c) == oracle_verify_cover(g, c)
+    with mock.patch.object(graphs, "_CHUNK_CELLS", chunk_cells):
+        assert verify_cover(g, c) == oracle_verify_cover(g, c)
 
 
 @settings(max_examples=400, deadline=None)
-@given(rows_with_covers())
-def test_bipartite_gate_agrees_with_oracle(rc):
+@given(rows_with_covers(), st.randoms(use_true_random=False))
+def test_bipartite_gate_agrees_with_oracle(rc, rnd):
     rows, ms = rc
     n = len(rows)
+    g = Graph.from_bipartite_rows(rows)
+    cover = MatchingCover([[(u, n + v) for u, v in m] for m in ms])
     want = oracle_verify_cover_bipartite(rows, MatchingCover(ms))
-    got = verify_cover_bipartite(
-        Graph.from_bipartite_rows(rows), MatchingCover([[(u, n + v) for u, v in m] for m in ms])
-    )
+    got = verify_cover_bipartite(g, cover)
+    assert got == oracle_verify_cover(g, cover)
     assert got.valid == want.valid
     assert Counter(k for k, _ in got.violations) == Counter(k for k, _ in want.violations)
     assert (got.t, got.r_min, got.r_max) == (want.t, want.r_min, want.r_max)
+    # the same cover with some pairs written right station first
+    flipped = MatchingCover([[e[::-1] if rnd.random() < 0.3 else e for e in m]
+                             for m in cover.matchings])
+    assert verify_cover_bipartite(g, flipped) == oracle_verify_cover(g, flipped)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_with_covers(), st.data())
+def test_bipartite_gate_rejects_inside_edges(rc, data):
+    rows, ms = rc
+    n = len(rows)
+    assume(n >= 2)
+    side = data.draw(st.sampled_from([0, n]), label="side")
+    a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    g = Graph.from_edges(2 * n, [*Graph.from_bipartite_rows(rows).edges(), (side + a, side + b)])
+    with pytest.raises(ParameterError):
+        verify_cover_bipartite(g, MatchingCover([[(u, n + v) for u, v in m] for m in ms]))
 
 
 def test_bipartite_gate_rejects_an_edge_inside_one_side():

@@ -10,8 +10,7 @@ from rsgraphs.graphs import (
     Graph,
     MatchingCover,
     complement_degree,
-    doubled_matchings,
-    is_induced_matching,
+    doubled_cover,
     read_cover,
     read_edge_list,
     verify_cover,
@@ -19,6 +18,7 @@ from rsgraphs.graphs import (
     write_cover,
     write_edge_list,
 )
+from test_cover_oracle import doubled_matchings, is_induced_matching
 from test_geometric_oracle import greedy_cover_within
 
 
@@ -201,6 +201,8 @@ def test_doubled_matchings_are_bipartite_induced():
     for dm in doubled_matchings(c, g.n):
         assert is_induced_matching(d, dm)
     assert doubled_matchings(c, g.n)[0] == [(0, 7), (1, 6), (4, 11), (5, 10)]
+    assert doubled_cover(c, g.n).matchings == doubled_matchings(c, g.n)
+    assert verify_cover_bipartite(d, doubled_cover(c, g.n)).r_max == 4
 
 
 def test_verify_cover_bipartite_kinds():
