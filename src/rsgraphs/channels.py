@@ -23,7 +23,7 @@ from .geometric import GeomParams, build_geometric_graph, decompose_geometric
 from .graphs import (
     Graph,
     MatchingCover,
-    bits_of,
+    adjacency_matrix,
     doubled_cover,
     group_arrays,
     numbered_lines,
@@ -31,6 +31,7 @@ from .graphs import (
     pair_groups,
     parse_int,
     parse_pairs,
+    singles_cover,
     unpack_rows,
     verify_cover_bipartite,
     write_groups,
@@ -91,36 +92,8 @@ def partition_two(p: CodeGraphParams) -> ChannelPartition:
     return cp
 
 
-def _assign_shifts(g, perms: list[list[int]]):
-    """Assign each K_{N,N} pair to the lowest-index shift containing it.
-
-    Pair (u, v) lies in shift i iff (u, perm_i^-1(v)) is a graph edge.  Returns
-    per-shift assigned-row masks and the leftover (overflow) row masks.
-    """
-    n = g.n
-    full = (1 << n) - 1
-    taken = [0] * n
-    assigned = []
-    for perm in perms:
-        rows = []
-        for u in range(n):
-            row = 0
-            for v in bits_of(g.neighbors_mask(u)):
-                row |= 1 << perm[v]
-            rows.append(row & ~taken[u])
-            taken[u] |= rows[-1]
-        assigned.append(rows)
-    overflow = [full & ~taken[u] for u in range(n)]
-    return assigned, overflow
-
-
 def partition_shifts(
-    p: GeomParams,
-    num_channels: int,
-    seed: int,
-    max_attempts: int = 1,
-    g=None,
-    cover: MatchingCover | None = None,
+    p: GeomParams, num_channels: int, seed: int, max_attempts: int = 1
 ) -> ChannelPartition:
     """Partition K_{N,N} by random right-label shifts of the doubled band graph.
 
@@ -136,42 +109,42 @@ def partition_shifts(
         raise ParameterError(f"need num_channels >= 1, got {num_channels}")
     if max_attempts < 1:
         raise ParameterError(f"need max_attempts >= 1, got {max_attempts}")
-    if g is None:
-        g = build_geometric_graph(p)
-    if cover is None:
-        cover = decompose_geometric(p, g)
+    g = build_geometric_graph(p)
+    cover = decompose_geometric(p, g)
     n = g.n
-    base = doubled_cover(cover, n).matchings
+    adj = adjacency_matrix(g)
     rng = random.Random(seed)
-    best = None  # (overflow_size, attempt_index, perms, assigned, overflow)
+    best = None  # (overflow_size, attempt_index, perms, shifts, taken)
     for attempt in range(max_attempts):
-        perms = []
+        perms, shifts = [], []
+        taken = np.zeros_like(adj)  # pairs assigned so far
         for _ in range(num_channels):
             perm = list(range(n))
             rng.shuffle(perm)
+            # pair (u, perm[v]) is in this shift iff uv is an edge; it goes
+            # to the lowest-index shift that holds it
+            shift = np.zeros_like(adj)
+            shift[:, perm] = adj
+            shift &= ~taken
+            taken |= shift
             perms.append(perm)
-        assigned, overflow = _assign_shifts(g, perms)
-        ov_size = sum(r.bit_count() for r in overflow)
+            shifts.append(shift)
+        ov_size = n * n - int(np.count_nonzero(taken))
         if best is None or ov_size < best[0]:
-            best = (ov_size, attempt, perms, assigned, overflow)
+            best = (ov_size, attempt, perms, shifts, taken)
         if ov_size == 0:
             break
-    ov_size, attempt, perms, assigned, overflow = best
-    subchannels = []
-    for rows, perm in zip(assigned, perms):
-        matchings = []
-        for m in base:
-            # shift the right side: vertex n+v becomes n+perm[v]
-            rest = [(u, n + perm[w - n]) for u, w in m if (rows[u] >> perm[w - n]) & 1]
-            if rest:
-                rest.sort()
-                matchings.append(rest)
-        subchannels.append((Graph.from_bipartite_rows(rows), MatchingCover(matchings)))
+    ov_size, attempt, perms, shifts, taken = best
+    base = doubled_cover(cover, n)
+    subchannels = [
+        (Graph.from_bipartite_matrix(shift), _shifted_cover(base, shift, np.array(perm)))
+        for shift, perm in zip(shifts, perms)
+    ]
     overflow_index = None
     if ov_size:
-        g_ov = Graph.from_bipartite_rows(overflow)
+        rest = ~taken
         overflow_index = len(subchannels)
-        subchannels.append((g_ov, MatchingCover([[e] for e in g_ov.edges()])))
+        subchannels.append((Graph.from_bipartite_matrix(rest), singles_cover(rest)))
     cp = ChannelPartition(
         n_stations=n,
         subchannels=subchannels,
@@ -181,6 +154,23 @@ def partition_shifts(
     )
     validate_partition(cp)
     return cp
+
+
+def _shifted_cover(base: MatchingCover, shift: np.ndarray, perm: np.ndarray) -> MatchingCover:
+    """The doubled cover with right station w - N sent to perm[w - N],
+    restricted to the pairs of shift: each matching's pairs sorted, and
+    the matchings left empty dropped."""
+    n = len(perm)
+    sizes = np.diff(base.offsets)
+    u = base.pairs[:, 0]
+    right = perm[base.pairs[:, 1] - n]
+    keep = shift[u, right]
+    mid = np.repeat(np.arange(len(sizes)), sizes)[keep]
+    u, right = u[keep], right[keep]
+    order = np.lexsort((right, u, mid))
+    pairs = np.stack((u[order], n + right[order]), axis=1)
+    counts = np.bincount(mid, minlength=len(sizes))
+    return MatchingCover.from_arrays(pairs, offsets_of(counts[counts > 0]))
 
 
 class Schedule:

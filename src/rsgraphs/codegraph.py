@@ -22,7 +22,7 @@ import numpy as np
 
 from .codes import CodeChain, validate_chain
 from .errors import InternalCheckError, ParameterError, check_caps
-from .graphs import Graph, MatchingCover, adjacency_matrix, doubled_cover
+from .graphs import Graph, MatchingCover, adjacency_matrix, doubled_cover, singles_cover
 from .lattice import lattice_points
 
 # Vertex pairs per chunk of adjacency rows scanned by enumerate_cover; the
@@ -64,12 +64,10 @@ class CodeGraphParams:
         return self.C**self.n
 
 
-def build_code_graph(
-    p: CodeGraphParams, max_vertices: int | None = None, max_pairs: int | None = None
-) -> Graph:
+def build_code_graph(p: CodeGraphParams, max_vertices: int | None = None) -> Graph:
     """Materialize the agreement-threshold graph with mixed-radix vertex ids."""
     N = p.vertex_count
-    check_caps(N, max_vertices, max_pairs)
+    check_caps(N, max_vertices)
     pts = lattice_points(p.C, p.n)
     rows: list[int] = []
     block = max(1, 2**21 // max(N, 1))
@@ -228,9 +226,4 @@ def two_channel_split(
     remainder = Graph.from_bipartite_matrix(rest)
     if covered.edge_count + remainder.edge_count != n * n:
         raise InternalCheckError("split does not partition K_{N,N}")
-    at = np.flatnonzero(rest)
-    pairs = np.empty((len(at), 2), dtype=np.int64)
-    np.divmod(at, n, out=(pairs[:, 0], pairs[:, 1]))
-    pairs[:, 1] += n
-    singles = MatchingCover.from_arrays(pairs, np.arange(len(at) + 1))
-    return TwoChannelSplit(covered, doubled_cover(cover, n), remainder, singles)
+    return TwoChannelSplit(covered, doubled_cover(cover, n), remainder, singles_cover(rest))

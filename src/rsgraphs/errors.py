@@ -26,21 +26,21 @@ class ResourceLimitError(RuntimeError):
     """The requested instance exceeds the configured size caps."""
 
 
-# Defaults for all-pairs work; override per call or with --max-vertices.
+# Caps for all-pairs work; max_vertices (--max-vertices) overrides the first.
 DEFAULT_MAX_VERTICES = 100_000
 DEFAULT_MAX_PAIR_CHECKS = 100_000_000
 
 
-def check_caps(n_vertices, max_vertices=None, max_pairs=None):
-    """Refuse instances whose vertex or pair counts exceed the caps."""
+def check_caps(n_vertices, max_vertices=None):
+    """Refuse instances whose vertex count exceeds max_vertices (default
+    DEFAULT_MAX_VERTICES) or whose vertex pairs exceed DEFAULT_MAX_PAIR_CHECKS."""
     mv = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
-    mp = DEFAULT_MAX_PAIR_CHECKS if max_pairs is None else max_pairs
     if n_vertices > mv:
         raise ResourceLimitError(
             f"{n_vertices} vertices exceed the cap of {mv}; raise max_vertices to proceed"
         )
     pairs = n_vertices * (n_vertices - 1) // 2
-    if pairs > mp:
+    if pairs > DEFAULT_MAX_PAIR_CHECKS:
         raise ResourceLimitError(
-            f"{pairs} vertex pairs exceed the cap of {mp} pair checks"
+            f"{pairs} vertex pairs exceed the cap of {DEFAULT_MAX_PAIR_CHECKS} pair checks"
         )

@@ -84,12 +84,10 @@ def _pair_sq_dists(block: np.ndarray, pts: np.ndarray, sq: np.ndarray, sq_block:
     return (sq_block[:, None] + sq[None, :] - 2.0 * gram).astype(np.int64)
 
 
-def build_geometric_graph(
-    p: GeomParams, max_vertices: int | None = None, max_pairs: int | None = None
-) -> Graph:
+def build_geometric_graph(p: GeomParams, max_vertices: int | None = None) -> Graph:
     """Materialize the band graph on [1..C]^n with mixed-radix vertex ids."""
     N = p.vertex_count
-    check_caps(N, max_vertices, max_pairs)
+    check_caps(N, max_vertices)
     pts = lattice_points(p.C, p.n)
     sq = (pts * pts).sum(axis=1)
     rows: list[int] = []

@@ -48,7 +48,7 @@ class Graph:
     __slots__ = ("n", "_rows", "_m")
 
     def __init__(self, n: int, rows: list[int], edge_count: int | None = None):
-        # Internal constructor; rows are trusted.  Use from_edges / from_adjacency_rows.
+        # Internal constructor; rows are trusted.  Use from_edges / from_bipartite_matrix.
         self.n = n
         self._rows = rows
         if edge_count is None:
@@ -70,32 +70,6 @@ class Graph:
         return cls(n, rows)
 
     @classmethod
-    def from_adjacency_rows(cls, rows: list[int]) -> "Graph":
-        n = len(rows)
-        full = (1 << n) - 1
-        for u, r in enumerate(rows):
-            if r & ~full:
-                raise ParameterError(f"adjacency row {u} has bits outside 0..{n - 1}")
-            if (r >> u) & 1:
-                raise ParameterError(f"self-loop at vertex {u}")
-        for u in range(n):
-            for v in bits_of(rows[u]):
-                if not (rows[v] >> u) & 1:
-                    raise ParameterError(f"asymmetric adjacency between {u} and {v}")
-        return cls(n, list(rows))
-
-    @classmethod
-    def from_bipartite_rows(cls, rows: list[int]) -> "Graph":
-        """Subgraph of K_{N,N} on 2N vertices, N = len(rows): rows[u] is the
-        bitmask of the right stations v joined to left station u, and v
-        becomes vertex N+v."""
-        n = len(rows)
-        for u, r in enumerate(rows):
-            if r >> n:
-                raise ParameterError(f"row {u} has right stations outside 0..{n - 1}")
-        return cls.from_bipartite_matrix(unpack_rows(rows, n))
-
-    @classmethod
     def from_bipartite_matrix(cls, mat: np.ndarray) -> "Graph":
         """Subgraph of K_{N,N} on 2N vertices from a bool (N, N) matrix:
         mat[u, v] joins left station u to right station v, vertex N+v."""
@@ -108,9 +82,6 @@ class Graph:
 
     def neighbors_mask(self, u: int) -> int:
         return self._rows[u]
-
-    def neighbors(self, u: int) -> list[int]:
-        return list(bits_of(self._rows[u]))
 
     def degree(self, u: int) -> int:
         return self._rows[u].bit_count()
@@ -383,6 +354,17 @@ def complement_degree(g: Graph, v: int) -> int:
     if not 0 <= v < g.n:
         raise ParameterError(f"vertex {v} out of range")
     return g.n - 1 - g.degree(v)
+
+
+def singles_cover(mat: np.ndarray) -> MatchingCover:
+    """The cover of Graph.from_bipartite_matrix(mat) by one-pair matchings:
+    (u, N+v) for each set mat[u, v], in ascending order."""
+    n = len(mat)
+    at = np.flatnonzero(mat)
+    pairs = np.empty((len(at), 2), dtype=np.int64)
+    np.divmod(at, n, out=(pairs[:, 0], pairs[:, 1]))
+    pairs[:, 1] += n
+    return MatchingCover.from_arrays(pairs, np.arange(len(at) + 1))
 
 
 def doubled_cover(c: MatchingCover, n: int) -> MatchingCover:

@@ -9,8 +9,10 @@ pass/fail decisions.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InternalCheckError, ParameterError, VerificationError
-from .graphs import Graph, MatchingCover, verify_cover
+from .graphs import Graph, MatchingCover, unpack_rows, verify_cover
 
 
 def uniformize(c: MatchingCover, r: int) -> tuple[MatchingCover, list[tuple[int, int]]]:
@@ -76,41 +78,29 @@ def triangle_graph(g: Graph, c: MatchingCover) -> TriangleGraph:
         raise ParameterError(
             f"cover is not uniform (sizes {rep.r_min}..{rep.r_max}); uniformize first"
         )
-    left, right = greedy_bipartition(g)
-    edges: list[tuple[int, int]] = []
-    triangles: list[tuple[int, int, int]] = []
-    apexes: list[int] = []
-    crossing = 0
-    next_id = g.n
-    for m in c.matchings:
-        rest = []
-        for u, v in m:
-            if (left >> u) & 1 and (right >> v) & 1:
-                rest.append((u, v))
-            elif (left >> v) & 1 and (right >> u) & 1:
-                rest.append((v, u))
-        if not rest:
-            continue
-        w = next_id
-        next_id += 1
-        apexes.append(w)
-        for u, v in rest:
-            crossing += 1
-            edges.append((min(u, v), max(u, v)))
-            edges.append((u, w))
-            edges.append((v, w))
-            triangles.append((u, v, w))
-    h = Graph.from_edges(next_id, edges)
+    right = unpack_rows([greedy_bipartition(g)[1]], g.n)[0]
+    pairs, sizes = c.pairs, np.diff(c.offsets)
+    cross = right[pairs[:, 0]] != right[pairs[:, 1]]
+    # crossing pairs written (left, right), matching by matching
+    u, v = np.where(right[pairs[:, :1]], pairs[:, ::-1], pairs)[cross].T
+    mid = np.repeat(np.arange(len(sizes)), sizes)[cross]
+    has = np.bincount(mid, minlength=len(sizes)) > 0
+    w = g.n + (np.cumsum(has) - 1)[mid]  # one apex per matching with a crossing pair
+    crossing = len(u)
+    nv = g.n + int(np.count_nonzero(has))
+    ends = np.concatenate((np.stack((u, v), 1), np.stack((u, w), 1), np.stack((v, w), 1)))
+    h = Graph.from_edges(nv, ends.tolist())
+    triangles = tuple(zip(u.tolist(), v.tolist(), w.tolist()))
     if 2 * crossing < g.edge_count:
         raise InternalCheckError("bipartization kept fewer than half the edges")
     if len(triangles) != crossing:
         raise InternalCheckError("triangle count drifted from the crossing edge count")
     return TriangleGraph(
         graph=h,
-        left=tuple(v for v in range(g.n) if (left >> v) & 1),
-        right=tuple(v for v in range(g.n) if (right >> v) & 1),
-        apexes=tuple(apexes),
-        triangles=tuple(triangles),
+        left=tuple(np.flatnonzero(~right).tolist()),
+        right=tuple(np.flatnonzero(right).tolist()),
+        apexes=tuple(range(g.n, nv)),
+        triangles=triangles,
         crossing_edges=crossing,
     )
 

@@ -1,9 +1,11 @@
 """Subchannel partitions of K_{N,N} and the round-by-round delivery simulation."""
 
+import random
 import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,11 +26,11 @@ from rsgraphs.channels import (
 )
 from rsgraphs.codegraph import CodeGraphParams, build_code_graph, enumerate_cover
 from rsgraphs.codes import LinearCode, build_chain, gv_search
-from rsgraphs.errors import ParameterError, SearchFailureError
-from rsgraphs.geometric import GeomParams
-from rsgraphs.graphs import Graph, MatchingCover, bits_of, write_cover
+from rsgraphs.errors import ParameterError, SearchFailureError, VerificationError
+from rsgraphs.geometric import GeomParams, build_geometric_graph, decompose_geometric
+from rsgraphs.graphs import MatchingCover, bits_of, write_cover
 from test_codegraph_oracle import oracle_enumerate_cover
-from test_cover_oracle import doubled_matchings
+from test_cover_oracle import bipartite_graph, doubled_matchings
 
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
 
@@ -170,12 +172,12 @@ def test_partition_two_desk_counts():
 
 
 def test_validate_partition_rejects_overlap_and_gap():
-    full = Graph.from_bipartite_rows([0b11, 0b11])
+    full = bipartite_graph([0b11, 0b11])
     singles = MatchingCover([[e] for e in full.edges()])
     ok = ChannelPartition(2, [(full, singles)])
     validate_partition(ok)
 
-    half = Graph.from_bipartite_rows([0b01, 0b10])
+    half = bipartite_graph([0b01, 0b10])
     half_cover = MatchingCover([[e] for e in half.edges()])
     with pytest.raises(ParameterError):
         validate_partition(ChannelPartition(2, [(half, half_cover)]))  # gap
@@ -294,6 +296,76 @@ def test_partition_shifts_larger_instance():
     rep = simulate(build_schedule(cp))
     assert rep.delivered == 256
     assert not rep.garbled_events
+
+
+def oracle_partition_shifts(p, num_channels, seed, max_attempts=1):
+    """Oracle: the bitmask-row shift partition, matchings rebuilt as lists
+    of tuples from the doubled cover."""
+    g = build_geometric_graph(p)
+    n = g.n
+    base = doubled_matchings(decompose_geometric(p, g), n)
+    full = (1 << n) - 1
+    rng = random.Random(seed)
+    best = None  # (overflow_size, attempt_index, perms, assigned, overflow)
+    for attempt in range(max_attempts):
+        perms = []
+        for _ in range(num_channels):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            perms.append(perm)
+        taken = [0] * n
+        assigned = []
+        for perm in perms:
+            rows = []
+            for u in range(n):
+                row = 0
+                for v in bits_of(g.neighbors_mask(u)):
+                    row |= 1 << perm[v]
+                rows.append(row & ~taken[u])
+                taken[u] |= rows[-1]
+            assigned.append(rows)
+        overflow = [full & ~taken[u] for u in range(n)]
+        ov_size = sum(r.bit_count() for r in overflow)
+        if best is None or ov_size < best[0]:
+            best = (ov_size, attempt, perms, assigned, overflow)
+        if ov_size == 0:
+            break
+    ov_size, attempt, perms, assigned, overflow = best
+    subchannels = []
+    for rows, perm in zip(assigned, perms):
+        matchings = []
+        for m in base:
+            rest = [(u, n + perm[w - n]) for u, w in m if (rows[u] >> perm[w - n]) & 1]
+            if rest:
+                matchings.append(sorted(rest))
+        subchannels.append((bipartite_graph(rows), MatchingCover(matchings)))
+    overflow_index = None
+    if ov_size:
+        g_ov = bipartite_graph(overflow)
+        overflow_index = len(subchannels)
+        subchannels.append((g_ov, MatchingCover([[e] for e in g_ov.edges()])))
+    return ChannelPartition(n, subchannels, overflow_index, attempt + 1, perms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(C, n) for C in (2, 3, 4) for n in range(1, 7) if C**n <= 81]),
+    st.integers(1, 4),
+    st.integers(0, 2**16),
+    st.integers(1, 4),
+)
+def test_partition_shifts_matches_oracle(cn, num_channels, seed, attempts):
+    p = GeomParams(*cn)
+    try:
+        want = oracle_partition_shifts(p, num_channels, seed, attempts)
+    except VerificationError:
+        assume(False)
+    got = partition_shifts(p, num_channels, seed, max_attempts=attempts)
+    assert got == want
+    a, b = build_schedule(got), build_schedule(want)
+    assert (a.n_stations, a.num_subchannels) == (b.n_stations, b.num_subchannels)
+    for name in ("chans", "offsets", "pairs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_meshulam_bound():

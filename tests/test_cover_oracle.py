@@ -24,10 +24,18 @@ from rsgraphs.graphs import (
     Graph,
     MatchingCover,
     bits_of,
+    unpack_rows,
     verify_cover,
     verify_cover_bipartite,
 )
 from test_geometric_oracle import greedy_cover_within
+
+
+def bipartite_graph(rows: list[int]) -> Graph:
+    """Subgraph of K_{N,N} on 2N vertices, N = len(rows): rows[u] is the
+    bitmask of the right stations v joined to left station u, and v
+    becomes vertex N+v."""
+    return Graph.from_bipartite_matrix(unpack_rows(rows, len(rows)))
 
 
 def is_induced_matching(g: Graph, m) -> bool:
@@ -235,7 +243,7 @@ def rows_with_covers(draw):
     density = draw(st.floats(0.0, 1.0))
     rows = [sum(1 << v for v in range(n) if rnd.random() < density) for _ in range(n)]
     edges = [(u, v) for u in range(n) for v in bits_of(rows[u])]
-    g = Graph.from_bipartite_rows(rows)
+    g = bipartite_graph(rows)
     # a valid cover of the 2N-vertex graph, read back as station pairs
     ms = [[(u, w - n) for u, w in m] for m in greedy_cover_within(g, (1 << g.n) - 1)]
     pairs = [(u, v) for u in range(n) for v in range(n)]
@@ -258,7 +266,7 @@ def test_verify_cover_equals_oracle(gc, chunk_cells):
 def test_bipartite_gate_agrees_with_oracle(rc, rnd):
     rows, ms = rc
     n = len(rows)
-    g = Graph.from_bipartite_rows(rows)
+    g = bipartite_graph(rows)
     cover = MatchingCover([[(u, n + v) for u, v in m] for m in ms])
     want = oracle_verify_cover_bipartite(rows, MatchingCover(ms))
     got = verify_cover_bipartite(g, cover)
@@ -280,7 +288,7 @@ def test_bipartite_gate_rejects_inside_edges(rc, data):
     assume(n >= 2)
     side = data.draw(st.sampled_from([0, n]), label="side")
     a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-    g = Graph.from_edges(2 * n, [*Graph.from_bipartite_rows(rows).edges(), (side + a, side + b)])
+    g = Graph.from_edges(2 * n, [*bipartite_graph(rows).edges(), (side + a, side + b)])
     with pytest.raises(ParameterError):
         verify_cover_bipartite(g, MatchingCover([[(u, n + v) for u, v in m] for m in ms]))
 

@@ -18,7 +18,7 @@ from rsgraphs.graphs import (
     write_cover,
     write_edge_list,
 )
-from test_cover_oracle import doubled_matchings, is_induced_matching
+from test_cover_oracle import bipartite_graph, doubled_matchings, is_induced_matching
 from test_geometric_oracle import greedy_cover_within
 
 
@@ -55,7 +55,7 @@ def test_graph_basics():
     assert g.n == 4
     assert g.edge_count == 3
     assert g.has_edge(1, 0) and g.has_edge(2, 3) and not g.has_edge(0, 2)
-    assert g.neighbors(1) == [0, 2]
+    assert g.neighbors_mask(1) == 0b101
     assert g.degree(1) == 2 and g.degree(0) == 1
     assert g.max_degree() == 2
     assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
@@ -66,10 +66,6 @@ def test_graph_rejects_bad_input():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ParameterError):
         Graph.from_edges(3, [(0, 5)])
-    with pytest.raises(ParameterError):
-        Graph.from_adjacency_rows([0b010, 0b000, 0b000])  # asymmetric
-    with pytest.raises(ParameterError):
-        Graph.from_adjacency_rows([0b001, 0b000, 0b000])  # self-loop
 
 
 def test_duplicate_edges_collapse():
@@ -179,15 +175,13 @@ def test_complement_degree():
 
 def test_bipartite_graph_and_double():
     # left station u is vertex u, right station v is vertex N+v
-    bg = Graph.from_bipartite_rows([0b001, 0b100, 0b000])
+    bg = bipartite_graph([0b001, 0b100, 0b000])
     assert bg.n == 6 and bg.edge_count == 2
     assert bg.has_edge(0, 3) and bg.has_edge(5, 1) and not bg.has_edge(0, 5)
     assert list(bg.edges()) == [(0, 3), (1, 5)]
-    with pytest.raises(ParameterError):
-        Graph.from_bipartite_rows([0b100, 0b000])  # right station 2 of 2
 
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    d = Graph.from_bipartite_rows([g.neighbors_mask(u) for u in range(g.n)])
+    d = bipartite_graph([g.neighbors_mask(u) for u in range(g.n)])
     assert d.n == 6
     assert d.edge_count == 2 * g.edge_count
     assert d.has_edge(0, 4) and d.has_edge(1, 3)
@@ -196,7 +190,7 @@ def test_bipartite_graph_and_double():
 
 def test_doubled_matchings_are_bipartite_induced():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5), (1, 2)])
-    d = Graph.from_bipartite_rows([g.neighbors_mask(u) for u in range(g.n)])
+    d = bipartite_graph([g.neighbors_mask(u) for u in range(g.n)])
     c = MatchingCover.from_matchings([[(0, 1), (4, 5)]])
     for dm in doubled_matchings(c, g.n):
         assert is_induced_matching(d, dm)
@@ -206,14 +200,14 @@ def test_doubled_matchings_are_bipartite_induced():
 
 
 def test_verify_cover_bipartite_kinds():
-    bg = Graph.from_bipartite_rows([0b11, 0b11])  # K_{2,2}
+    bg = bipartite_graph([0b11, 0b11])  # K_{2,2}
     c = MatchingCover([[(0, 2), (1, 3)], [(0, 3), (1, 2)]])
     rep = verify_cover_bipartite(bg, c)
     # (0,2) and (1,3) are joined by the edge (0,3); not induced
     assert not rep.valid
     assert any(k == "cross-edge" for k, _ in rep.violations)
 
-    path = Graph.from_bipartite_rows([0b01, 0b11])
+    path = bipartite_graph([0b01, 0b11])
     c = MatchingCover([[(0, 2)], [(1, 2)], [(1, 3)]])
     assert verify_cover_bipartite(path, c).valid
 

@@ -4,12 +4,20 @@ import itertools
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rsgraphs.codegraph import CodeGraphParams, build_code_graph, enumerate_cover
-from rsgraphs.codes import LinearCode, build_chain
-from rsgraphs.errors import InternalCheckError, ParameterError, VerificationError
+from rsgraphs.codes import LinearCode, build_chain, gv_search
+from rsgraphs.errors import (
+    InternalCheckError,
+    ParameterError,
+    SearchFailureError,
+    VerificationError,
+)
 from rsgraphs.graphs import Graph, MatchingCover, verify_cover
 from rsgraphs.limits import (
+    TriangleGraph,
     check_min_degree_bound,
     greedy_bipartition,
     missing_lower_bounds,
@@ -29,6 +37,43 @@ def brute_triangles(g):
         for u, v, w in itertools.combinations(range(g.n), 3)
         if g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)
     }
+
+
+def oracle_triangle_graph(g, c):
+    """Oracle: the matching-by-matching loop over bitmask sides."""
+    rep = verify_cover(g, c)
+    if not rep.valid:
+        raise VerificationError(f"cover is invalid ({len(rep.violations)} violations)")
+    if rep.t and rep.r_min != rep.r_max:
+        raise ParameterError(
+            f"cover is not uniform (sizes {rep.r_min}..{rep.r_max}); uniformize first"
+        )
+    left, right = greedy_bipartition(g)
+    edges, triangles, apexes = [], [], []
+    next_id = g.n
+    for m in c.matchings:
+        rest = []
+        for u, v in m:
+            if (left >> u) & 1 and (right >> v) & 1:
+                rest.append((u, v))
+            elif (left >> v) & 1 and (right >> u) & 1:
+                rest.append((v, u))
+        if not rest:
+            continue
+        w = next_id
+        next_id += 1
+        apexes.append(w)
+        for u, v in rest:
+            edges += [(min(u, v), max(u, v)), (u, w), (v, w)]
+            triangles.append((u, v, w))
+    return TriangleGraph(
+        graph=Graph.from_edges(next_id, edges),
+        left=tuple(v for v in range(g.n) if (left >> v) & 1),
+        right=tuple(v for v in range(g.n) if (right >> v) & 1),
+        apexes=tuple(apexes),
+        triangles=tuple(triangles),
+        crossing_edges=len(triangles),
+    )
 
 
 def test_uniformize():
@@ -115,6 +160,7 @@ def test_triangle_graph_desk_instance():
     g = build_code_graph(p)
     cover = enumerate_cover(p, g)
     tg = triangle_graph(g, cover)
+    assert tg == oracle_triangle_graph(g, cover)
     assert 2 * tg.crossing_edges >= g.edge_count
     total, per_edge = triangle_census(tg.graph)
     assert total == len(tg.triangles) == tg.crossing_edges
@@ -130,6 +176,31 @@ def test_triangle_graph_rejects_bad_covers():
     nonuniform = MatchingCover.from_matchings([[(0, 1), (2, 3)], [(4, 5)]])
     with pytest.raises(ParameterError):
         triangle_graph(gd, nonuniform)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(C, n) for C in (2, 3, 4) for n in range(2, 9) if C**n <= 256]),
+    st.data(),
+    st.randoms(use_true_random=False),
+)
+def test_triangle_graph_matches_oracle_on_gv_covers(cn, data, rnd):
+    C, n = cn
+    d = data.draw(st.integers(1, n - 1), label="d")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    try:
+        root = gv_search(n, k, d - 1, seed)
+    except (ParameterError, SearchFailureError):
+        assume(False)
+    p = CodeGraphParams(C, n, d, build_chain(root, d))
+    g = build_code_graph(p)
+    cover = enumerate_cover(p, g)
+    # the same cover with some pairs written larger end first
+    flipped = MatchingCover([[e[::-1] if rnd.random() < 0.3 else e for e in m]
+                             for m in cover.matchings])
+    for c in (cover, flipped):
+        assert triangle_graph(g, c) == oracle_triangle_graph(g, c)
 
 
 def test_min_degree_margins():
