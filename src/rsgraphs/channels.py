@@ -14,28 +14,33 @@ exactly what inducedness guarantees.
 
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .codegraph import CodeGraphParams, two_channel_split
 from .errors import ParameterError
-from .geometric import GeomParams, build_geometric_graph, decompose_geometric
 from .graphs import (
+    SPACE,
     Graph,
     MatchingCover,
     adjacency_matrix,
     doubled_cover,
     group_arrays,
-    numbered_lines,
+    line_grammar,
     offsets_of,
     pair_groups,
     parse_int,
     parse_pairs,
+    read_rows,
     singles_cover,
     unpack_rows,
     verify_cover_bipartite,
     write_groups,
 )
+
+if TYPE_CHECKING:
+    from .codegraph import CodeGraphParams
+    from .geometric import GeomParams
 
 Matching = list[tuple[int, int]]
 
@@ -79,10 +84,12 @@ def validate_partition(cp: ChannelPartition) -> None:
         raise ParameterError(f"left station {gap.argmax()} is missing pairs; not a partition")
 
 
-def partition_two(p: CodeGraphParams) -> ChannelPartition:
+def partition_two(p: "CodeGraphParams") -> ChannelPartition:
     """Two subchannels: the doubled code graph with its flip-class cover, and
     the remainder (diagonal plus high-agreement pairs) as singleton rounds."""
-    split = two_channel_split(p)
+    from . import codegraph
+
+    split = codegraph.two_channel_split(p)
     cp = ChannelPartition(
         n_stations=split.covered.n // 2,
         subchannels=[(split.covered, split.cover), (split.remainder, split.singles)],
@@ -93,7 +100,7 @@ def partition_two(p: CodeGraphParams) -> ChannelPartition:
 
 
 def partition_shifts(
-    p: GeomParams, num_channels: int, seed: int, max_attempts: int = 1
+    p: "GeomParams", num_channels: int, seed: int, max_attempts: int = 1
 ) -> ChannelPartition:
     """Partition K_{N,N} by random right-label shifts of the doubled band graph.
 
@@ -109,8 +116,10 @@ def partition_shifts(
         raise ParameterError(f"need num_channels >= 1, got {num_channels}")
     if max_attempts < 1:
         raise ParameterError(f"need max_attempts >= 1, got {max_attempts}")
-    g = build_geometric_graph(p)
-    cover = decompose_geometric(p, g)
+    from . import geometric
+
+    g = geometric.build_geometric_graph(p)
+    cover = geometric.decompose_geometric(p, g)
     n = g.n
     adj = adjacency_matrix(g)
     rng = random.Random(seed)
@@ -342,40 +351,48 @@ def meshulam_lower_bound(N: int, C: int) -> float:
 
 def write_schedule(s: Schedule, path: str) -> None:
     """One line per round: "round <idx> chan <i>: u1>v1 u2>v2 ..."."""
-    chans = s.chans
+    rounds = np.arange(len(s.chans))
+    write_groups(path, "round %d chan %d:", [rounds, s.chans], s.pairs, s.offsets, ">")
 
-    def heads(a, b):
-        return [f"round {r} chan {i}:" for r, i in zip(range(a, b), chans[a:b].tolist())]
 
-    write_groups(path, heads, s.pairs, s.offsets, ">")
+_SCHEDULE_LINE = line_grammar(
+    f"round{SPACE}+[0-9]+{SPACE}+chan{SPACE}+[0-9]+{SPACE}*", ">"
+)
 
 
 def read_schedule(path: str, n_stations: int | None = None) -> Schedule:
     if n_stations is not None and n_stations < 0:
         raise ParameterError(f"need a nonnegative station count, got {n_stations}")
-    chans: list[int] = []
-    sizes: list[int] = []
-    flat: list[int] = []
-    for lineno, line in numbered_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(":")
-        parts = head.split()
-        if len(parts) != 4 or parts[0] != "round" or parts[2] != "chan":
-            raise ParameterError(f"{path}:{lineno}: malformed round header")
-        if parse_int(parts[1], path, lineno) != len(chans):
-            raise ParameterError(f"{path}:{lineno}: round indices must be sequential")
-        chan = parse_int(parts[3], path, lineno)
-        if chan >> 63:
-            raise ParameterError(f"{path}:{lineno}: channel {chan} does not fit in 64 bits")
-        chans.append(chan)
-        ids = parse_pairs(rest.split(), ">", path, lineno)
-        flat.extend(ids)
-        sizes.append(len(ids) // 2)
-    pairs = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    rows = read_rows(path, _SCHEDULE_LINE, 2, ">")
+    index, chans = rows.heads
+    rows.raise_first(rows.huge | (index != np.arange(len(index))) | (chans < 0), _schedule_line)
+    pairs = rows.pairs
     if n_stations is None:
         n_stations = int(pairs.max()) + 1 if len(pairs) else 0
-    k = max(chans, default=-1) + 1
-    chan_ids = np.array(chans, dtype=np.int64)
-    return Schedule.from_arrays(n_stations, k, chan_ids, offsets_of(sizes), pairs)
+    k = int(chans.max()) + 1 if len(chans) else 0
+    return Schedule.from_arrays(n_stations, k, chans.copy(), offsets_of(rows.sizes), pairs)
+
+
+def _schedule_line(path, lineno: int, line: str, index: int) -> None:
+    """Parse schedule line `lineno`, which follows `index` rounds:
+    ParameterError unless it is round `index` with ids below 2^63."""
+    head, _, rest = line.strip().partition(":")
+    parts = head.split()
+    if len(parts) != 4 or parts[0] != "round" or parts[2] != "chan":
+        raise ParameterError(f"{path}:{lineno}: malformed round header")
+    if parse_int(parts[1], path, lineno) != index:
+        raise ParameterError(f"{path}:{lineno}: round indices must be sequential")
+    chan = parse_int(parts[3], path, lineno)
+    if chan >> 63:
+        raise ParameterError(f"{path}:{lineno}: channel {chan} does not fit in 64 bits")
+    parse_pairs(rest.split(), ">", path, lineno)
+
+
+def __getattr__(name: str):
+    # channels.two_channel_split is codegraph's, looked up when asked for,
+    # so that importing channels does not import codegraph.
+    if name == "two_channel_split":
+        from . import codegraph
+
+        return codegraph.two_channel_split
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,8 +3,11 @@
 Exit codes: 0 success, 1 parameter error (a missing or unreadable input
 file included), 2 verification failure, 3 resource refusal.  Identical argv
 and seed produce byte-identical reports and artifacts; reports carry the
-toolkit version and the resolved parameters.
+toolkit version and the resolved parameters.  Each subcommand imports the
+modules it runs when it runs, so a command loads no code it does not use.
 """
+
+from __future__ import annotations
 
 import argparse
 import json
@@ -12,11 +15,11 @@ import math
 import random
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from . import channels, codegraph, codes, geometric, graphs, limits, lintest, vempala
 from .errors import (
     DEFAULT_MAX_PAIR_CHECKS,
     InternalCheckError,
@@ -26,6 +29,9 @@ from .errors import (
     VerificationError,
     check_caps,
 )
+
+if TYPE_CHECKING:
+    from . import codegraph, codes, lintest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,6 +79,8 @@ def _base_report(args, command: str, **params) -> dict:
 
 
 def _max_gv_dimension(n: int, d: int) -> int:
+    from . import codes
+
     k = 0
     for cand in range(1, n):
         if codes.gv_condition(n, cand, d):
@@ -93,6 +101,8 @@ def _check_stations(n: int, max_vertices) -> None:
 
 def _check_counts(p: codegraph.CodeGraphParams, built: dict) -> None:
     """Each built count must equal its exact value from cover_counts."""
+    from . import codegraph
+
     want = codegraph.cover_counts(p.C, p.n, p.d, p.k)
     exact = {"edges": want.edges, "covered_pairs": 2 * want.edges, "t": want.t,
              "remainder_pairs": want.remainder}
@@ -104,6 +114,8 @@ def _check_counts(p: codegraph.CodeGraphParams, built: dict) -> None:
 
 def _chain_from_args(args, n: int, d: int) -> codes.CodeChain:
     """Code chain for the flip-class cover: from --gen, or GV search at max k."""
+    from . import codes
+
     gen = getattr(args, "gen", None)
     if gen:
         root = codes.read_generator(gen)
@@ -126,6 +138,8 @@ def _chain_from_args(args, n: int, d: int) -> codes.CodeChain:
 # subcommands
 
 def _cmd_construct_geometric(args) -> int:
+    from . import geometric, graphs
+
     p = geometric.GeomParams(args.c, args.n)
     g = geometric.build_geometric_graph(p, max_vertices=args.max_vertices)
     cover = geometric.decompose_geometric(p, g)
@@ -155,6 +169,8 @@ def _cmd_construct_geometric(args) -> int:
 
 
 def _cmd_construct_code(args) -> int:
+    from . import codegraph, graphs
+
     chain = _chain_from_args(args, args.n, args.d)
     p = codegraph.CodeGraphParams(args.c, args.n, args.d, chain)
     g = codegraph.build_code_graph(p, max_vertices=args.max_vertices)
@@ -192,6 +208,8 @@ def _cmd_construct_code(args) -> int:
 
 
 def _cmd_codes_gv(args) -> int:
+    from . import codes
+
     code = codes.gv_search(args.n, args.k, args.d, args.seed if args.gv_seed is None else args.gv_seed)
     if args.out:
         codes.write_generator(code, args.out)
@@ -208,6 +226,8 @@ def _cmd_codes_gv(args) -> int:
 
 
 def _cmd_codes_verify(args) -> int:
+    from . import codes
+
     code = codes.read_generator(args.generator)
     v = codes.verify_code(code)
     report = _base_report(args, "codes verify", generator=args.generator)
@@ -226,6 +246,8 @@ def _cmd_codes_verify(args) -> int:
 
 
 def _cmd_limits_triangle(args) -> int:
+    from . import graphs, limits
+
     g = graphs.read_edge_list(args.edges)
     check_caps(g.n, args.max_vertices)
     cover = graphs.read_cover(args.cover)
@@ -249,6 +271,8 @@ def _cmd_limits_triangle(args) -> int:
 
 
 def _cmd_limits_mindeg(args) -> int:
+    from . import graphs, limits
+
     g = graphs.read_edge_list(args.edges)
     check_caps(g.n, args.max_vertices)
     rep = limits.check_min_degree_bound(g, args.r)
@@ -265,6 +289,8 @@ def _cmd_limits_mindeg(args) -> int:
 
 
 def _cmd_channel_two(args) -> int:
+    from . import channels, codegraph
+
     _check_stations(args.c**args.n, args.max_vertices)
     chain = _chain_from_args(args, args.n, args.d)
     p = codegraph.CodeGraphParams(args.c, args.n, args.d, chain)
@@ -299,6 +325,8 @@ def _cmd_channel_two(args) -> int:
 
 
 def _cmd_channel_shifts(args) -> int:
+    from . import channels, geometric
+
     check_caps(args.c**args.n, args.max_vertices)
     p = geometric.GeomParams(args.c, args.n)
     cp = channels.partition_shifts(
@@ -333,6 +361,8 @@ def _cmd_channel_shifts(args) -> int:
 
 
 def _cmd_channel_simulate(args) -> int:
+    from . import channels
+
     schedule = channels.read_schedule(args.schedule, n_stations=args.stations)
     _check_stations(schedule.n_stations, args.max_vertices)
     sim = channels.simulate(schedule)
@@ -351,6 +381,8 @@ def _cmd_channel_simulate(args) -> int:
 
 
 def _make_function(descriptor: str, m: int, seed: int) -> lintest.BooleanFunction:
+    from . import lintest
+
     if descriptor == "linear":
         return lintest.linear_function(m, random.Random(seed).getrandbits(m))
     if descriptor == "and":
@@ -363,6 +395,8 @@ def _make_function(descriptor: str, m: int, seed: int) -> lintest.BooleanFunctio
 
 
 def _cmd_lintest(args) -> int:
+    from . import graphs, lintest
+
     g = graphs.read_edge_list(args.edges)
     check_caps(g.n, args.max_vertices)
     if args.trials * g.n > DEFAULT_MAX_PAIR_CHECKS:
@@ -398,14 +432,14 @@ def _cmd_lintest(args) -> int:
 
 
 def _cmd_vempala(args) -> int:
+    from . import codegraph, vempala
+
     _check_stations(args.c**args.n, args.max_vertices)
     chain = _chain_from_args(args, args.n, args.d)
     p = codegraph.CodeGraphParams(args.c, args.n, args.d, chain)
     parts = vempala.counterexample_partition(p)
-    idents = vempala.per_part_identity(parts.partition, parts.h)
-    matching_ok = all(
-        idents[i] == 1 for i in range(parts.matching_parts)
-    )
+    idents = vempala.per_part_identity(parts.partition, parts.h, parts.matching_parts)
+    matching_ok = all(v == 1 for v in idents)
     if not matching_ok:
         raise InternalCheckError("a matching part broke the unit-contribution identity")
     verdict = vempala.conjecture_verdict(parts.partition)

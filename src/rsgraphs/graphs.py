@@ -18,12 +18,15 @@ the same verifier; verify_cover_bipartite adds the check that every edge
 joins the two sides.
 """
 
+import io
+import re
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InternalCheckError, ParameterError
 
 Edge = tuple[int, int]
 Matching = list[Edge]
@@ -387,15 +390,39 @@ def doubled_cover(c: MatchingCover, n: int) -> MatchingCover:
 
 # ---------------------------------------------------------------------------
 # text formats
+#
+# The edge-list, cover and schedule readers share one shape, read_rows: the
+# file's text is read once, each line is checked against the format's line
+# grammar, the ids of all lines are converted in one numpy pass over their
+# runs of digits, and the checks across lines are array comparisons.  At the
+# first line that fails any check, the format's per-line parse runs on that
+# line alone and raises its path:line error.
 
-def numbered_lines(path):
-    """Yield (line number, line) over the text file at `path`, counting from
-    1; bytes that do not decode as text raise ParameterError naming the path."""
+# What str.split() splits on within a line, in ASCII; read_rows turns the
+# other whitespace of a non-ASCII file into spaces before the grammar check.
+SPACE = r"[\t\x0b\x0c\x1c-\x1f ]"
+# Characters of text that read_rows converts at once.
+_READ_CHARS = 1 << 16
+# Cells of the bool block that read_edge_list packs its rows from.
+_BUILD_CELLS = 1 << 25
+# 10^p for the places p = 0..18 of an int64 id.
+_POW10 = 10 ** np.arange(19, dtype=np.uint64)
+
+
+def read_text(path) -> str:
+    """The text of the file at `path`, newlines translated as open() does;
+    bytes that do not decode as text raise ParameterError naming the path."""
     with open(path) as fh:
         try:
-            yield from enumerate(fh, start=1)
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise ParameterError(f"{path}: not a text file ({exc.reason})") from None
+
+
+def numbered_lines(path):
+    """(line number, line) over the text file at `path`, counting from 1;
+    every line but a last unterminated one ends in a newline."""
+    return enumerate(io.StringIO(read_text(path)), start=1)
 
 
 def parse_int(token: str, path, lineno: int) -> int:
@@ -404,59 +431,6 @@ def parse_int(token: str, path, lineno: int) -> int:
     if token.isascii() and token.isdigit():
         return int(token)
     raise ParameterError(f"{path}:{lineno}: expected an integer, got {token!r}")
-
-
-def write_edge_list(g: Graph, path: str) -> None:
-    """First line "N M", then one "u v" line per edge with u < v, ascending."""
-    with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.edge_count}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
-
-
-def read_edge_list(path: str) -> Graph:
-    edges: dict[Edge, None] = {}  # an ordered set: from_edges sees file order
-    lines = numbered_lines(path)
-    header = next(lines, (1, ""))[1].split()
-    if len(header) != 2:
-        raise ParameterError(f"{path}:1: malformed header, expected 'N M'")
-    n, m = (parse_int(t, path, 1) for t in header)
-    for lineno, line in lines:
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            raise ParameterError(f"{path}:{lineno}: malformed edge line {line!r}")
-        u, v = parse_int(parts[0], path, lineno), parse_int(parts[1], path, lineno)
-        if not u < v:
-            raise ParameterError(f"{path}:{lineno}: edge ({u},{v}) must satisfy u < v")
-        if (u, v) in edges:
-            raise ParameterError(f"{path}:{lineno}: edge ({u},{v}) repeats an earlier line")
-        edges[(u, v)] = None
-    if len(edges) != m:
-        raise ParameterError(f"{path}: header claims {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
-
-
-def write_groups(path: str, heads, pairs: np.ndarray, offsets: np.ndarray, sep: str) -> None:
-    """Write one line per group of pairs: the group's head, then " u{sep}v"
-    per pair.  heads(a, b) lists the heads of groups a..b-1.  Lines are
-    formatted and written in chunks of whole groups of about _WRITE_PAIRS
-    pairs, so memory stays flat however long the file."""
-    t = len(offsets) - 1
-    with open(path, "w") as fh:
-        a = 0
-        while a < t:
-            b = int(np.searchsorted(offsets, offsets[a] + _WRITE_PAIRS, side="right")) - 1
-            b = min(max(a + 1, b), a + _WRITE_PAIRS)
-            lo = int(offsets[a])
-            chunk = pairs[lo : offsets[b]]
-            toks = [f" {u}{sep}{v}" for u, v in zip(chunk[:, 0].tolist(), chunk[:, 1].tolist())]
-            cuts = (offsets[a : b + 1] - lo).tolist()
-            fh.write("".join([
-                f"{head}{''.join(toks[x:y])}\n" for head, x, y in zip(heads(a, b), cuts, cuts[1:])
-            ]))
-            a = b
 
 
 def parse_pairs(tokens: list[str], sep: str, path, lineno: int) -> list[int]:
@@ -468,23 +442,252 @@ def parse_pairs(tokens: list[str], sep: str, path, lineno: int) -> list[int]:
     return ids
 
 
+def line_grammar(head: str, sep: str | None = None) -> str:
+    """The regular expression of a search, in a newline and then text, for
+    the newline before the first line of the text that is neither blank nor
+    the regular expression `head` between optional whitespace.  With sep,
+    head may be followed by ":" and then by pairs "u{sep}v" of ASCII digit
+    runs, separated by whitespace.  It checks one line at a time, so the
+    regular expression engine's stack grows with the longest line only; the
+    search for a literal newline skips to the line starts fast."""
+    if sep:
+        pair = f"[0-9]+{sep}[0-9]+"
+        head += f"(?::{SPACE}*(?:{pair}(?:{SPACE}+{pair})*)?)?"
+    return f"(?m)\\n(?!{SPACE}*(?:{head})?{SPACE}*$)"
+
+
+@dataclass
+class TextRows:
+    """The non-blank lines of a text file after its first `skip` lines, up
+    to the first line that fails the format's grammar, as rows of ids: the
+    leading ids of every row, then its pairs.  An id of 2^63 or more reads
+    as a negative number."""
+
+    path: str
+    text: str
+    skip: int
+    heads: np.ndarray  # (h, rows): the h leading ids of each row
+    sizes: np.ndarray  # pairs on each row
+    pairs: np.ndarray  # (M, 2) int64: the rows' pairs, row after row
+    huge: np.ndarray  # per row, whether one of its pair ids is 2^63 or more
+    bad: int | None  # number of the line that fails the grammar, if one does
+
+    def raise_first(self, fail: np.ndarray, parse) -> None:
+        """Raise the error of the first line that fails a check: the first
+        row flagged in `fail` or the line that fails the grammar, whichever
+        comes first.  parse(path, lineno, line, index) is the format's
+        per-line parse, index counting the rows before the line; it raises
+        ParameterError.  If it does not, the bulk checks and the parse
+        disagree, and InternalCheckError is raised."""
+        row = int(fail.argmax()) if fail.any() else None
+        if row is None and self.bad is None:
+            return
+        index = 0
+        lines = enumerate(io.StringIO(self.text), start=1)
+        for lineno, line in islice(lines, self.skip, None):
+            if lineno == self.bad:
+                break
+            if line.strip():  # a non-blank line before the first failure is a row
+                if index == row:
+                    break
+                index += 1
+        parse(self.path, lineno, line, index)
+        raise InternalCheckError(f"{self.path}:{lineno}: line passes its parse but not the bulk checks")
+
+
+def read_rows(path, grammar: str, h: int, sep: str | None = None,
+              skip: int = 0) -> TextRows:
+    """Read the text file at `path` into rows (see TextRows) of h leading
+    ids and then pairs "u{sep}v", or one pair "u v" when sep is None; the
+    ids are read in order from each line's runs of digits.  The lines are
+    checked against `grammar` (see line_grammar) and converted in chunks of
+    about _READ_CHARS characters into arrays sized once from the counts of
+    newlines and separators."""
+    text = read_text(path)
+    search = re.compile(grammar).search  # compiled on first use, then cached by re
+    check = text
+    if not text.isascii():
+        check = text.translate({ord(c): " " for c in set(text) if c.isspace() and c != "\n"})
+    a = 0
+    for _ in range(skip):
+        a = check.find("\n", a) + 1 or len(check)
+    most = check.count("\n", a) + 1
+    heads = np.empty((h, most), dtype=np.int64)
+    sizes = np.empty(most, dtype=np.int64)
+    huge = np.empty(most, dtype=bool)
+    pairs = np.empty((check.count(sep, a) if sep else most, 2), dtype=np.int64)
+    r = m = 0  # rows and pairs read
+    lineno, bad = skip, None
+    while a < len(check) and bad is None:
+        b = (check.rfind("\n", a, a + _READ_CHARS) + 1
+             or check.find("\n", a + _READ_CHARS) + 1 or len(check))
+        seg = check[a:b]
+        found = search("\n" + seg)
+        if found:
+            seg = seg[: found.start()]
+            bad = lineno + seg.count("\n") + 1
+        seg_heads, seg_sizes, seg_pairs, seg_huge = _rows_of(seg, h)
+        k = len(seg_sizes)
+        heads[:, r : r + k], sizes[r : r + k], huge[r : r + k] = seg_heads, seg_sizes, seg_huge
+        pairs[m : m + len(seg_pairs)] = seg_pairs
+        r, m = r + k, m + len(seg_pairs)
+        lineno += seg.count("\n")
+        a = b
+    return TextRows(path, text, skip, heads[:, :r], sizes[:r], pairs[:m], huge[:r], bad)
+
+
+def _rows_of(seg: str, h: int):
+    """heads, sizes, pairs and huge (see TextRows) of the lines of seg,
+    which all pass the grammar and so are ASCII."""
+    data = np.frombuffer(seg.encode("ascii"), dtype=np.uint8)
+    digit = (data - 48) < 10
+    ends = np.flatnonzero(np.diff(np.concatenate(([False], digit, [False])).view(np.int8)))
+    starts = ends[0::2]
+    ids = _digit_runs(data, starts, ends[1::2])
+    # runs per line: the runs that start before each newline, differenced
+    count = np.diff(np.searchsorted(starts, np.flatnonzero(data == 10)),
+                    prepend=0, append=len(starts))
+    count = count[count > 0]  # per non-blank line: a row
+    first = np.cumsum(count) - count
+    head = first + np.arange(h)[:, None]
+    in_pairs = np.ones(len(ids), dtype=bool)
+    in_pairs[head] = False
+    huge = np.zeros(len(count), dtype=bool)
+    huge[np.searchsorted(first, np.flatnonzero(in_pairs & (ids < 0)), side="right") - 1] = True
+    return ids[head], (count - h) // 2, ids[in_pairs].reshape(-1, 2), huge
+
+
+def _digit_runs(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The int64 value of each run data[starts[i]:stops[i]] of ASCII
+    digits, or a negative number where it is 2^63 or more; one product per
+    run length."""
+    lens = stops - starts
+    vals = np.empty(len(lens), dtype=np.uint64)
+    over = np.zeros(len(lens), dtype=bool)
+    for size in np.flatnonzero(np.bincount(lens)).tolist():
+        at = np.flatnonzero(lens == size)
+        digits = data[starts[at, None] + np.arange(size)] - 48
+        lead = max(0, size - 19)  # places past 18, which must hold zeros
+        vals[at] = digits[:, lead:] @ _POW10[size - lead - 1 :: -1]  # below 10^19 < 2^64
+        over[at] = digits[:, :lead].any(axis=1)
+    vals = vals.view(np.int64)  # 2^63 and more view as negative
+    vals[over] = -1
+    return vals
+
+
+def write_edge_list(g: Graph, path: str) -> None:
+    """First line "N M", then one "u v" line per edge with u < v, ascending."""
+    with open(path, "w") as fh:
+        fh.write(f"{g.n} {g.edge_count}\n")
+        for u, v in g.edges():
+            fh.write(f"{u} {v}\n")
+
+
+_EDGE_LINE = line_grammar(f"[0-9]+{SPACE}+[0-9]+")
+
+
+def read_edge_list(path: str) -> Graph:
+    rows = read_rows(path, _EDGE_LINE, 0, skip=1)
+    header = rows.text.partition("\n")[0].split()
+    if len(header) != 2:
+        raise ParameterError(f"{path}:1: malformed header, expected 'N M'")
+    n, m = (parse_int(t, path, 1) for t in header)
+    u, v = rows.pairs.T
+    fail = rows.huge | (u >= v)
+    order = np.lexsort((v, u))  # stable: of equal edges, the earliest line first
+    fail[order[1:][(np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)]] = True
+    rows.raise_first(fail, partial(_edge_line, pairs=rows.pairs))
+    if len(u) != m:
+        raise ParameterError(f"{path}: header claims {m} edges, found {len(u)}")
+    return _graph_of(n, rows.pairs)
+
+
+def _edge_line(path, lineno: int, line: str, index: int, pairs: np.ndarray) -> None:
+    """Parse edge line `lineno`, which follows the edges pairs[:index]:
+    ParameterError unless it is two ids u < v below 2^63 of a new edge."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise ParameterError(f"{path}:{lineno}: malformed edge line {line!r}")
+    u, v = parse_int(parts[0], path, lineno), parse_int(parts[1], path, lineno)
+    if not u < v:
+        raise ParameterError(f"{path}:{lineno}: edge ({u},{v}) must satisfy u < v")
+    if v >> 63:
+        raise ParameterError(f"{path}:{lineno}: id {v} does not fit in 64 bits")
+    if (pairs[:index] == (u, v)).all(axis=1).any():
+        raise ParameterError(f"{path}:{lineno}: edge ({u},{v}) repeats an earlier line")
+
+
+def _graph_of(n: int, pairs: np.ndarray) -> Graph:
+    """Graph.from_edges(n, pairs) for an (M, 2) array of distinct edges
+    (u, v) with u < v.  The rows of the vertices with edges are packed from
+    one bool block through _row_masks; a graph so sparse that the block
+    would pass _BUILD_CELLS cells goes through Graph.from_edges."""
+    rows = [0] * n  # first, as in Graph.from_edges
+    u, v = pairs.T
+    out = np.flatnonzero(v >= n) if n < 1 << 63 else ()
+    if len(out):
+        raise ParameterError(f"edge ({u[out[0]]},{v[out[0]]}) outside vertex range 0..{n - 1}")
+    if not len(pairs):
+        return Graph(n, rows, 0)
+    width = int(v.max()) + 1
+    used = np.flatnonzero(np.bincount(pairs.ravel(), minlength=width))
+    if len(used) * width > _BUILD_CELLS:
+        return Graph.from_edges(n, pairs.tolist())
+    at = np.zeros(width, dtype=np.int64)
+    at[used] = np.arange(len(used))
+    block = np.zeros((len(used), width), dtype=bool)
+    block[at[u], v] = True
+    block[at[v], u] = True
+    for x, mask in zip(used.tolist(), _row_masks(block)):
+        rows[x] = mask
+    return Graph(n, rows, len(pairs))
+
+
+def write_groups(path: str, head: str, cols, pairs: np.ndarray, offsets: np.ndarray,
+                 sep: str) -> None:
+    """Write one line per group of pairs: `head` with its %d fields filled
+    from the group's entries of the int arrays cols, then " u{sep}v" per
+    pair.  Lines are formatted and written in chunks of whole groups of
+    about _WRITE_PAIRS pairs, one % format per chunk, so memory stays flat
+    however long the file."""
+    t = len(offsets) - 1
+    with open(path, "w") as fh:
+        a = 0
+        while a < t:
+            b = int(np.searchsorted(offsets, offsets[a] + _WRITE_PAIRS, side="right")) - 1
+            b = min(max(a + 1, b), a + _WRITE_PAIRS)
+            sizes = np.diff(offsets[a : b + 1])
+            width = len(cols) + 2 * sizes
+            at = offsets_of(width)[:-1] + np.arange(len(cols))[:, None]
+            vals = np.empty(int(width.sum()), dtype=np.int64)
+            in_pairs = np.ones(len(vals), dtype=bool)
+            in_pairs[at] = False
+            vals[at] = [col[a:b] for col in cols]
+            vals[in_pairs] = pairs[offsets[a] : offsets[b]].ravel()
+            line = {s: head + f" %d{sep}%d" * s + "\n" for s in np.unique(sizes).tolist()}
+            fh.write("".join([line[s] for s in sizes.tolist()]) % tuple(vals.tolist()))
+            a = b
+
+
 def write_cover(c: MatchingCover, path: str) -> None:
     """One line per matching: "i: u1-v1 u2-v2 ..." with i the ordinal."""
-    write_groups(path, lambda a, b: [f"{i}:" for i in range(a, b)], c.pairs, c.offsets, "-")
+    write_groups(path, "%d:", [np.arange(c.t)], c.pairs, c.offsets, "-")
+
+
+_COVER_LINE = line_grammar("[0-9]+", "-")
 
 
 def read_cover(path: str) -> MatchingCover:
-    sizes: list[int] = []
-    flat: list[int] = []
-    for lineno, line in numbered_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(":")
-        if parse_int(head, path, lineno) != len(sizes):
-            raise ParameterError(f"{path}:{lineno}: matching ordinals must be sequential")
-        ids = parse_pairs(rest.split(), "-", path, lineno)
-        flat.extend(ids)
-        sizes.append(len(ids) // 2)
-    pairs = np.array(flat, dtype=np.int64).reshape(-1, 2)
-    return MatchingCover.from_arrays(pairs, offsets_of(sizes))
+    rows = read_rows(path, _COVER_LINE, 1, "-")
+    ordinal = rows.heads[0]
+    rows.raise_first(rows.huge | (ordinal != np.arange(len(ordinal))), _cover_line)
+    return MatchingCover.from_arrays(rows.pairs, offsets_of(rows.sizes))
+
+
+def _cover_line(path, lineno: int, line: str, index: int) -> None:
+    """Parse cover line `lineno`, which follows `index` matchings:
+    ParameterError unless it is matching `index` with ids below 2^63."""
+    head, _, rest = line.strip().partition(":")
+    if parse_int(head, path, lineno) != index:
+        raise ParameterError(f"{path}:{lineno}: matching ordinals must be sequential")
+    parse_pairs(rest.split(), "-", path, lineno)

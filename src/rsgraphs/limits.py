@@ -93,8 +93,6 @@ def triangle_graph(g: Graph, c: MatchingCover) -> TriangleGraph:
     triangles = tuple(zip(u.tolist(), v.tolist(), w.tolist()))
     if 2 * crossing < g.edge_count:
         raise InternalCheckError("bipartization kept fewer than half the edges")
-    if len(triangles) != crossing:
-        raise InternalCheckError("triangle count drifted from the crossing edge count")
     return TriangleGraph(
         graph=h,
         left=tuple(np.flatnonzero(~right).tolist()),

@@ -85,11 +85,12 @@ class EdgePartition:
         return pair_groups(self._pairs, offsets_of(self._sizes))
 
 
-def _block_terms(ep: EdgePartition):
-    """Yield arrays (p, i, j, deg_p(i), deg_p(j)) over every part p, left
-    vertex i of p and right vertex j of p, parts ascending, for chunks of
-    whole parts that hold up to _CHUNK_PAIRS pairs (or one larger part)."""
-    sizes, pairs = ep._sizes, ep._pairs
+def _block_terms(ep: EdgePartition, parts: int | None = None):
+    """Yield arrays (p, i, j, deg_p(i), deg_p(j)) over each of the first
+    `parts` parts p (all by default), left vertex i of p and right vertex j
+    of p, parts ascending, for chunks of whole parts that hold up to
+    _CHUNK_PAIRS pairs (or one larger part)."""
+    sizes, pairs = ep._sizes[:parts], ep._pairs
     ends = np.cumsum(sizes)
     a = 0
     while a < len(sizes):
@@ -166,19 +167,22 @@ def counterexample_partition(p: CodeGraphParams) -> CounterexampleParts:
     )
 
 
-def per_part_identity(ep: EdgePartition, h: Graph) -> list[Fraction]:
-    """H-restricted contribution sum_{(i,j) in H} deg_p(i) deg_p(j) / |p| per part.
+def per_part_identity(ep: EdgePartition, h: Graph, parts: int | None = None) -> list[Fraction]:
+    """H-restricted contribution sum_{(i,j) in H} deg_p(i) deg_p(j) / |p| of
+    each of the first `parts` parts (all by default).
 
     H is on left_n + right_n vertices, right station j being vertex left_n + j.
     For a part that is an induced matching of H this is exactly 1.  A part's
-    sum is at most |p|^2, so int64 holds it.
+    sum is at most |p|^2, so int64 holds it; one Fraction is made per
+    distinct (sum, |p|) pair.
     """
+    sizes = ep._sizes[:parts]
     adj = adjacency_matrix(h)
-    sums = np.zeros(len(ep._sizes), dtype=np.int64)
-    for p, i, j, di, dj in _block_terms(ep):
+    sums = np.zeros(len(sizes), dtype=np.int64)
+    for p, i, j, di, dj in _block_terms(ep, len(sizes)):
         hit = adj[i, ep.left_n + j]
         np.add.at(sums, p[hit], di[hit] * dj[hit])
-    ratios = list(zip(sums.tolist(), ep._sizes.tolist()))
+    ratios = list(zip(sums.tolist(), sizes.tolist()))
     fractions = {r: Fraction(*r) for r in set(ratios)}  # few distinct values
     return [fractions[r] for r in ratios]
 
@@ -201,5 +205,5 @@ def conjecture_verdict(ep: EdgePartition) -> ConjectureVerdict:
 
 def write_partition(ep: EdgePartition, path: str) -> None:
     """One line per part: "part <id>: u>v u>v ..."."""
-    write_groups(path, lambda a, b: [f"part {p}:" for p in range(a, b)], ep._pairs,
+    write_groups(path, "part %d:", [np.arange(len(ep._sizes))], ep._pairs,
                  offsets_of(ep._sizes), ">")

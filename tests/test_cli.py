@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import rsgraphs
-from rsgraphs import channels, codegraph, vempala
+from rsgraphs import codegraph, vempala
 from rsgraphs.cli import run
 from rsgraphs.graphs import MatchingCover, read_cover, read_edge_list, verify_cover
 from test_cover_oracle import is_induced_matching
@@ -290,10 +290,13 @@ def test_vempala_command(tmp_path, capsys):
     assert len(lines) == 972 + 2673
 
 
+REAL_SPLIT = codegraph.two_channel_split
+
+
 def tampered_split(*args, **kwargs):
     """The real split, with matching 0 merged with the first later matching
     that makes it non-induced; every pair stays covered exactly once."""
-    split = codegraph.two_channel_split(*args, **kwargs)
+    split = REAL_SPLIT(*args, **kwargs)
     ms = split.cover.matchings
     j = next(j for j in range(1, len(ms)) if not is_induced_matching(split.covered, ms[0] + ms[j]))
     ms[0] = sorted(ms[0] + ms.pop(j))
@@ -304,7 +307,7 @@ def tampered_split(*args, **kwargs):
 @pytest.mark.parametrize("command,exit_code", [("channel two", 1), ("vempala", 2)])
 def test_tampered_subchannel_cover_trips_the_gate(tmp_path, capsys, monkeypatch, command, exit_code):
     # two_channel_split does not check its matchings; each artifact's gate must.
-    monkeypatch.setattr(channels, "two_channel_split", tampered_split)
+    monkeypatch.setattr(codegraph, "two_channel_split", tampered_split)
     monkeypatch.setattr(vempala, "two_channel_split", tampered_split)
     gen = tmp_path / "gen.txt"
     gen.write_text(PINNED_TEXT)
@@ -331,6 +334,51 @@ def test_tampered_exact_count_trips_the_gate(tmp_path, capsys, monkeypatch, comm
     gen.write_text(PINNED_TEXT)
     assert run(command.split() + ["--c", "3", "--n", "4", "--d", "2", "--gen", str(gen)]) == 2
     assert "built counts differ from the exact counts" in capsys.readouterr().err
+
+
+# Beside rsgraphs, rsgraphs.cli and rsgraphs.errors, the modules each command
+# loads: the ones it runs and what they import, nothing more.
+COMMAND_MODULES = {
+    "channel simulate --schedule s.txt": "channels graphs",
+    "limits triangle --edges e.txt --cover c.txt": "graphs limits",
+    "limits mindeg --edges e.txt --r 2": "graphs limits",
+    "lintest --edges e.txt --cover c.txt --m 4 --f and --trials 20": "graphs lintest",
+    "vempala --c 3 --n 4 --d 2 --gen gen.txt": "codegraph codes graphs lattice vempala",
+    "channel two --c 3 --n 4 --d 2 --gen gen.txt": "channels codegraph codes graphs lattice",
+    "channel shifts --c 3 --n 2 --channels 2": "channels geometric graphs lattice",
+    "construct code --c 3 --n 4 --d 2 --gen gen.txt": "codegraph codes graphs lattice",
+    "construct geometric --c 3 --n 2": "geometric graphs lattice",
+    "codes verify gen.txt": "codes graphs",
+}
+
+
+@pytest.fixture(scope="module")
+def desk_artifacts(tmp_path_factory):
+    d = tmp_path_factory.mktemp("desk")
+    (d / "gen.txt").write_text(PINNED_TEXT)
+    inst = ["--c", "3", "--n", "4", "--d", "2", "--gen", str(d / "gen.txt")]
+    assert run(["construct", "code", *inst, "--out", str(d / "e.txt"),
+                "--cover", str(d / "c.txt")]) == 0
+    assert run(["channel", "two", *inst, "--out-schedule", str(d / "s.txt")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_command_loads_only_the_modules_it_runs(desk_artifacts, capsys, command):
+    capsys.readouterr()
+    probe = ("import json, sys\n"
+             "from rsgraphs.cli import run\n"
+             "rc = run(sys.argv[1:])\n"
+             "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('rsgraphs'))]))")
+    src = str(Path(rsgraphs.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", probe, *command.split()], capture_output=True,
+                          text=True, env=env, cwd=desk_artifacts, timeout=120)
+    rc, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert rc == 0, proc.stderr
+    want = {"rsgraphs", "rsgraphs.cli", "rsgraphs.errors"}
+    want |= {f"rsgraphs.{m}" for m in COMMAND_MODULES[command].split()}
+    assert set(modules) == want
 
 
 NOT_TEXT = b"\xff\xfe\x00\x01"

@@ -129,6 +129,8 @@ def test_kernels_match_oracles_on_random_partitions(case, chunk_pairs):
     assert total == brute_vempala_sum(ep) == oracle_vempala_sum(ep)
     assert all(isinstance(v, Fraction) for v in idents)
     assert idents == oracle_per_part_identity(ep, h) == pair_terms_per_part_identity(ep, h)
+    for parts in {0, 1, len(idents) // 2, len(idents)}:
+        assert per_part_identity(ep, h, parts) == idents[:parts]
 
 
 # Parts of every prime size up to 47 have lcm L ~ 6.1e17, so L * 328 passes
