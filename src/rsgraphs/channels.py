@@ -356,7 +356,7 @@ def write_schedule(s: Schedule, path: str) -> None:
 
 
 _SCHEDULE_LINE = line_grammar(
-    f"round{SPACE}+[0-9]+{SPACE}+chan{SPACE}+[0-9]+{SPACE}*", ">"
+    f"round{SPACE}+[0-9]+{SPACE}+chan{SPACE}+[0-9]+", ">", f"{SPACE}*:"
 )
 
 

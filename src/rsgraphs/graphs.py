@@ -403,7 +403,7 @@ def doubled_cover(c: MatchingCover, n: int) -> MatchingCover:
 SPACE = r"[\t\x0b\x0c\x1c-\x1f ]"
 # Characters of text that read_rows converts at once.
 _READ_CHARS = 1 << 16
-# Cells of the bool block that read_edge_list packs its rows from.
+# Cells of each bool block that read_edge_list packs its rows from.
 _BUILD_CELLS = 1 << 25
 # 10^p for the places p = 0..18 of an int64 id.
 _POW10 = 10 ** np.arange(19, dtype=np.uint64)
@@ -442,18 +442,22 @@ def parse_pairs(tokens: list[str], sep: str, path, lineno: int) -> list[int]:
     return ids
 
 
-def line_grammar(head: str, sep: str | None = None) -> str:
+def line_grammar(head: str, sep: str | None = None, colon: str = ":") -> str:
     """The regular expression of a search, in a newline and then text, for
     the newline before the first line of the text that is neither blank nor
     the regular expression `head` between optional whitespace.  With sep,
-    head may be followed by ":" and then by pairs "u{sep}v" of ASCII digit
-    runs, separated by whitespace.  It checks one line at a time, so the
-    regular expression engine's stack grows with the longest line only; the
-    search for a literal newline skips to the line starts fast."""
+    head may be followed by `colon` and then by pairs "u{sep}v" of ASCII
+    digit runs, separated by whitespace.  It checks one line at a time, so
+    the regular expression engine's stack grows with the longest line only;
+    the search for a literal newline skips to the line starts fast.
+
+    head must neither start nor end with whitespace, and colon must not
+    end with it: no two runs of whitespace in the grammar then meet, so a
+    line that fails costs time linear in its length."""
     if sep:
         pair = f"[0-9]+{sep}[0-9]+"
-        head += f"(?::{SPACE}*(?:{pair}(?:{SPACE}+{pair})*)?)?"
-    return f"(?m)\\n(?!{SPACE}*(?:{head})?{SPACE}*$)"
+        head += f"(?:{colon}(?:{SPACE}*{pair}(?:{SPACE}+{pair})*)?)?"
+    return f"(?m)\\n(?!{SPACE}*(?:{head}{SPACE}*)?$)"
 
 
 @dataclass
@@ -619,9 +623,10 @@ def _edge_line(path, lineno: int, line: str, index: int, pairs: np.ndarray) -> N
 
 def _graph_of(n: int, pairs: np.ndarray) -> Graph:
     """Graph.from_edges(n, pairs) for an (M, 2) array of distinct edges
-    (u, v) with u < v.  The rows of the vertices with edges are packed from
-    one bool block through _row_masks; a graph so sparse that the block
-    would pass _BUILD_CELLS cells goes through Graph.from_edges."""
+    (u, v) with u < v.  The rows of the vertices with edges are packed
+    through _row_masks from bool blocks of whole rows, each of about
+    _BUILD_CELLS cells (at least one row) of width the largest id plus one,
+    which is at most n; so a block never holds more than the row list."""
     rows = [0] * n  # first, as in Graph.from_edges
     u, v = pairs.T
     out = np.flatnonzero(v >= n) if n < 1 << 63 else ()
@@ -631,15 +636,19 @@ def _graph_of(n: int, pairs: np.ndarray) -> Graph:
         return Graph(n, rows, 0)
     width = int(v.max()) + 1
     used = np.flatnonzero(np.bincount(pairs.ravel(), minlength=width))
-    if len(used) * width > _BUILD_CELLS:
-        return Graph.from_edges(n, pairs.tolist())
     at = np.zeros(width, dtype=np.int64)
     at[used] = np.arange(len(used))
-    block = np.zeros((len(used), width), dtype=bool)
-    block[at[u], v] = True
-    block[at[v], u] = True
-    for x, mask in zip(used.tolist(), _row_masks(block)):
-        rows[x] = mask
+    step = max(1, _BUILD_CELLS // width)
+    for a in range(0, len(used), step):
+        k = min(step, len(used) - a)
+        block = np.zeros((k + 1, width), dtype=bool)  # row k takes the rows of other blocks
+        for x, y in ((u, v), (v, u)):  # y in the row of x
+            r = at[x]
+            r -= a
+            r[(r < 0) | (r >= k)] = k
+            block[r, y] = True
+        for x, mask in zip(used[a : a + k].tolist(), _row_masks(block[:k])):
+            rows[x] = mask
     return Graph(n, rows, len(pairs))
 
 

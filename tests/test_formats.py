@@ -8,6 +8,7 @@ oracle's object or raise the oracle's exact error.
 """
 
 import re
+import time
 from unittest import mock
 
 import numpy as np
@@ -251,9 +252,6 @@ def test_round_trip(tmp_path, fmt, data):
     got = read(path)
     assert key(got) == key(oracle(path))
     assert got == obj
-    if fmt == "edges":
-        with mock.patch.object(graphs, "_BUILD_CELLS", 0):  # through Graph.from_edges
-            assert read(path) == obj
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
@@ -305,6 +303,34 @@ def test_listed_files_read_as_the_oracle_reads_them(tmp_path, fmt, text):
     assert outcome(read, path) == outcome(oracle, path)
 
 
+# Per format, files whose last line fails after a run of 10^5 whitespace
+# characters: the text before the run and the text after it.
+LONG_RUNS = {
+    "edges": [("3 1\n", "x"), ("3 1\n0", "x"), ("3 1\n0 1", "x"), ("3 1\n0 1", "2")],
+    "cover": [("", "x"), ("0", "x"), ("0:", "x"), ("0: 0-1", "x"), ("0:0-1 1-2", "-3"),
+              ("0: " + "0-1 " * 20000, "x")],
+    "schedule": [("", "x"), ("round", "x"), ("round 0 chan 0", "x"),
+                 ("round 0 chan 0", ": 0>1 x"), ("round 0 chan 0:", "x"),
+                 ("round 0 chan 0 : 0>1", "x")],
+}
+
+
+@pytest.mark.parametrize("fmt,prefix,tail", [(f, p, t) for f, cs in LONG_RUNS.items() for p, t in cs],
+                         ids=[f"{f}-{i}" for f, cs in LONG_RUNS.items() for i in range(len(cs))])
+def test_a_long_whitespace_run_fails_in_linear_time(tmp_path, fmt, prefix, tail):
+    # No two whitespace repeats of a line grammar meet, so the grammar check
+    # of a line does not try every split of its whitespace runs; that would
+    # take about 10^10 / 2 steps here, minutes instead of milliseconds.
+    _, _, read, oracle = FORMATS[fmt]
+    path = tmp_path / "file.txt"
+    path.write_text(prefix + (" \t" * 50000) + tail + "\n")
+    start = time.perf_counter()
+    got = outcome(read, path)
+    assert time.perf_counter() - start < 5
+    assert got[0] == "raises"
+    assert got == outcome(oracle, path)
+
+
 @pytest.mark.parametrize("read_chars", [8, 1 << 18])
 def test_chunk_edges_do_not_change_what_is_read(tmp_path, read_chars):
     # Chunks are cut after a newline; a line longer than a chunk makes its own.
@@ -333,8 +359,8 @@ def test_a_line_the_bulk_check_wrongly_fails_is_an_internal_error(tmp_path):
 @pytest.mark.parametrize("edges", [[(0, 99999), (5, 7)],
                                    [(i, 99999 - i) for i in range(400)]])
 def test_sparse_edge_list_with_a_large_header(tmp_path, edges):
-    # the bool block covers the vertices with edges only; past _BUILD_CELLS
-    # cells (the second case) the graph is built by Graph.from_edges
+    # the bool blocks cover the vertices with edges only; past _BUILD_CELLS
+    # cells (the second case) the rows are packed in several blocks
     path = tmp_path / "e.txt"
     path.write_text(f"100000 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
     assert read_edge_list(path) == Graph.from_edges(100000, edges)
