@@ -1,15 +1,15 @@
 """Shared-channel scheduling: N stations must deliver all N^2 directed messages.
 
 K_{N,N} is partitioned into subchannels, each subchannel's edges covered by
-induced matchings; one matching is broadcast per round.  A subchannel is a
-Graph on 2N vertices: transmitter u is vertex u and receiver v is vertex N+v,
-so its cover holds (u, N+v) edges and goes through the one cover verifier.
-build_schedule turns those edges back into (transmitter, receiver) station
-pairs; like a cover, a schedule is held in columns, and simulate and the
-schedule files work on those arrays.  A receiver hears cleanly iff exactly
-one scheduled transmitter targets it this round and no other scheduled
-transmitter is its in-neighbor within the subchannel graph, which is
-exactly what inducedness guarantees.
+induced matchings; one matching is broadcast per round.  A subchannel is its
+bool (N, N) station matrix, entry [u, v] joining transmitter u to receiver
+v, and its cover holds (u, v) station pairs; build_schedule lays the covers
+out as rounds.  Like a cover, a schedule is held in columns, and simulate
+and the schedule files work on those arrays.  A receiver hears cleanly iff
+exactly one scheduled transmitter targets it this round and no other
+scheduled transmitter is its in-neighbor within the subchannel, which is
+exactly what inducedness guarantees; the K_{N,N} gate and simulate decide
+it with the same block kernel, graphs.induced_groups.
 """
 
 import random
@@ -21,11 +21,11 @@ import numpy as np
 from .errors import ParameterError
 from .graphs import (
     SPACE,
-    Graph,
     MatchingCover,
     adjacency_matrix,
     doubled_cover,
     group_arrays,
+    induced_groups,
     line_grammar,
     offsets_of,
     pair_groups,
@@ -33,7 +33,6 @@ from .graphs import (
     parse_pairs,
     read_rows,
     singles_cover,
-    unpack_rows,
     verify_cover_bipartite,
     write_groups,
 )
@@ -44,41 +43,36 @@ if TYPE_CHECKING:
 
 Matching = list[tuple[int, int]]
 
-# Block entries (round x pair x pair) that simulate gathers at once.
-_CHUNK_CELLS = 1 << 16
-
 
 @dataclass
 class ChannelPartition:
-    """Subchannels (graph on 2N vertices, cover) whose edge sets partition
-    K_{N,N} exactly."""
+    """Subchannels (bool (N, N) station matrix, cover) whose pairs
+    partition K_{N,N} exactly."""
 
     n_stations: int
-    subchannels: list[tuple[Graph, MatchingCover]]
+    subchannels: list[tuple[np.ndarray, MatchingCover]]
     overflow_index: int | None = None  # subchannel holding unassigned pairs, if any
     attempts_used: int | None = None
     right_permutations: list[list[int]] | None = None
 
 
 def validate_partition(cp: ChannelPartition) -> None:
-    """Each subchannel cover must be valid and the edge sets must tile K_{N,N}."""
+    """Each subchannel cover must be valid and the pair sets must tile K_{N,N}."""
     n = cp.n_stations
     acc = np.zeros((n, n), dtype=bool)
-    for idx, (g, cover) in enumerate(cp.subchannels):
-        if g.n != 2 * n:
+    for idx, (mat, cover) in enumerate(cp.subchannels):
+        if mat.shape != (n, n):
             raise ParameterError(f"subchannel {idx} is not on {n}x{n} stations")
-        rep = verify_cover_bipartite(g, cover)
+        rep = verify_cover_bipartite(mat, cover)
         if not rep.valid:
             raise ParameterError(
                 f"subchannel {idx} cover invalid ({len(rep.violations)} violations)"
             )
-        # left station u's right stations, u < n: the gate put none below n
-        block = unpack_rows([g.neighbors_mask(u) >> n for u in range(n)], n)
-        clash = (acc & block).any(axis=1)
+        clash = (acc & mat).any(axis=1)
         if clash.any():
             left = clash.argmax()
             raise ParameterError(f"subchannel {idx} overlaps an earlier one at left {left}")
-        acc |= block
+        acc |= mat
     gap = ~acc.all(axis=1)
     if gap.any():
         raise ParameterError(f"left station {gap.argmax()} is missing pairs; not a partition")
@@ -91,7 +85,7 @@ def partition_two(p: "CodeGraphParams") -> ChannelPartition:
 
     split = codegraph.two_channel_split(p)
     cp = ChannelPartition(
-        n_stations=split.covered.n // 2,
+        n_stations=len(split.covered),
         subchannels=[(split.covered, split.cover), (split.remainder, split.singles)],
         overflow_index=1,
     )
@@ -146,14 +140,14 @@ def partition_shifts(
     ov_size, attempt, perms, shifts, taken = best
     base = doubled_cover(cover, n)
     subchannels = [
-        (Graph.from_bipartite_matrix(shift), _shifted_cover(base, shift, np.array(perm)))
+        (shift, _shifted_cover(base, shift, np.array(perm)))
         for shift, perm in zip(shifts, perms)
     ]
     overflow_index = None
     if ov_size:
         rest = ~taken
         overflow_index = len(subchannels)
-        subchannels.append((Graph.from_bipartite_matrix(rest), singles_cover(rest)))
+        subchannels.append((rest, singles_cover(rest)))
     cp = ChannelPartition(
         n_stations=n,
         subchannels=subchannels,
@@ -166,18 +160,17 @@ def partition_shifts(
 
 
 def _shifted_cover(base: MatchingCover, shift: np.ndarray, perm: np.ndarray) -> MatchingCover:
-    """The doubled cover with right station w - N sent to perm[w - N],
-    restricted to the pairs of shift: each matching's pairs sorted, and
-    the matchings left empty dropped."""
-    n = len(perm)
+    """The doubled cover with right station w sent to perm[w], restricted
+    to the pairs of shift: each matching's pairs sorted, and the matchings
+    left empty dropped."""
     sizes = np.diff(base.offsets)
     u = base.pairs[:, 0]
-    right = perm[base.pairs[:, 1] - n]
+    right = perm[base.pairs[:, 1]]
     keep = shift[u, right]
     mid = np.repeat(np.arange(len(sizes)), sizes)[keep]
     u, right = u[keep], right[keep]
     order = np.lexsort((right, u, mid))
-    pairs = np.stack((u[order], n + right[order]), axis=1)
+    pairs = np.stack((u[order], right[order]), axis=1)
     counts = np.bincount(mid, minlength=len(sizes))
     return MatchingCover.from_arrays(pairs, offsets_of(counts[counts > 0]))
 
@@ -226,7 +219,6 @@ def build_schedule(cp: ChannelPartition) -> Schedule:
     chans = np.repeat(np.arange(len(covers)), [c.t for c in covers])
     sizes = np.concatenate([np.diff(c.offsets) for c in covers])
     pairs = np.concatenate([c.pairs for c in covers])
-    pairs[:, 1] -= cp.n_stations
     return Schedule.from_arrays(cp.n_stations, len(covers), chans, offsets_of(sizes), pairs)
 
 
@@ -260,14 +252,14 @@ def simulate(s: Schedule, n_stations: int | None = None) -> SimReport:
     key = pairs[:, 0] * n
     key += pairs[:, 1]
     ids, chan = np.unique(s.chans, return_inverse=True)
-    edges = np.zeros((len(ids), n * n), dtype=bool)  # per channel, at u * n + v
-    edges[np.repeat(chan, sizes), key] = True
-    clean = _clean_rounds(offsets, pairs, chan, edges, n)
+    edges = np.zeros((len(ids), n, n), dtype=bool)  # per channel, transmitters by receivers
+    edges[np.repeat(chan, sizes), pairs[:, 0], pairs[:, 1]] = True
+    clean = induced_groups(offsets, pairs[:, 0], pairs[:, 1], edges, chan)
     garbled: list[tuple] = []
     replayed: list[tuple[int, int]] = []  # (round, u * n + v) heard in a replay
     for r in np.flatnonzero(~clean).tolist():
         m = pairs[s.offsets[r] : s.offsets[r + 1]].tolist()
-        events, heard = _replay_round(m, edges[chan[r]].reshape(n, n))
+        events, heard = _replay_round(m, edges[chan[r]])
         garbled.extend((r, int(s.chans[r]), v, us) for v, us in events)
         replayed.extend((r, u * n + v) for u, v in heard)
     extra = np.array(replayed, dtype=np.int64).reshape(-1, 2)
@@ -287,25 +279,6 @@ def simulate(s: Schedule, n_stations: int | None = None) -> SimReport:
         per_subchannel_rounds=s.per_subchannel_rounds(),
         double_deliveries=doubles,
     )
-
-
-def _clean_rounds(offsets, pairs, chan, edges, n: int) -> np.ndarray:
-    """Per round, whether it surely delivers every pair: its s x s block of
-    the channel's edges, transmitters by receivers, holds just its own s
-    pairs.  (Two pairs with one receiver put an edge off the diagonal.)  One
-    gather per round size; empty and one-pair rounds are clean."""
-    sizes = np.diff(offsets)
-    clean = sizes <= 1
-    for size in np.unique(sizes[sizes > 1]).tolist():
-        rounds = np.flatnonzero(sizes == size)
-        step = max(1, _CHUNK_CELLS // (size * size))
-        for a in range(0, len(rounds), step):
-            r = rounds[a : a + step]
-            ends = pairs[offsets[r, None] + np.arange(size)]
-            us, vs = ends[:, :, 0], ends[:, :, 1]
-            block = edges[chan[r, None, None], us[:, :, None] * n + vs[:, None, :]]
-            clean[r] = block.sum(axis=(1, 2)) == size
-    return clean
 
 
 def _double_deliveries(rnd, key, n: int) -> list[tuple]:

@@ -90,12 +90,18 @@ def _max_gv_dimension(n: int, d: int) -> int:
     return k
 
 
-def _check_stations(n: int, max_vertices) -> None:
-    """The caps for N stations: N vertices, and N^2 station pairs."""
+def _check_stations(n: int, max_vertices, channels: int = 1) -> None:
+    """The caps for N stations: N vertices, and N^2 station pairs in each
+    of `channels` subchannels."""
     check_caps(n, max_vertices)
     if n * n > DEFAULT_MAX_PAIR_CHECKS:
         raise ResourceLimitError(
             f"{n * n} station pairs exceed the cap of {DEFAULT_MAX_PAIR_CHECKS} pair checks"
+        )
+    if channels * n * n > DEFAULT_MAX_PAIR_CHECKS:
+        raise ResourceLimitError(
+            f"{channels} subchannels x {n * n} station pairs exceed the cap of "
+            f"{DEFAULT_MAX_PAIR_CHECKS} pair checks"
         )
 
 
@@ -248,8 +254,7 @@ def _cmd_codes_verify(args) -> int:
 def _cmd_limits_triangle(args) -> int:
     from . import graphs, limits
 
-    g = graphs.read_edge_list(args.edges)
-    check_caps(g.n, args.max_vertices)
+    g = graphs.read_edge_list(args.edges, lambda n: check_caps(n, args.max_vertices))
     cover = graphs.read_cover(args.cover)
     tg = limits.triangle_graph(g, cover)
     total, per_edge = limits.triangle_census(tg.graph)
@@ -273,8 +278,7 @@ def _cmd_limits_triangle(args) -> int:
 def _cmd_limits_mindeg(args) -> int:
     from . import graphs, limits
 
-    g = graphs.read_edge_list(args.edges)
-    check_caps(g.n, args.max_vertices)
+    g = graphs.read_edge_list(args.edges, lambda n: check_caps(n, args.max_vertices))
     rep = limits.check_min_degree_bound(g, args.r)
     report = _base_report(args, "limits mindeg", edges=args.edges, r=args.r)
     report.update(
@@ -296,8 +300,8 @@ def _cmd_channel_two(args) -> int:
     p = codegraph.CodeGraphParams(args.c, args.n, args.d, chain)
     cp = channels.partition_two(p)
     (covered, cover), (remainder, singles) = cp.subchannels
-    counts = {"covered_pairs": covered.edge_count, "t": cover.t,
-              "remainder_pairs": remainder.edge_count}
+    counts = {"covered_pairs": int(np.count_nonzero(covered)), "t": cover.t,
+              "remainder_pairs": int(np.count_nonzero(remainder))}
     _check_counts(p, counts)
     schedule = channels.build_schedule(cp)
     del cp, cover, singles  # the schedule holds a copy of every pair
@@ -341,7 +345,7 @@ def _cmd_channel_shifts(args) -> int:
         raise InternalCheckError("shift schedule failed to deliver cleanly")
     overflow = 0
     if cp.overflow_index is not None:
-        overflow = cp.subchannels[cp.overflow_index][0].edge_count
+        overflow = int(np.count_nonzero(cp.subchannels[cp.overflow_index][0]))
     report = _base_report(args, "channel shifts", c=args.c, n=args.n,
                           channels=args.channels, attempts=args.attempts)
     report.update(
@@ -364,7 +368,11 @@ def _cmd_channel_simulate(args) -> int:
     from . import channels
 
     schedule = channels.read_schedule(args.schedule, n_stations=args.stations)
-    _check_stations(schedule.n_stations, args.max_vertices)
+    # simulate holds an N x N matrix per distinct subchannel; the largest id bounds their count
+    chans = schedule.num_subchannels
+    if chans * schedule.n_stations**2 > DEFAULT_MAX_PAIR_CHECKS:
+        chans = len(np.unique(schedule.chans))
+    _check_stations(schedule.n_stations, args.max_vertices, chans)
     sim = channels.simulate(schedule)
     report = _base_report(args, "channel simulate", schedule=args.schedule)
     report.update(
@@ -397,8 +405,7 @@ def _make_function(descriptor: str, m: int, seed: int) -> lintest.BooleanFunctio
 def _cmd_lintest(args) -> int:
     from . import graphs, lintest
 
-    g = graphs.read_edge_list(args.edges)
-    check_caps(g.n, args.max_vertices)
+    g = graphs.read_edge_list(args.edges, lambda n: check_caps(n, args.max_vertices))
     if args.trials * g.n > DEFAULT_MAX_PAIR_CHECKS:
         raise ResourceLimitError(
             f"{args.trials} trials x {g.n} vertices exceed the cap of "

@@ -195,13 +195,13 @@ def cover_counts(C: int, n: int, d: int, k: int) -> CoverCounts:
 
 @dataclass
 class TwoChannelSplit:
-    """K_{N,N} on 2N vertices (right station v is vertex N+v), split into the
-    bipartite double of the code graph with its doubled cover, and the rest
-    with its edges as one-edge matchings."""
+    """K_{N,N} split into the bipartite double of the code graph with its
+    doubled cover, and the rest with its pairs as one-pair matchings; each
+    part is a bool (N, N) station matrix."""
 
-    covered: Graph
+    covered: np.ndarray
     cover: MatchingCover
-    remainder: Graph
+    remainder: np.ndarray
     singles: MatchingCover
 
 
@@ -210,20 +210,16 @@ def two_channel_split(
 ) -> TwoChannelSplit:
     """Split K_{N,N} into the doubled code graph plus everything else.
 
-    (u, N+v) belongs to the covered part iff uv is a code-graph edge; the
-    diagonal and all high-agreement pairs form the remainder, whose pairs
-    are its one-edge matchings in ascending order.  The doubled cover is
-    checked where it is used, by the K_{N,N} gate.
+    Station pair (u, v) belongs to the covered part iff uv is a code-graph
+    edge: the covered part is the adjacency matrix.  The diagonal and all
+    high-agreement pairs form the remainder, whose pairs are its one-pair
+    matchings in ascending order.  The doubled cover is checked where it is
+    used, by the K_{N,N} gate.
     """
     if g is None:
         g = build_code_graph(p)
     if cover is None:
         cover = enumerate_cover(p, g)
-    n = g.n
     adj = adjacency_matrix(g)
     rest = ~adj
-    covered = Graph.from_bipartite_matrix(adj)
-    remainder = Graph.from_bipartite_matrix(rest)
-    if covered.edge_count + remainder.edge_count != n * n:
-        raise InternalCheckError("split does not partition K_{N,N}")
-    return TwoChannelSplit(covered, doubled_cover(cover, n), remainder, singles_cover(rest))
+    return TwoChannelSplit(adj, doubled_cover(cover, g.n), rest, singles_cover(rest))

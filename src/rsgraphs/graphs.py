@@ -7,15 +7,14 @@ matchings that partitions E(G).
 
 A cover is held in columns: one (M, 2) int64 array of edges, matching after
 matching, and the t + 1 offsets that cut it into matchings.  verify_cover
-decides validity on these arrays, with one gather of endpoint blocks per
-matching size, and searches pair by pair for witnesses only when that check
-fails.
+decides validity on these arrays, and searches pair by pair for witnesses
+only when that check fails.
 
 A subgraph of K_{N,N} (a shared-channel subchannel, or the bipartite double
-of a graph) is a Graph on 2N vertices: left station u is vertex u and right
-station v is vertex N+v, so its covers hold (u, N+v) edges and go through
-the same verifier; verify_cover_bipartite adds the check that every edge
-joins the two sides.
+of a graph) is its bool (N, N) station matrix, entry [u, v] joining left
+station u to right station v, and its covers hold (u, v) station pairs.
+induced_groups is the one induced-block kernel: verify_cover_bipartite
+decides on it, and so does verify_cover, through the bipartite double.
 """
 
 import io
@@ -31,8 +30,8 @@ from .errors import InternalCheckError, ParameterError
 Edge = tuple[int, int]
 Matching = list[Edge]
 
-# Endpoint-block entries that verify_cover gathers at once.
-_CHUNK_CELLS = 1 << 18
+# Block cells (group x pair x pair) that induced_groups gathers at once.
+_BLOCK_CELLS = 1 << 16
 # Pairs that write_groups formats at once.
 _WRITE_PAIRS = 1 << 16
 
@@ -51,7 +50,7 @@ class Graph:
     __slots__ = ("n", "_rows", "_m")
 
     def __init__(self, n: int, rows: list[int], edge_count: int | None = None):
-        # Internal constructor; rows are trusted.  Use from_edges / from_bipartite_matrix.
+        # Internal constructor; rows are trusted.  Use from_edges.
         self.n = n
         self._rows = rows
         if edge_count is None:
@@ -71,14 +70,6 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows)
-
-    @classmethod
-    def from_bipartite_matrix(cls, mat: np.ndarray) -> "Graph":
-        """Subgraph of K_{N,N} on 2N vertices from a bool (N, N) matrix:
-        mat[u, v] joins left station u to right station v, vertex N+v."""
-        n = len(mat)
-        rows = [r << n for r in _row_masks(mat)]
-        return cls(2 * n, rows + _row_masks(mat.T), int(np.count_nonzero(mat)))
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n and bool((self._rows[u] >> v) & 1)
@@ -247,61 +238,70 @@ def verify_cover(g: Graph, c: MatchingCover) -> CoverReport:
     _is_valid); only a cover that fails there is searched pair by pair for
     its witnesses.
     """
-    sizes = c.sizes()
-    violations = [] if _is_valid(g, c) else _violations(g, c)
-    return CoverReport(
-        valid=not violations,
-        violations=violations,
-        r_min=min(sizes, default=0),
-        r_max=max(sizes, default=0),
-        t=c.t,
-    )
+    return _report(c, [] if _is_valid(g, c) else _violations(g, c))
+
+
+def _report(c: MatchingCover, violations: list[tuple]) -> CoverReport:
+    sizes = np.diff(c.offsets)
+    r_min, r_max = (int(sizes.min()), int(sizes.max())) if len(sizes) else (0, 0)
+    return CoverReport(not violations, violations, r_min, r_max, c.t)
 
 
 def _is_valid(g: Graph, c: MatchingCover) -> bool:
-    """Whether c is an induced-matching cover of g: as many pairs as edges,
-    every pair an edge, no edge twice, every matching induced."""
-    n, pairs = g.n, c.pairs
-    if len(pairs) != g.edge_count:
+    """Whether c is an induced-matching cover of g: its pairs, low end
+    first, are the entries of g's adjacency matrix above the diagonal, each
+    once, and every matching is induced.  A matching is induced in g iff
+    its double, each edge uv read as the station pairs (u, v) and (v, u),
+    is induced in the adjacency matrix read as a station matrix."""
+    adj = adjacency_matrix(g)
+    pairs = c.pairs
+    return _covers_once(adj, pairs.min(axis=1), pairs.max(axis=1), g.edge_count) and (
+        induced_groups(2 * c.offsets, pairs.ravel(), pairs[:, ::-1].ravel(), adj[None]).all()
+    )
+
+
+def _covers_once(mat: np.ndarray, a: np.ndarray, b: np.ndarray, m: int) -> bool:
+    """Whether the pairs (a[i], b[i]) are m distinct set entries of the
+    square bool matrix mat: m pairs, each in range and set, none twice.
+    The diagonal of an adjacency matrix is empty, so self-pairs fail."""
+    n = len(mat)
+    if len(a) != m:
         return False
-    if not len(pairs):
+    if not m:
         return True
-    key = pairs.min(axis=1)
-    hi = pairs.max(axis=1)
-    if key.min() < 0 or hi.max() >= n:
+    if min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n:
         return False
-    key *= n
-    key += hi
-    del hi
-    adj = adjacency_matrix(g).ravel()
-    if not adj[key].all():  # the diagonal is empty, so self-pairs fail too
+    key = a * n
+    key += b
+    if not mat.ravel()[key].all():
         return False
     seen = np.zeros(n * n, dtype=bool)
     seen[key] = True
-    return np.count_nonzero(seen) == len(key) and _all_induced(adj, n, c)
+    return np.count_nonzero(seen) == m
 
 
-def _all_induced(adj: np.ndarray, n: int, c: MatchingCover) -> bool:
-    """Whether every matching of c, whose pairs are edges of the graph with
-    flat adjacency matrix adj, is induced.
-
-    A matching of r edges is induced iff its 2r endpoints are distinct and
-    the graph has exactly r edges among them.  Counted over the 2r endpoint
-    positions, r edges also imply distinct endpoints: a vertex x in two
-    pairs (x, y) and (x, z) adds the edge xz between those two pairs.  One
-    gather of the endpoint blocks per matching size, in chunks of whole
-    matchings; one-edge matchings need none.
-    """
-    sizes = np.diff(c.offsets)
-    for r in np.unique(sizes[sizes > 1]).tolist():
-        first = c.offsets[:-1][sizes == r]
-        a, b = np.triu_indices(2 * r, 1)
-        step = max(1, _CHUNK_CELLS // len(a))
-        for s in range(0, len(first), step):
-            ends = c.pairs[first[s : s + step, None] + np.arange(r)].reshape(-1, 2 * r)
-            if (adj[ends[:, a] * n + ends[:, b]].sum(axis=1) != r).any():
-                return False
-    return True
+def induced_groups(offsets, us, vs, mats: np.ndarray, chan=None) -> np.ndarray:
+    """Per group i of station pairs (us[j], vs[j]), j from offsets[i] to
+    offsets[i + 1] - 1, whether it is induced in the bool (N, N) station
+    matrix mats[chan[i]] (mats[0] when chan is None), given that its pairs
+    are set entries there: its s x s block, rows us by columns vs, holds
+    just its own s entries.  (Two pairs with a station in common put an
+    entry off the diagonal.)  One gather per group size, in chunks of about
+    _BLOCK_CELLS cells; empty and one-pair groups are induced."""
+    n = mats.shape[-1]
+    flat = mats.reshape(len(mats), n * n)
+    sizes = np.diff(offsets)
+    induced = sizes <= 1
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        groups = np.flatnonzero(sizes == size)
+        step = max(1, _BLOCK_CELLS // (size * size))
+        for a in range(0, len(groups), step):
+            r = groups[a : a + step]
+            at = offsets[r, None] + np.arange(size)
+            cells = us[at][:, :, None] * n + vs[at][:, None, :]
+            block = flat[0 if chan is None else chan[r, None, None], cells]
+            induced[r] = block.sum(axis=(1, 2)) == size
+    return induced
 
 
 def _violations(g: Graph, c: MatchingCover) -> list[tuple]:
@@ -336,20 +336,21 @@ def _violations(g: Graph, c: MatchingCover) -> list[tuple]:
     return violations
 
 
-def verify_cover_bipartite(g: Graph, c: MatchingCover) -> CoverReport:
-    """The K_{N,N} gate: verify_cover for a graph on 2N vertices whose every
-    edge joins a left station u < N to a right station N+v.
+def verify_cover_bipartite(mat: np.ndarray, c: MatchingCover) -> CoverReport:
+    """The K_{N,N} gate: verify_cover for the subgraph of K_{N,N} with the
+    bool (N, N) station matrix mat and a cover c of its (u, v) station pairs.
 
-    A graph with an edge inside one side is malformed and raises ParameterError.
+    Validity is decided on mat: the pairs are its set entries, each once,
+    and every matching is induced (see induced_groups).  Only a cover that
+    fails goes, for its witnesses, to verify_cover on the same graph on 2N
+    vertices, right station v being vertex N+v.
     """
-    half = g.n // 2
-    low = (1 << half) - 1
-    if g.n % 2 or any(
-        g.neighbors_mask(u) & low if u < half else g.neighbors_mask(u) >> half
-        for u in range(g.n)
-    ):
-        raise ParameterError(f"graph on {g.n} vertices is not a subgraph of K_{{N,N}}")
-    return verify_cover(g, c)
+    n, m = len(mat), int(np.count_nonzero(mat))
+    us, vs = c.pairs[:, 0], c.pairs[:, 1]
+    if _covers_once(mat, us, vs, m) and induced_groups(c.offsets, us, vs, mat[None]).all():
+        return _report(c, [])
+    g = Graph(2 * n, [r << n for r in _row_masks(mat)] + _row_masks(mat.T), m)
+    return verify_cover(g, MatchingCover.from_arrays(c.pairs + (0, n), c.offsets))
 
 
 def complement_degree(g: Graph, v: int) -> int:
@@ -360,27 +361,23 @@ def complement_degree(g: Graph, v: int) -> int:
 
 
 def singles_cover(mat: np.ndarray) -> MatchingCover:
-    """The cover of Graph.from_bipartite_matrix(mat) by one-pair matchings:
-    (u, N+v) for each set mat[u, v], in ascending order."""
-    n = len(mat)
+    """The cover of the station matrix mat by one-pair matchings: (u, v)
+    for each set mat[u, v], in ascending order."""
     at = np.flatnonzero(mat)
     pairs = np.empty((len(at), 2), dtype=np.int64)
-    np.divmod(at, n, out=(pairs[:, 0], pairs[:, 1]))
-    pairs[:, 1] += n
+    np.divmod(at, len(mat), out=(pairs[:, 0], pairs[:, 1]))
     return MatchingCover.from_arrays(pairs, np.arange(len(at) + 1))
 
 
 def doubled_cover(c: MatchingCover, n: int) -> MatchingCover:
     """Image of a cover of a graph on n vertices in its bipartite double:
-    the edge uv of a matching becomes the pairs (u, n+v) and (v, n+u), and
-    each matching's pairs are sorted."""
-    u, v = c.pairs[:, 0], c.pairs[:, 1]
-    pairs = np.empty((2 * len(u), 2), dtype=np.int64)
-    pairs[0::2, 0], pairs[0::2, 1] = u, n + v
-    pairs[1::2, 0], pairs[1::2, 1] = v, n + u
+    the edge uv of a matching becomes the station pairs (u, v) and (v, u),
+    and each matching's pairs are sorted."""
+    pairs = np.empty((2 * len(c.pairs), 2), dtype=np.int64)
+    pairs[0::2], pairs[1::2] = c.pairs, c.pairs[:, ::-1]
     offsets = 2 * c.offsets
     sizes = np.diff(offsets)
-    key = pairs[:, 0] * (2 * n) + pairs[:, 1]
+    key = pairs[:, 0] * n + pairs[:, 1]
     order = np.arange(len(pairs))
     for size in np.unique(sizes[sizes > 1]).tolist():
         pos = offsets[:-1][sizes == size, None] + np.arange(size)
@@ -590,7 +587,10 @@ def write_edge_list(g: Graph, path: str) -> None:
 _EDGE_LINE = line_grammar(f"[0-9]+{SPACE}+[0-9]+")
 
 
-def read_edge_list(path: str) -> Graph:
+def read_edge_list(path: str, caps=None) -> Graph:
+    """The graph of the edge list at `path`.  caps(N), if given, runs on
+    the header's N once the lines, the edge count and the vertex range are
+    checked, before anything is allocated for N, and may refuse it."""
     rows = read_rows(path, _EDGE_LINE, 0, skip=1)
     header = rows.text.partition("\n")[0].split()
     if len(header) != 2:
@@ -603,6 +603,11 @@ def read_edge_list(path: str) -> Graph:
     rows.raise_first(fail, partial(_edge_line, pairs=rows.pairs))
     if len(u) != m:
         raise ParameterError(f"{path}: header claims {m} edges, found {len(u)}")
+    out = np.flatnonzero(v >= n) if n < 1 << 63 else ()
+    if len(out):
+        raise ParameterError(f"edge ({u[out[0]]},{v[out[0]]}) outside vertex range 0..{n - 1}")
+    if caps:
+        caps(n)
     return _graph_of(n, rows.pairs)
 
 
@@ -623,15 +628,12 @@ def _edge_line(path, lineno: int, line: str, index: int, pairs: np.ndarray) -> N
 
 def _graph_of(n: int, pairs: np.ndarray) -> Graph:
     """Graph.from_edges(n, pairs) for an (M, 2) array of distinct edges
-    (u, v) with u < v.  The rows of the vertices with edges are packed
+    (u, v) with u < v < n.  The rows of the vertices with edges are packed
     through _row_masks from bool blocks of whole rows, each of about
     _BUILD_CELLS cells (at least one row) of width the largest id plus one,
     which is at most n; so a block never holds more than the row list."""
-    rows = [0] * n  # first, as in Graph.from_edges
+    rows = [0] * n
     u, v = pairs.T
-    out = np.flatnonzero(v >= n) if n < 1 << 63 else ()
-    if len(out):
-        raise ParameterError(f"edge ({u[out[0]]},{v[out[0]]}) outside vertex range 0..{n - 1}")
     if not len(pairs):
         return Graph(n, rows, 0)
     width = int(v.max()) + 1

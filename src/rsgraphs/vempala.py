@@ -11,10 +11,10 @@ parts for all non-H pairs keeps the sum near t + |non-H pairs|, far below the
 threshold for good parameters: every induced-matching part contributes
 exactly 1 to the H-restricted sum.
 
-H is a Graph on 2N vertices: left station i is vertex i and right station j
-is vertex N+j.  counterexample_partition turns the (i, N+j) pairs of the
-split's doubled cover and singleton remainder into the (i, j) station pairs
-of the EdgePartition, array to array.
+H is the bool (N, N) station matrix of the bipartite double, entry [i, j]
+set iff ij is a code-graph edge.  counterexample_partition takes the (i, j)
+station pairs of the split's doubled cover and singleton remainder as the
+EdgePartition's pairs, array to array.
 """
 
 import math
@@ -26,8 +26,6 @@ import numpy as np
 from .codegraph import CodeGraphParams, two_channel_split
 from .errors import InternalCheckError, ParameterError
 from .graphs import (
-    Graph,
-    adjacency_matrix,
     group_arrays,
     offsets_of,
     pair_groups,
@@ -139,11 +137,11 @@ def conjecture_threshold(N: int, k: int) -> float:
 
 @dataclass
 class CounterexampleParts:
-    """Duplication graph H on 2N vertices, its matching-derived parts, and
-    singleton fill."""
+    """Duplication graph H as its bool (N, N) station matrix, its
+    matching-derived parts, and singleton fill."""
 
     partition: EdgePartition
-    h: Graph
+    h: np.ndarray
     matching_parts: int
     missing_pairs: int
 
@@ -154,10 +152,9 @@ def counterexample_partition(p: CodeGraphParams) -> CounterexampleParts:
     h = split.covered
     if not verify_cover_bipartite(h, split.cover).valid:
         raise InternalCheckError("matching part lost inducedness in H")
-    n = h.n // 2
+    n = len(h)
     covers = (split.cover, split.singles)
     pairs = np.concatenate([c.pairs for c in covers])
-    pairs[:, 1] -= n
     sizes = np.concatenate([np.diff(c.offsets) for c in covers])
     return CounterexampleParts(
         partition=EdgePartition.from_arrays(n, n, sizes, pairs),
@@ -167,20 +164,19 @@ def counterexample_partition(p: CodeGraphParams) -> CounterexampleParts:
     )
 
 
-def per_part_identity(ep: EdgePartition, h: Graph, parts: int | None = None) -> list[Fraction]:
+def per_part_identity(ep: EdgePartition, h: np.ndarray, parts: int | None = None) -> list[Fraction]:
     """H-restricted contribution sum_{(i,j) in H} deg_p(i) deg_p(j) / |p| of
     each of the first `parts` parts (all by default).
 
-    H is on left_n + right_n vertices, right station j being vertex left_n + j.
+    H is a bool (left_n, right_n) matrix, entry [i, j] set iff (i, j) is in H.
     For a part that is an induced matching of H this is exactly 1.  A part's
     sum is at most |p|^2, so int64 holds it; one Fraction is made per
     distinct (sum, |p|) pair.
     """
     sizes = ep._sizes[:parts]
-    adj = adjacency_matrix(h)
     sums = np.zeros(len(sizes), dtype=np.int64)
     for p, i, j, di, dj in _block_terms(ep, len(sizes)):
-        hit = adj[i, ep.left_n + j]
+        hit = h[i, j]
         np.add.at(sums, p[hit], di[hit] * dj[hit])
     ratios = list(zip(sums.tolist(), sizes.tolist()))
     fractions = {r: Fraction(*r) for r in set(ratios)}  # few distinct values

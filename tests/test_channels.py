@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rsgraphs import channels, graphs
+from rsgraphs import graphs
 from rsgraphs.channels import (
     ChannelPartition,
     Schedule,
@@ -30,13 +30,18 @@ from rsgraphs.errors import ParameterError, SearchFailureError, VerificationErro
 from rsgraphs.geometric import GeomParams, build_geometric_graph, decompose_geometric
 from rsgraphs.graphs import MatchingCover, bits_of, write_cover
 from test_codegraph_oracle import oracle_enumerate_cover
-from test_cover_oracle import bipartite_graph, doubled_matchings
+from test_cover_oracle import doubled_matchings, station_matrix
 
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
 
 
 def round_counts(cp):
     return [cover.t for _, cover in cp.subchannels]
+
+
+def singles(mat):
+    """The one-pair matchings of the station pairs of mat, ascending."""
+    return MatchingCover([[(u, v)] for u, v in np.argwhere(mat).tolist()])
 
 
 def small_params():
@@ -111,9 +116,9 @@ def schedules(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(schedules(), st.integers(1, 64))
-def test_simulate_matches_oracle_on_random_schedules(case, chunk_cells):
+def test_simulate_matches_oracle_on_random_schedules(case, block_cells):
     s, n_stations = case
-    with mock.patch.object(channels, "_CHUNK_CELLS", chunk_cells):
+    with mock.patch.object(graphs, "_BLOCK_CELLS", block_cells):
         try:
             want = oracle_simulate(s, n_stations)
         except ParameterError as exc:
@@ -155,10 +160,10 @@ def test_partition_two_small():
     assert len(cp.subchannels) == 2
     assert cp.overflow_index == 1
     covered, cover = cp.subchannels[0]
-    assert covered.edge_count == 4  # both zero-agreement edges, doubled
-    remainder, singles = cp.subchannels[1]
-    assert remainder.edge_count == 12
-    assert remainder.n == 8 and remainder.has_edge(0, 4)  # station pair (0, 0)
+    assert np.count_nonzero(covered) == 4  # both zero-agreement edges, doubled
+    remainder, _ = cp.subchannels[1]
+    assert np.count_nonzero(remainder) == 12
+    assert remainder.shape == (4, 4) and remainder[0, 0]  # station pair (0, 0)
     assert round_counts(cp) == [2, 12]
 
 
@@ -166,24 +171,22 @@ def test_partition_two_desk_counts():
     p = CodeGraphParams(3, 4, 2, build_chain(PINNED, 2))
     cp = partition_two(p)
     assert cp.n_stations == 81
-    assert cp.subchannels[0][0].edge_count == 3888
-    assert cp.subchannels[1][0].edge_count == 2673
+    assert np.count_nonzero(cp.subchannels[0][0]) == 3888
+    assert np.count_nonzero(cp.subchannels[1][0]) == 2673
     assert round_counts(cp) == [972, 2673]
 
 
 def test_validate_partition_rejects_overlap_and_gap():
-    full = bipartite_graph([0b11, 0b11])
-    singles = MatchingCover([[e] for e in full.edges()])
-    ok = ChannelPartition(2, [(full, singles)])
+    full = station_matrix([0b11, 0b11])
+    ok = ChannelPartition(2, [(full, singles(full))])
     validate_partition(ok)
 
-    half = bipartite_graph([0b01, 0b10])
-    half_cover = MatchingCover([[e] for e in half.edges()])
+    half = station_matrix([0b01, 0b10])
     with pytest.raises(ParameterError):
-        validate_partition(ChannelPartition(2, [(half, half_cover)]))  # gap
+        validate_partition(ChannelPartition(2, [(half, singles(half))]))  # gap
     with pytest.raises(ParameterError):
         validate_partition(
-            ChannelPartition(2, [(full, singles), (half, half_cover)])
+            ChannelPartition(2, [(full, singles(full)), (half, singles(half))])
         )  # overlap
 
 
@@ -303,7 +306,7 @@ def oracle_partition_shifts(p, num_channels, seed, max_attempts=1):
     of tuples from the doubled cover."""
     g = build_geometric_graph(p)
     n = g.n
-    base = doubled_matchings(decompose_geometric(p, g), n)
+    base = doubled_matchings(decompose_geometric(p, g))
     full = (1 << n) - 1
     rng = random.Random(seed)
     best = None  # (overflow_size, attempt_index, perms, assigned, overflow)
@@ -335,15 +338,14 @@ def oracle_partition_shifts(p, num_channels, seed, max_attempts=1):
     for rows, perm in zip(assigned, perms):
         matchings = []
         for m in base:
-            rest = [(u, n + perm[w - n]) for u, w in m if (rows[u] >> perm[w - n]) & 1]
+            rest = [(u, perm[w]) for u, w in m if (rows[u] >> perm[w]) & 1]
             if rest:
                 matchings.append(sorted(rest))
-        subchannels.append((bipartite_graph(rows), MatchingCover(matchings)))
+        subchannels.append((station_matrix(rows), MatchingCover(matchings)))
     overflow_index = None
     if ov_size:
-        g_ov = bipartite_graph(overflow)
         overflow_index = len(subchannels)
-        subchannels.append((g_ov, MatchingCover([[e] for e in g_ov.edges()])))
+        subchannels.append((station_matrix(overflow), singles(station_matrix(overflow))))
     return ChannelPartition(n, subchannels, overflow_index, attempt + 1, perms)
 
 
@@ -361,7 +363,11 @@ def test_partition_shifts_matches_oracle(cn, num_channels, seed, attempts):
     except VerificationError:
         assume(False)
     got = partition_shifts(p, num_channels, seed, max_attempts=attempts)
-    assert got == want
+    fields = ("n_stations", "overflow_index", "attempts_used", "right_permutations")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert len(got.subchannels) == len(want.subchannels)
+    for (mat, cover), (want_mat, want_cover) in zip(got.subchannels, want.subchannels):
+        assert np.array_equal(mat, want_mat) and cover == want_cover
     a, b = build_schedule(got), build_schedule(want)
     assert (a.n_stations, a.num_subchannels) == (b.n_stations, b.num_subchannels)
     for name in ("chans", "offsets", "pairs"):
@@ -404,7 +410,7 @@ def oracle_schedule_text(g, cover) -> str:
     off the complement of g's bitmask rows."""
     n = g.n
     full = (1 << n) - 1
-    rounds = [(0, [(u, w - n) for u, w in m]) for m in doubled_matchings(cover, n)]
+    rounds = [(0, m) for m in doubled_matchings(cover)]
     rounds += [(1, [(u, v)]) for u in range(n) for v in bits_of(full & ~g.neighbors_mask(u))]
     return "".join(
         f"round {idx} chan {i}:" + "".join(f" {u}>{v}" for u, v in m) + "\n"

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import rsgraphs
-from rsgraphs import codegraph, vempala
+from rsgraphs import channels, codegraph, graphs, vempala
 from rsgraphs.cli import run
 from rsgraphs.graphs import MatchingCover, read_cover, read_edge_list, verify_cover
-from test_cover_oracle import is_induced_matching
+from test_cover_oracle import is_induced_matching, two_sided
 
 PINNED_TEXT = "4 2\n11\n11\n10\n10\n"
 
@@ -120,6 +120,52 @@ def test_resource_cap_exit_code(tmp_path, capsys, command):
     assert run(argv) == exit_code
     err = capsys.readouterr().err
     assert ("resource refusal" if exit_code == 3 else "parameter error") in err
+
+
+@pytest.mark.parametrize("command", ["limits triangle --edges {edges} --cover {cover}",
+                                     "limits mindeg --edges {edges} --r 2",
+                                     "lintest --edges {edges} --cover {cover} --m 2 --f and --trials 1"])
+def test_edge_list_header_is_capped_before_the_graph_is_built(tmp_path, capsys, monkeypatch, command):
+    # a header N of 2^63 - 1 with one edge: the row list for N is never built
+    edges, cover = tmp_path / "edges.txt", tmp_path / "cover.txt"
+    edges.write_text(f"{2**63 - 1} 1\n0 1\n")
+    cover.write_text("0: 0-1\n")
+
+    def build(*args):
+        raise AssertionError("the graph was built before the caps ran")
+
+    monkeypatch.setattr(graphs, "_graph_of", build)
+    assert run(command.format(edges=edges, cover=cover).split()) == 3
+    assert "9223372036854775807 vertices exceed the cap of 100000" in capsys.readouterr().err
+    # an edge outside the header's range is reported first, as before the caps moved
+    edges.write_text("5 1\n0 7\n")
+    assert run(command.format(edges=edges, cover=cover).split() + ["--max-vertices", "1"]) == 1
+    assert "edge (0,7) outside vertex range 0..4" in capsys.readouterr().err
+
+
+class Simulated(Exception):
+    pass
+
+
+def test_simulate_is_capped_by_the_matrices_it_holds(tmp_path, capsys, monkeypatch):
+    # N = 1000 stations: N^2 is under the pair cap, and simulate holds one
+    # N x N matrix per distinct subchannel
+    def simulate(*args):
+        raise Simulated
+
+    monkeypatch.setattr(channels, "simulate", simulate)
+    sched = tmp_path / "sched.txt"
+    # subchannel ids 0..100, 0..99, and 0 and 500: distinct ids count, not the largest
+    for ids, refused in ((range(101), True), (range(100), False), ((0, 500), False)):
+        sched.write_text("".join(f"round {r} chan {i}: 0>{999 if r == 0 else 1}\n"
+                                 for r, i in enumerate(ids)))
+        if refused:
+            assert run(["channel", "simulate", "--schedule", str(sched)]) == 3
+            assert ("101 subchannels x 1000000 station pairs exceed the cap of 100000000"
+                    in capsys.readouterr().err)
+        else:
+            with pytest.raises(Simulated):
+                run(["channel", "simulate", "--schedule", str(sched)])
 
 
 def test_construct_code_pinned_generator(tmp_path, capsys):
@@ -298,7 +344,8 @@ def tampered_split(*args, **kwargs):
     that makes it non-induced; every pair stays covered exactly once."""
     split = REAL_SPLIT(*args, **kwargs)
     ms = split.cover.matchings
-    j = next(j for j in range(1, len(ms)) if not is_induced_matching(split.covered, ms[0] + ms[j]))
+    g, pairs = two_sided(split.covered, ms)
+    j = next(j for j in range(1, len(ms)) if not is_induced_matching(g, pairs[0] + pairs[j]))
     ms[0] = sorted(ms[0] + ms.pop(j))
     split.cover = MatchingCover(ms)
     return split

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rsgraphs.codegraph import (
@@ -21,7 +22,7 @@ from rsgraphs.errors import ParameterError
 from rsgraphs.graphs import verify_cover
 from rsgraphs.lattice import lattice_points
 from test_codegraph_oracle import agreement_set, class_canonical, is_code_edge, vertex_id, x_flip
-from test_cover_oracle import is_induced_matching
+from test_cover_oracle import is_induced_matching, two_sided
 
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
 
@@ -171,16 +172,17 @@ def test_two_channel_split_desk():
     g = build_code_graph(p)
     cover = enumerate_cover(p, g)
     split = two_channel_split(p, g, cover)
-    assert split.covered.edge_count == 2 * 1944
-    assert split.remainder.edge_count == 81 * 81 - 2 * 1944
-    assert split.remainder.edge_count == 2673
+    assert np.count_nonzero(split.covered) == 2 * 1944
+    assert np.count_nonzero(split.remainder) == 81 * 81 - 2 * 1944
+    assert np.count_nonzero(split.remainder) == 2673
     # remainder holds the diagonal and every high-agreement pair; station
-    # pair (u, v) is the edge (u, 81 + v)
-    assert split.remainder.n == split.covered.n == 2 * 81
-    assert split.remainder.has_edge(0, 81)
-    assert not split.covered.has_edge(0, 81)
-    for u, v in itertools.islice(split.covered.edges(), 200):
-        assert split.remainder.has_edge(u, v) is False
+    # pair (u, v) is covered iff uv is a code-graph edge
+    assert split.remainder.shape == split.covered.shape == (81, 81)
+    assert split.remainder[0, 0]
+    assert not split.covered[0, 0]
+    for u, v in itertools.islice(g.edges(), 200):
+        assert split.covered[u, v] and split.covered[v, u]
+        assert not split.remainder[u, v]
 
 
 @pytest.mark.parametrize("params,want", [
@@ -195,16 +197,18 @@ def test_cover_counts_equal_the_built_split(params, want):
     g = build_code_graph(p)
     cover = enumerate_cover(p, g)
     split = two_channel_split(p, g, cover)
-    assert (g.edge_count, cover.t, split.remainder.edge_count) == (want.edges, want.t, want.remainder)
-    assert split.covered.edge_count == 2 * want.edges
+    remainder = np.count_nonzero(split.remainder)
+    assert (g.edge_count, cover.t, remainder) == (want.edges, want.t, want.remainder)
+    assert np.count_nonzero(split.covered) == 2 * want.edges
     assert split.singles.t == want.remainder
 
 
 def test_two_channel_split_matchings_stay_induced():
     p = desk_params()
     split = two_channel_split(p)
-    for m in split.cover.matchings[:40]:
-        assert is_induced_matching(split.covered, m)
+    g, ms = two_sided(split.covered, split.cover.matchings[:40])
+    for m in ms:
+        assert is_induced_matching(g, m)
     assert split.cover.t == 972
     assert all(len(m) == 4 for m in split.cover.matchings)  # doubled pairs
 

@@ -4,17 +4,18 @@ The oracles are earlier implementations: verify_cover searching every
 matching and every edge pair by pair, with is_induced_matching, the
 bitmask induced-matching check the array verifier replaced, and the
 bipartite verifier that read (left, right) station pairs off N receiver
-bitmasks.  verify_cover must return the same CoverReport as the first; the
-K_{N,N} gate verify_cover_bipartite, run on the 2N-vertex graph with
-(u, N+v) edges, must return that same report too, and agree with the second
-on validity and on the multiset of violation kinds.
+bitmasks.  verify_cover must return the same CoverReport as the first.  The
+K_{N,N} gate verify_cover_bipartite, run on a station matrix and (u, v)
+station pairs, must return the first oracle's report on the same graph on
+2N vertices with (u, N+v) edges, and agree with the second on validity and
+on the multiset of violation kinds.
 """
 
 from collections import Counter
 from unittest import mock
 
-import pytest
-from hypothesis import assume, given, settings
+import numpy as np
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsgraphs import graphs
@@ -31,11 +32,19 @@ from rsgraphs.graphs import (
 from test_geometric_oracle import greedy_cover_within
 
 
-def bipartite_graph(rows: list[int]) -> Graph:
-    """Subgraph of K_{N,N} on 2N vertices, N = len(rows): rows[u] is the
-    bitmask of the right stations v joined to left station u, and v
-    becomes vertex N+v."""
-    return Graph.from_bipartite_matrix(unpack_rows(rows, len(rows)))
+def station_matrix(rows: list[int]) -> np.ndarray:
+    """Bool (N, N) station matrix, N = len(rows): rows[u] is the bitmask
+    of the right stations v joined to left station u."""
+    return unpack_rows(rows, len(rows))
+
+
+def two_sided(mat: np.ndarray, ms=()):
+    """The subgraph of K_{N,N} with station matrix mat as a graph on 2N
+    vertices, right station v being vertex N+v, and the matchings ms of
+    station pairs (u, v) as matchings of its (u, N+v) pairs."""
+    n = len(mat)
+    g = Graph.from_edges(2 * n, [(u, n + v) for u, v in np.argwhere(mat).tolist()])
+    return g, [[(u, n + v) for u, v in m] for m in ms]
 
 
 def is_induced_matching(g: Graph, m) -> bool:
@@ -60,10 +69,10 @@ def is_induced_matching(g: Graph, m) -> bool:
     return True
 
 
-def doubled_matchings(c: MatchingCover, n: int):
-    """Image of each matching of a graph on n vertices in its bipartite double:
-    uv becomes the pairs (u, n+v) and (v, n+u)."""
-    return [sorted(p for u, v in m for p in ((u, n + v), (v, n + u))) for m in c.matchings]
+def doubled_matchings(c: MatchingCover):
+    """Image of each matching of a graph in its bipartite double: uv
+    becomes the station pairs (u, v) and (v, u)."""
+    return [sorted(p for u, v in m for p in ((u, v), (v, u))) for m in c.matchings]
 
 
 def _report(violations, c: MatchingCover) -> CoverReport:
@@ -243,10 +252,12 @@ def rows_with_covers(draw):
     density = draw(st.floats(0.0, 1.0))
     rows = [sum(1 << v for v in range(n) if rnd.random() < density) for _ in range(n)]
     edges = [(u, v) for u in range(n) for v in bits_of(rows[u])]
-    g = bipartite_graph(rows)
+    g, _ = two_sided(station_matrix(rows))
     # a valid cover of the 2N-vertex graph, read back as station pairs
     ms = [[(u, w - n) for u, w in m] for m in greedy_cover_within(g, (1 << g.n) - 1)]
-    pairs = [(u, v) for u in range(n) for v in range(n)]
+    # station pairs in range, or (half the time) with ids up to N
+    ids = range(n + draw(st.booleans()))
+    pairs = [(u, v) for u in ids for v in ids]
     kinds = draw(st.sampled_from([range(8), SAME_PAIRS]))
     for _ in range(draw(st.integers(0, 6))):
         damage(rnd, ms, edges, pairs, kinds)
@@ -255,50 +266,31 @@ def rows_with_covers(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(graphs_with_covers(), st.integers(1, 64))
-def test_verify_cover_equals_oracle(gc, chunk_cells):
+def test_verify_cover_equals_oracle(gc, block_cells):
     g, c = gc
-    with mock.patch.object(graphs, "_CHUNK_CELLS", chunk_cells):
+    with mock.patch.object(graphs, "_BLOCK_CELLS", block_cells):
         assert verify_cover(g, c) == oracle_verify_cover(g, c)
 
 
 @settings(max_examples=400, deadline=None)
-@given(rows_with_covers(), st.randoms(use_true_random=False))
-def test_bipartite_gate_agrees_with_oracle(rc, rnd):
+@given(rows_with_covers(), st.randoms(use_true_random=False), st.integers(1, 64))
+def test_bipartite_gate_agrees_with_oracle(rc, rnd, block_cells):
     rows, ms = rc
     n = len(rows)
-    g = bipartite_graph(rows)
-    cover = MatchingCover([[(u, n + v) for u, v in m] for m in ms])
-    want = oracle_verify_cover_bipartite(rows, MatchingCover(ms))
-    got = verify_cover_bipartite(g, cover)
-    assert got == oracle_verify_cover(g, cover)
-    assert got.valid == want.valid
-    assert Counter(k for k, _ in got.violations) == Counter(k for k, _ in want.violations)
-    assert (got.t, got.r_min, got.r_max) == (want.t, want.r_min, want.r_max)
-    # the same cover with some pairs written right station first
-    flipped = MatchingCover([[e[::-1] if rnd.random() < 0.3 else e for e in m]
-                             for m in cover.matchings])
-    assert verify_cover_bipartite(g, flipped) == oracle_verify_cover(g, flipped)
-
-
-@settings(max_examples=100, deadline=None)
-@given(rows_with_covers(), st.data())
-def test_bipartite_gate_rejects_inside_edges(rc, data):
-    rows, ms = rc
-    n = len(rows)
-    assume(n >= 2)
-    side = data.draw(st.sampled_from([0, n]), label="side")
-    a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-    g = Graph.from_edges(2 * n, [*bipartite_graph(rows).edges(), (side + a, side + b)])
-    with pytest.raises(ParameterError):
-        verify_cover_bipartite(g, MatchingCover([[(u, n + v) for u, v in m] for m in ms]))
-
-
-def test_bipartite_gate_rejects_an_edge_inside_one_side():
-    inside_left = Graph.from_edges(4, [(0, 1)])
-    inside_right = Graph.from_edges(4, [(2, 3)])
-    odd = Graph.from_edges(3, [(0, 2)])
-    for g in (inside_left, inside_right, odd):
-        with pytest.raises(ParameterError):
-            verify_cover_bipartite(g, MatchingCover([[e] for e in g.edges()]))
-    ok = Graph.from_edges(4, [(0, 2), (1, 3), (0, 3)])
-    assert verify_cover_bipartite(ok, MatchingCover([[e] for e in ok.edges()])).valid
+    mat = station_matrix(rows)
+    # the same cover with some pairs swapped: (v, u) is another station pair
+    swapped = [[e[::-1] if rnd.random() < 0.3 else e for e in m] for m in ms]
+    for cover in (ms, swapped):
+        g, two_sided_cover = two_sided(mat, cover)
+        with mock.patch.object(graphs, "_BLOCK_CELLS", block_cells), \
+                mock.patch.object(graphs, "verify_cover", wraps=graphs.verify_cover) as search:
+            got = verify_cover_bipartite(mat, MatchingCover(cover))
+        # the report, witnesses included, of the graph on 2N vertices; only
+        # an invalid cover is searched there
+        assert got == oracle_verify_cover(g, MatchingCover(two_sided_cover))
+        assert search.called == (not got.valid)
+        if all(0 <= x < n for m in cover for e in m for x in e):
+            want = oracle_verify_cover_bipartite(rows, MatchingCover(cover))
+            assert got.valid == want.valid
+            assert Counter(k for k, _ in got.violations) == Counter(k for k, _ in want.violations)
+            assert (got.t, got.r_min, got.r_max) == (want.t, want.r_min, want.r_max)

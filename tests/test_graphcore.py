@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from rsgraphs.errors import ParameterError
@@ -18,7 +19,7 @@ from rsgraphs.graphs import (
     write_cover,
     write_edge_list,
 )
-from test_cover_oracle import bipartite_graph, doubled_matchings, is_induced_matching
+from test_cover_oracle import doubled_matchings, is_induced_matching, station_matrix, two_sided
 from test_geometric_oracle import greedy_cover_within
 
 
@@ -174,42 +175,50 @@ def test_complement_degree():
 
 
 def test_bipartite_graph_and_double():
-    # left station u is vertex u, right station v is vertex N+v
-    bg = bipartite_graph([0b001, 0b100, 0b000])
-    assert bg.n == 6 and bg.edge_count == 2
-    assert bg.has_edge(0, 3) and bg.has_edge(5, 1) and not bg.has_edge(0, 5)
-    assert list(bg.edges()) == [(0, 3), (1, 5)]
+    # station matrix entry [u, v] joins left station u to right station v;
+    # on 2N vertices, right station v is vertex N+v
+    mat = station_matrix([0b001, 0b100, 0b000])
+    assert mat.shape == (3, 3) and np.count_nonzero(mat) == 2
+    assert mat[0, 0] and mat[1, 2] and not mat[0, 2]
+    bg, _ = two_sided(mat)
+    assert bg.n == 6 and list(bg.edges()) == [(0, 3), (1, 5)]
 
+    # the bipartite double of a graph is its adjacency matrix
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    d = bipartite_graph([g.neighbors_mask(u) for u in range(g.n)])
-    assert d.n == 6
-    assert d.edge_count == 2 * g.edge_count
-    assert d.has_edge(0, 4) and d.has_edge(1, 3)
-    assert not d.has_edge(0, 3)
+    d = station_matrix([g.neighbors_mask(u) for u in range(g.n)])
+    assert np.count_nonzero(d) == 2 * g.edge_count
+    assert d[0, 1] and d[1, 0] and not d[0, 0]
 
 
 def test_doubled_matchings_are_bipartite_induced():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5), (1, 2)])
-    d = bipartite_graph([g.neighbors_mask(u) for u in range(g.n)])
+    d = station_matrix([g.neighbors_mask(u) for u in range(g.n)])
     c = MatchingCover.from_matchings([[(0, 1), (4, 5)]])
-    for dm in doubled_matchings(c, g.n):
-        assert is_induced_matching(d, dm)
-    assert doubled_matchings(c, g.n)[0] == [(0, 7), (1, 6), (4, 11), (5, 10)]
-    assert doubled_cover(c, g.n).matchings == doubled_matchings(c, g.n)
+    dg, dms = two_sided(d, doubled_matchings(c))
+    for dm in dms:
+        assert is_induced_matching(dg, dm)
+    assert doubled_matchings(c)[0] == [(0, 1), (1, 0), (4, 5), (5, 4)]
+    assert doubled_cover(c, g.n).matchings == doubled_matchings(c)
     assert verify_cover_bipartite(d, doubled_cover(c, g.n)).r_max == 4
 
 
 def test_verify_cover_bipartite_kinds():
-    bg = bipartite_graph([0b11, 0b11])  # K_{2,2}
-    c = MatchingCover([[(0, 2), (1, 3)], [(0, 3), (1, 2)]])
-    rep = verify_cover_bipartite(bg, c)
-    # (0,2) and (1,3) are joined by the edge (0,3); not induced
+    k22 = station_matrix([0b11, 0b11])
+    c = MatchingCover([[(0, 0), (1, 1)], [(0, 1), (1, 0)]])
+    rep = verify_cover_bipartite(k22, c)
+    # (0,0) and (1,1) are joined by the pair (0,1); not induced
     assert not rep.valid
     assert any(k == "cross-edge" for k, _ in rep.violations)
 
-    path = bipartite_graph([0b01, 0b11])
-    c = MatchingCover([[(0, 2)], [(1, 2)], [(1, 3)]])
+    path = station_matrix([0b01, 0b11])
+    c = MatchingCover([[(0, 0)], [(1, 0)], [(1, 1)]])
     assert verify_cover_bipartite(path, c).valid
+    # (0, 2) and (2, 0) are no station pairs of N = 2, though the key
+    # 0 * 2 + 2 of the first is that of (1, 0); on 2N vertices they are
+    # (0, 4), past the last vertex, and the self-pair (2, 2)
+    for pair, outside in (((0, 2), (0, 4)), ((2, 0), (2, 2))):
+        rep = verify_cover_bipartite(path, MatchingCover([[(0, 0)], [pair], [(1, 1)]]))
+        assert rep.violations == [("edge-not-in-graph", (1, outside)), ("uncovered-edge", (1, 2))]
 
 
 def test_cover_normalization_and_sizes():

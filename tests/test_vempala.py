@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from rsgraphs.codegraph import CodeGraphParams
 from rsgraphs.codes import LinearCode, build_chain
 from rsgraphs.errors import ParameterError
 from rsgraphs import vempala
-from rsgraphs.graphs import Graph
 from rsgraphs.vempala import (
     EdgePartition,
     conjecture_threshold,
@@ -58,13 +58,12 @@ def degree_tables(ep):
 def oracle_per_part_identity(ep, h):
     """Oracle: sum_{(i,j) in H} deg_p(i) deg_p(j) / |p| per part, one
     Fraction term at a time over the part's degree tables."""
-    off = ep.left_n
     out = []
     for part, (ld, rd) in zip(ep.parts, degree_tables(ep)):
         s = Fraction(0)
         for i, deg_i in ld.items():
             for j, deg_j in rd.items():
-                if h.has_edge(i, off + j):
+                if h[i, j]:
                     s += Fraction(deg_i * deg_j, len(part))
         out.append(s)
     return out
@@ -92,9 +91,8 @@ def oracle_vempala_sum(ep):
 
 def pair_terms_per_part_identity(ep, h):
     """Oracle: per part, the sum of its pair terms on H edges over |p|."""
-    off = ep.left_n
     return [
-        Fraction(sum(d for i, j, d in pair_terms(part) if h.has_edge(i, off + j)), len(part))
+        Fraction(sum(d for i, j, d in pair_terms(part) if h[i, j]), len(part))
         for part in ep.parts
     ]
 
@@ -105,8 +103,8 @@ def all_pairs(n, k):
 
 @st.composite
 def partitions_with_h(draw):
-    """A random partition of [n] x [k] (n, k <= 5) and a random H on n + k
-    vertices whose edges (i, n + j) are a random subset of the pairs."""
+    """A random partition of [n] x [k] (n, k <= 5) and a random H, a bool
+    (n, k) matrix whose set entries are a random subset of the pairs."""
     n = draw(st.integers(1, 5))
     k = draw(st.integers(1, 5))
     pairs = draw(st.permutations(all_pairs(n, k)))
@@ -114,7 +112,7 @@ def partitions_with_h(draw):
     bounds = [0] + [a + 1 for a, cut in enumerate(cut_after) if cut] + [len(pairs)]
     parts = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
     in_h = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    h = Graph.from_edges(n + k, [(i, n + j) for (i, j), b in zip(all_pairs(n, k), in_h) if b])
+    h = np.array(in_h, dtype=bool).reshape(n, k)
     return EdgePartition(n, k, parts), h
 
 
@@ -149,7 +147,7 @@ def test_vempala_sum_past_int64_matches_oracle(n, primes, data):
     ep = EdgePartition(n, k, [pairs[a:b] for a, b in zip(bounds, bounds[1:])])
     assert vempala_sum(ep) == oracle_vempala_sum(ep)
     in_h = data.draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))
-    h = Graph.from_edges(n + k, [(i, n + j) for (i, j), b in zip(all_pairs(n, k), in_h) if b])
+    h = np.array(in_h, dtype=bool).reshape(n, k)
     assert per_part_identity(ep, h) == pair_terms_per_part_identity(ep, h)
 
 
