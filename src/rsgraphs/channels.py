@@ -44,16 +44,17 @@ if TYPE_CHECKING:
 Matching = list[tuple[int, int]]
 
 
-@dataclass
+@dataclass(eq=False)
 class ChannelPartition:
     """Subchannels (bool (N, N) station matrix, cover) whose pairs
-    partition K_{N,N} exactly."""
+    partition K_{N,N} exactly.  == is identity: the fields hold arrays."""
 
     n_stations: int
     subchannels: list[tuple[np.ndarray, MatchingCover]]
     overflow_index: int | None = None  # subchannel holding unassigned pairs, if any
     attempts_used: int | None = None
     right_permutations: list[list[int]] | None = None
+    graph_cover: MatchingCover | None = None  # the cover the shift channels are made from
 
 
 def validate_partition(cp: ChannelPartition) -> None:
@@ -154,6 +155,7 @@ def partition_shifts(
         overflow_index=overflow_index,
         attempts_used=attempt + 1,
         right_permutations=perms,
+        graph_cover=cover,
     )
     validate_partition(cp)
     return cp

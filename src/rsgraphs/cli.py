@@ -118,6 +118,15 @@ def _check_counts(p: codegraph.CodeGraphParams, built: dict) -> None:
         raise InternalCheckError("built counts differ from the exact counts: " + ", ".join(wrong))
 
 
+def _cover_quality(cover) -> dict:
+    """Mean matching size, t / |E| and the share of one-edge matchings of a
+    graph cover, each a quotient of exact counts (None when it divides by 0)."""
+    sizes = np.diff(cover.offsets)
+    t, edges, singles = len(sizes), len(cover.pairs), int(np.count_nonzero(sizes == 1))
+    return {"r_mean": edges / t if t else None, "t_over_edges": t / edges if edges else None,
+            "singleton_fraction": singles / t if t else None}
+
+
 def _chain_from_args(args, n: int, d: int) -> codes.CodeChain:
     """Code chain for the flip-class cover: from --gen, or GV search at max k."""
     from . import codes
@@ -167,6 +176,7 @@ def _cmd_construct_geometric(args) -> int:
         t=rep.t,
         r_min=rep.r_min,
         r_max=rep.r_max,
+        **_cover_quality(cover),
         max_shell_degree=geometric.max_shell_degree(p, g),
         exponents=geometric.exponent_report(p),
     )
@@ -359,6 +369,7 @@ def _cmd_channel_shifts(args) -> int:
         delivered=sim.delivered,
         garbled=len(sim.garbled_events),
         meshulam_bound=channels.meshulam_lower_bound(n, args.channels),
+        **_cover_quality(cp.graph_cover),
     )
     _emit(report, args)
     return 0

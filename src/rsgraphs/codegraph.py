@@ -193,11 +193,11 @@ def cover_counts(C: int, n: int, d: int, k: int) -> CoverCounts:
     return CoverCounts(edges, edges >> (k - 1), N * N - 2 * edges)
 
 
-@dataclass
+@dataclass(eq=False)
 class TwoChannelSplit:
     """K_{N,N} split into the bipartite double of the code graph with its
     doubled cover, and the rest with its pairs as one-pair matchings; each
-    part is a bool (N, N) station matrix."""
+    part is a bool (N, N) station matrix.  == is identity."""
 
     covered: np.ndarray
     cover: MatchingCover

@@ -29,6 +29,8 @@ class ResourceLimitError(RuntimeError):
 # Caps for all-pairs work; max_vertices (--max-vertices) overrides the first.
 DEFAULT_MAX_VERTICES = 100_000
 DEFAULT_MAX_PAIR_CHECKS = 100_000_000
+# Word updates of the geometric cover's lockstep first-fit, |E| * N: C=4 n=5 is 2.8e8.
+MAX_COVER_WORK = 500_000_000
 
 
 def check_caps(n_vertices, max_vertices=None):

@@ -6,12 +6,12 @@ distance between uniform lattice points, xy is an edge iff
 V_z = { x : | ||x-z||^2 - mu/4 | <= 3n/4 }; each edge's midpoint-plus-balance
 center lands both endpoints in that shell (guaranteed for n >= 2C).
 
-The cover assigns each edge to its first shell, the lowest center id whose
-shell contains both endpoints, and gives every shell subgraph G_z a
-first-fit induced-matching cover in which only its first-shell edges are
-kept.  Shells are independent, so their first-fit runs in lockstep in
-numpy, one edge of every running shell per step, with a per-vertex bitset
-of blocked matchings in place of a scan over the matchings.
+The cover gives each edge to the shell of its own center (else, when n < 2C,
+to the lowest shell holding both endpoints) and each such group of edges a
+first-fit induced-matching cover.  Groups are independent, so their
+first-fit runs in lockstep in numpy, one edge of every running group per
+step, with a per-vertex bitset of blocked matchings in place of a scan over
+the matchings.
 
 All band predicates are evaluated in exact integer arithmetic after scaling
 away the denominators (6 for mu, 24 for mu/4); no floats ever decide an edge.
@@ -23,7 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InternalCheckError, ParameterError, VerificationError, check_caps
+from .errors import MAX_COVER_WORK, InternalCheckError, ParameterError, ResourceLimitError
+from .errors import VerificationError, check_caps
 from .graphs import Graph, MatchingCover, adjacency_matrix
 from .lattice import lattice_points, vertex_coords
 
@@ -205,8 +206,8 @@ def antipodal_gap(x, y, z) -> int:
 
 
 # Bytes of temporary arrays the cover may hold at once: the packed
-# blocked[shell, vertex, matching] bits of one lockstep chunk of shells (a
-# chunk always takes at least one shell), and each block of distance or
+# blocked[group, matching, vertex] bits of one lockstep chunk of groups (a
+# chunk always takes at least one group), and each block of distance or
 # edge-by-shell membership rows.
 _CHUNK_BYTES = 1 << 22
 
@@ -251,99 +252,110 @@ def _first_shells(member: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndar
     return first
 
 
-def _lockstep_first_fit(seqs, eu, ev, closed: np.ndarray) -> np.ndarray:
-    """First-fit matching index of every edge of every shell in one chunk.
+def _edge_centers(p: GeomParams, eu: np.ndarray, ev: np.ndarray):
+    """Center id of each edge xy, the z = (x+y)/2 + w of center_for_edge, and
+    whether both endpoints lie in its shell V_z; one pass per coordinate,
+    choosing w_i as balance_vector does."""
+    pts = lattice_points(p.C, p.n)
+    # 2 * sum(a_j w_j), the center id, ||x - z||^2 and ||y - z||^2 so far
+    twice, zid, dx, dy = np.zeros((4, len(eu)), dtype=np.int64)
+    for i in range(p.n):
+        x, y = pts[eu, i], pts[ev, i]
+        a = y - x
+        h = np.where(twice > 0, -np.sign(a), np.where(twice < 0, np.sign(a), 1))
+        h *= a % 2
+        twice += a * h
+        z = (x + y + h) // 2
+        zid *= p.C
+        zid += z - 1
+        dx += (x - z) ** 2
+        dy += (y - z) ** 2
+    return zid, in_shell_band(dx, p) & in_shell_band(dy, p)
 
-    seqs[c] holds shell c's edge ids in processing order, longest shell
-    first.  Step k places the k-th edge of every shell still running, so the
-    running shells are always a prefix.  blocked[c, x] is a bitset over
-    shell c's matchings: bit i is set once matching i has a vertex in N[x],
-    so edge uv fits matching i iff bit i is clear in blocked[c, u] and in
-    blocked[c, v].  The result is (len(seqs), len(seqs[0])), padded past
-    each shell's end.
+
+def _lockstep_first_fit(seqs, eu, ev, closed: np.ndarray, match: np.ndarray) -> None:
+    """Write into match the first-fit matching index of every edge of every
+    group in one chunk.
+
+    seqs[c] holds group c's edge ids in processing order, longest group
+    first.  Step k places the k-th edge of every group still running, so the
+    running groups are always a prefix.  blocked[c, :, x] is a bitset over
+    group c's matchings: bit i is set once matching i has a vertex in N[x],
+    so edge uv fits matching i iff bit i is clear in blocked[c, :, u] and in
+    blocked[c, :, v]; placing it ORs the contiguous row blocked[c, j] of its
+    word j.
     """
     lengths = np.array([len(s) for s in seqs])
     steps = int(lengths[0])
-    U = np.zeros((len(seqs), steps), dtype=np.intp)
-    V = np.zeros((len(seqs), steps), dtype=np.intp)
+    at = np.zeros((len(seqs), steps), dtype=np.intp)  # edge ids, padded past each group's end
     for c, s in enumerate(seqs):
-        U[c, : len(s)] = eu[s]
-        V[c, : len(s)] = ev[s]
+        at[c, : len(s)] = s
     running = len(seqs) - np.searchsorted(lengths[::-1], np.arange(steps), side="right")
-    # A shell never has more matchings than edges, so steps + 1 bits suffice.
-    blocked = np.zeros((len(seqs), len(closed), steps // 64 + 1), dtype=np.uint64)
-    index = np.zeros((len(seqs), steps), dtype=np.int64)
+    # A group never has more matchings than edges, so steps + 1 bits suffice.
+    blocked = np.zeros((len(seqs), steps // 64 + 1, len(closed)), dtype=np.uint64)
     rows = np.arange(len(seqs))
     top = -1  # highest matching index used so far in this chunk
     for k in range(steps):
         r = rows[: running[k]]
-        u = U[r, k]
-        v = V[r, k]
-        words = (top + 1) // 64 + 1  # bit top+1 is clear in every shell
-        free = ~(blocked[r, u, :words] | blocked[r, v, :words])
+        e = at[r, k]
+        u, v = eu[e], ev[e]
+        words = (top + 1) // 64 + 1  # bit top+1 is clear in every group
+        free = ~(blocked[r, :words, u] | blocked[r, :words, v])
         j = (free != 0).argmax(axis=1)
         word = free[r, j]
         low = word & (~word + np.uint64(1))  # lowest clear bit of the blocked word
         i = 64 * j + np.frexp(low.astype(np.float64))[1] - 1
-        index[r, k] = i
+        match[e] = i
         top = max(top, int(i.max()))
-        blocked[r, :, j] |= np.where(closed[u] | closed[v], low[:, None], np.uint64(0))
-    return index
+        blocked[r, j] |= (closed[u] | closed[v]) * low[:, None]
 
 
 def decompose_geometric(p: GeomParams, g: Graph | None = None) -> MatchingCover:
-    """Cover E(g) by induced matchings, one first-fit cover per shell.
+    """Cover E(g) by induced matchings, one first-fit cover per center group.
 
-    Each edge belongs to its first shell: the lowest center id z whose shell
-    V_z contains both endpoints.  Every shell runs first-fit over all of its
-    edges in ascending (u, v) order, placing each edge in the lowest-index
-    matching of that shell that stays induced in G, and stops after its last
-    first-shell edge; shells with no first-shell edge are skipped.  The cover
-    keeps each edge only in its first shell, ordered by (z, matching index,
-    edge order), with emptied matchings dropped.  This is exactly the cover
-    of covering every shell in full and deduplicating.
+    Each edge goes to the shell of its center z(e) (see center_for_edge), or,
+    if that shell misses an endpoint (which needs n < 2C), to the lowest
+    shell holding both.  Each group's first-fit places its edges in
+    ascending (u, v) order, each in the lowest-index matching of the group
+    that stays induced in all of G.  The cover is ordered by (group id,
+    matching index, edge order).
 
-    Shells are independent, so numpy runs them in lockstep: chunks of
-    shells advance one edge per step, each tracking per vertex which of its
-    matchings are blocked (see _lockstep_first_fit).  An edge covered by no
-    shell raises VerificationError (expected only when the n >= 2C coverage
-    hypothesis fails).
+    The groups run in lockstep (see _lockstep_first_fit), each edge updating
+    one word per vertex; over MAX_COVER_WORK updates raise ResourceLimitError
+    first.  An edge in no shell raises VerificationError.
     """
     if g is None:
         g = build_geometric_graph(p)
     adj = adjacency_matrix(g)
-    member = _shell_membership(p)
     eu, ev = np.nonzero(np.triu(adj, 1))  # the order of g.edges()
-    first = _first_shells(member, eu, ev)
-    uncovered = np.flatnonzero(first < 0)
+    if len(eu) * g.n > MAX_COVER_WORK:
+        raise ResourceLimitError(f"the shell cover needs {len(eu)} edges x {g.n} vertices "
+                                 f"= {len(eu) * g.n} lockstep updates, over {MAX_COVER_WORK}")
+    group, inside = _edge_centers(p, eu, ev)
+    out = np.flatnonzero(~inside)
+    if len(out):
+        group[out] = _first_shells(_shell_membership(p), eu[out], ev[out])
+    uncovered = out[group[out] < 0]
     if len(uncovered):
         e = (int(eu[uncovered[0]]), int(ev[uncovered[0]]))
-        x = vertex_coords(e[0], p.C, p.n)
-        y = vertex_coords(e[1], p.C, p.n)
+        x, y = (vertex_coords(v, p.C, p.n) for v in e)
         raise VerificationError(
             f"edge {e} = {x}-{y} lies in no shell (n >= 2C hypothesis "
             f"{'held' if p.n >= 2 * p.C else 'violated'})"
         )
-    last = np.full(g.n, -1, dtype=np.int64)
-    np.maximum.at(last, first, np.arange(len(first)))
-    seqs = {}
-    for z in np.flatnonzero(last >= 0):
-        stop = last[z] + 1
-        seqs[z] = np.flatnonzero(member[z, eu[:stop]] & member[z, ev[:stop]])
+    sizes = np.bincount(group, minlength=g.n)
+    seqs = np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1])
+    order = sorted(np.flatnonzero(sizes), key=lambda z: -sizes[z])
     closed = adj | np.eye(g.n, dtype=bool)
-    order = sorted(seqs, key=lambda z: -len(seqs[z]))
-    match = np.empty(len(eu), dtype=np.int64)  # matching index in the first shell
+    match = np.empty(len(eu), dtype=np.int64)  # matching index within the group
     start = 0
     while start < len(order):
-        per_shell = g.n * (len(seqs[order[start]]) // 64 + 1) * 8
-        chunk = order[start : start + max(1, _CHUNK_BYTES // per_shell)]
+        per_group = g.n * (sizes[order[start]] // 64 + 1) * 8
+        chunk = order[start : start + max(1, _CHUNK_BYTES // per_group)]
         start += len(chunk)
-        index = _lockstep_first_fit([seqs[z] for z in chunk], eu, ev, closed)
-        for c, z in enumerate(chunk):
-            mine = first[seqs[z]] == z
-            match[seqs[z][mine]] = index[c, : len(seqs[z])][mine]
-    # A stable sort on (z, matching index) keeps edge order within a matching.
-    key = first * len(eu) + match
+        _lockstep_first_fit([seqs[z] for z in chunk], eu, ev, closed, match)
+    # A stable sort on (group, matching index) keeps edge order within a matching.
+    key = group * len(eu) + match
     rank = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[rank], prepend=-1))
     cover = MatchingCover.from_arrays(

@@ -210,7 +210,8 @@ def _matching_violations(g: Graph, i: int, m: Matching, violations):
             if x in owner and owner[x] != e:
                 violations.append(("shared-endpoint", (i, x)))
             owner.setdefault(x, e)
-            pmask |= 1 << x
+            if x >= 0:  # a negative id is reported as edge-not-in-graph
+                pmask |= 1 << x
     if any(e[0] == e[1] for e in m):  # self-pairs never arise from valid graphs
         return
     reported = set()

@@ -135,10 +135,10 @@ def conjecture_threshold(N: int, k: int) -> float:
     return N * k / math.log(N)
 
 
-@dataclass
+@dataclass(eq=False)
 class CounterexampleParts:
     """Duplication graph H as its bool (N, N) station matrix, its
-    matching-derived parts, and singleton fill."""
+    matching-derived parts, and singleton fill.  == is identity."""
 
     partition: EdgePartition
     h: np.ndarray

@@ -1,5 +1,6 @@
 """Subchannel partitions of K_{N,N} and the round-by-round delivery simulation."""
 
+import dataclasses
 import random
 import tempfile
 from pathlib import Path
@@ -24,11 +25,17 @@ from rsgraphs.channels import (
     validate_partition,
     write_schedule,
 )
-from rsgraphs.codegraph import CodeGraphParams, build_code_graph, enumerate_cover
+from rsgraphs.codegraph import (
+    CodeGraphParams,
+    build_code_graph,
+    enumerate_cover,
+    two_channel_split,
+)
 from rsgraphs.codes import LinearCode, build_chain, gv_search
 from rsgraphs.errors import ParameterError, SearchFailureError, VerificationError
 from rsgraphs.geometric import GeomParams, build_geometric_graph, decompose_geometric
 from rsgraphs.graphs import MatchingCover, bits_of, write_cover
+from rsgraphs.vempala import counterexample_partition
 from test_codegraph_oracle import oracle_enumerate_cover
 from test_cover_oracle import doubled_matchings, station_matrix
 
@@ -372,6 +379,15 @@ def test_partition_shifts_matches_oracle(cn, num_channels, seed, attempts):
     assert (a.n_stations, a.num_subchannels) == (b.n_stations, b.num_subchannels)
     for name in ("chans", "offsets", "pairs"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_partition_parts_compare_by_identity():
+    # each holds station matrices; == must answer, not raise on the arrays,
+    # and a copy holding the same arrays is another object
+    p = small_params()
+    for make in (partition_two, two_channel_split, counterexample_partition):
+        a = make(p)
+        assert a == a and a != make(p) and a != dataclasses.replace(a)
 
 
 def test_meshulam_bound():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import rsgraphs
-from rsgraphs import channels, codegraph, graphs, vempala
+from rsgraphs import channels, codegraph, geometric, graphs, vempala
 from rsgraphs.cli import run
 from rsgraphs.graphs import MatchingCover, read_cover, read_edge_list, verify_cover
 from test_cover_oracle import is_induced_matching, two_sided
@@ -141,6 +141,43 @@ def test_edge_list_header_is_capped_before_the_graph_is_built(tmp_path, capsys, 
     edges.write_text("5 1\n0 7\n")
     assert run(command.format(edges=edges, cover=cover).split() + ["--max-vertices", "1"]) == 1
     assert "edge (0,7) outside vertex range 0..4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["construct geometric --c 3 --n 7",
+                                     "channel shifts --c 3 --n 7 --channels 2"])
+def test_geometric_cover_is_capped_before_the_lockstep(capsys, monkeypatch, command):
+    def lockstep(*args):
+        raise AssertionError("the lockstep ran before the cap")
+
+    monkeypatch.setattr(geometric, "_lockstep_first_fit", lockstep)
+    assert run(command.split()) == 3
+    # 2,232,785 edges, each updating one word per vertex
+    assert "2232785 edges x 2187 vertices = 4883100795 lockstep updates" in capsys.readouterr().err
+
+
+def test_geometric_cover_cap_is_inclusive(capsys, monkeypatch):
+    # C=3 n=4: 2712 edges x 81 vertices
+    argv = ["construct", "geometric", "--c", "3", "--n", "4"]
+    monkeypatch.setattr(geometric, "MAX_COVER_WORK", 2712 * 81)
+    assert run(argv) == 0
+    monkeypatch.setattr(geometric, "MAX_COVER_WORK", 2712 * 81 - 1)
+    assert run(argv) == 3
+
+
+def test_geometric_cover_quality(tmp_path, capsys):
+    keys = ("r_mean", "t_over_edges", "singleton_fraction")
+    cover = tmp_path / "cover.txt"
+    _, out = run_out(["construct", "geometric", "--c", "4", "--n", "3", "--cover", str(cover)],
+                     capsys)
+    rep = json.loads(out)
+    sizes = read_cover(cover).sizes()
+    t, edges = len(sizes), sum(sizes)
+    assert (rep["t"], rep["edges"]) == (t, edges) == (600, 936)
+    assert [rep[k] for k in keys] == [edges / t, t / edges, sizes.count(1) / t]
+    # channel shifts reports the same figures for the cover it shifts
+    _, out = run_out(["channel", "shifts", "--c", "4", "--n", "3", "--channels", "2"], capsys)
+    shifts = json.loads(out)
+    assert [shifts[k] for k in keys] == [rep[k] for k in keys]
 
 
 class Simulated(Exception):

@@ -94,7 +94,8 @@ def oracle_matching_violations(i, m, neighbor_mask, has_edge, violations):
             if x in owner and owner[x] != e:
                 violations.append(("shared-endpoint", (i, x)))
             owner.setdefault(x, e)
-            pmask |= 1 << x
+            if x >= 0:
+                pmask |= 1 << x
     if any(e[0] == e[1] for e in m):
         return
     reported = set()
@@ -238,7 +239,8 @@ def graphs_with_covers(draw):
     g = Graph.from_edges(n, edges)
     ms = [list(m) for m in greedy_cover_within(g, (1 << n) - 1)]
     both = edges + [(v, u) for u, v in edges]
-    pairs = [(u, v) for u in range(n + 2) for v in range(n + 2)]  # self-pairs, ids >= n
+    ids = range(-1, n + 2)  # self-pairs, negative ids, ids >= n
+    pairs = [(u, v) for u in ids for v in ids]
     kinds = draw(st.sampled_from([range(8), SAME_PAIRS]))
     for _ in range(draw(st.integers(0, 6))):
         damage(rnd, ms, both, pairs, kinds)
@@ -255,8 +257,8 @@ def rows_with_covers(draw):
     g, _ = two_sided(station_matrix(rows))
     # a valid cover of the 2N-vertex graph, read back as station pairs
     ms = [[(u, w - n) for u, w in m] for m in greedy_cover_within(g, (1 << g.n) - 1)]
-    # station pairs in range, or (half the time) with ids up to N
-    ids = range(n + draw(st.booleans()))
+    # station pairs in range, or with an id of -1 or of N (each half the time)
+    ids = range(-draw(st.booleans()), n + draw(st.booleans()))
     pairs = [(u, v) for u in ids for v in ids]
     kinds = draw(st.sampled_from([range(8), SAME_PAIRS]))
     for _ in range(draw(st.integers(0, 6))):

@@ -1,27 +1,33 @@
-"""Differential tests of the shell cover against the shell-by-shell reference.
+"""Differential tests of the shell cover against plain bitmask oracles.
 
-The reference is the original implementation: a bitmask first-fit cover of
-every shell subgraph in full, in ascending center id, followed by a dedupe
-that keeps each edge at its first occurrence.  decompose_geometric must
-return exactly its matchings, in the same order.
+center_cover is the rule decompose_geometric implements: each edge goes to
+the shell of its center (center_for_edge), or, when that shell misses an
+endpoint, to the lowest shell holding both; each group, in ascending id, is
+covered by first-fit in edge order.  decompose_geometric must return exactly
+its matchings, in the same order.  reference_cover is the earlier rule (every
+shell covered in full, each edge kept at its first shell), kept as a second
+valid cover to compare against.
 """
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsgraphs import geometric
 from rsgraphs.cli import run
 from rsgraphs.errors import VerificationError
 from rsgraphs.geometric import (
     GeomParams,
     build_geometric_graph,
+    center_for_edge,
     decompose_geometric,
     max_shell_degree,
     shell,
 )
-from rsgraphs.graphs import Graph, bits_of, verify_cover
+from rsgraphs.graphs import Graph, MatchingCover, bits_of, verify_cover
 from rsgraphs.lattice import vertex_coords
 
 
@@ -36,28 +42,62 @@ def shell_masks(p: GeomParams):
     return masks
 
 
-def greedy_cover_within(g: Graph, members: int) -> list[list[tuple[int, int]]]:
-    """First-fit induced-matching cover of the subgraph induced on `members`."""
+def first_fit(g: Graph, edges) -> list[list[tuple[int, int]]]:
+    """First-fit induced-matching cover of the given edges of g, in order:
+    each edge joins the first matching with no vertex in N[u] | N[v]."""
     matchings: list[list[tuple[int, int]]] = []
     masks: list[int] = []
-    for u in bits_of(members):
-        row = g.neighbors_mask(u) & members
-        for v in bits_of(row >> (u + 1)):
-            v += u + 1
-            conflict = (
-                ((g.neighbors_mask(u) | g.neighbors_mask(v)) & members)
-                | (1 << u)
-                | (1 << v)
-            )
-            for i, pm in enumerate(masks):
-                if pm & conflict == 0:
-                    matchings[i].append((u, v))
-                    masks[i] |= (1 << u) | (1 << v)
-                    break
-            else:
-                matchings.append([(u, v)])
-                masks.append((1 << u) | (1 << v))
+    for u, v in edges:
+        conflict = g.neighbors_mask(u) | g.neighbors_mask(v) | (1 << u) | (1 << v)
+        for i, pm in enumerate(masks):
+            if pm & conflict == 0:
+                matchings[i].append((u, v))
+                masks[i] |= (1 << u) | (1 << v)
+                break
+        else:
+            matchings.append([(u, v)])
+            masks.append((1 << u) | (1 << v))
     return matchings
+
+
+def greedy_cover_within(g: Graph, members: int) -> list[list[tuple[int, int]]]:
+    """First-fit induced-matching cover of the subgraph induced on `members`
+    (its matchings hold members only, so N[u] | N[v] in g decides as well)."""
+    return first_fit(g, [
+        (u, u + 1 + v)
+        for u in bits_of(members)
+        for v in bits_of((g.neighbors_mask(u) & members) >> (u + 1))
+    ])
+
+
+def vertex_id(x, C: int) -> int:
+    return sum((c - 1) * C ** (len(x) - 1 - i) for i, c in enumerate(x))
+
+
+def no_shell_error(e, p: GeomParams) -> VerificationError:
+    x = vertex_coords(e[0], p.C, p.n)
+    y = vertex_coords(e[1], p.C, p.n)
+    return VerificationError(
+        f"edge {e} = {x}-{y} lies in no shell (n >= 2C hypothesis "
+        f"{'held' if p.n >= 2 * p.C else 'violated'})"
+    )
+
+
+def center_cover(p: GeomParams, g: Graph) -> list[list[tuple[int, int]]]:
+    """Group each edge by its center's shell (else its lowest shell holding
+    both endpoints), then first-fit every group in ascending group id."""
+    masks = shell_masks(p)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for u, v in g.edges():
+        both = (1 << u) | (1 << v)
+        z = center_for_edge(vertex_coords(u, p.C, p.n), vertex_coords(v, p.C, p.n), p)
+        z = vertex_id(z, p.C)
+        if masks[z] & both != both:
+            z = next((s for s, m in enumerate(masks) if m & both == both), None)
+            if z is None:
+                raise no_shell_error((u, v), p)
+        groups.setdefault(z, []).append((u, v))
+    return [m for z in sorted(groups) for m in first_fit(g, groups[z])]
 
 
 def reference_cover(p: GeomParams, g: Graph) -> list[list[tuple[int, int]]]:
@@ -74,12 +114,7 @@ def reference_cover(p: GeomParams, g: Graph) -> list[list[tuple[int, int]]]:
             deduped.append(kept)
     for e in g.edges():
         if e not in seen:
-            x = vertex_coords(e[0], p.C, p.n)
-            y = vertex_coords(e[1], p.C, p.n)
-            raise VerificationError(
-                f"edge {e} = {x}-{y} lies in no shell (n >= 2C hypothesis "
-                f"{'held' if p.n >= 2 * p.C else 'violated'})"
-            )
+            raise no_shell_error(e, p)
     return deduped
 
 
@@ -99,7 +134,9 @@ def outcome(fn, *args):
         return ("VerificationError", str(exc))
 
 
-# Every (C, n) with n >= 2 and C^n <= 81; n = 1 has its own test.
+# Every (C, n) with n >= 2 and C^n <= 81; n = 1 has its own test.  (5, 2),
+# (6, 2) and (9, 2) have n < 2C and edges whose center shell misses an
+# endpoint; each also has an edge in no shell at all.
 SMALL = [(C, n) for C in range(2, 10) for n in range(2, 7) if C**n <= 81]
 
 
@@ -108,7 +145,7 @@ def test_cover_equals_reference(C, n):
     p = GeomParams(C, n)
     g = build_geometric_graph(p)
     got = outcome(lambda: decompose_geometric(p, g).matchings)
-    assert got == outcome(reference_cover, p, g)
+    assert got == outcome(center_cover, p, g)
 
 
 def test_cover_equals_reference_on_a_line():
@@ -116,7 +153,44 @@ def test_cover_equals_reference_on_a_line():
         p = GeomParams(C, 1)
         g = build_geometric_graph(p)
         got = outcome(lambda: decompose_geometric(p, g).matchings)
-        assert got == outcome(reference_cover, p, g), C
+        assert got == outcome(center_cover, p, g), C
+
+
+@pytest.mark.parametrize("C,n", SMALL)
+def test_center_and_first_shell_covers_are_both_valid(C, n):
+    p = GeomParams(C, n)
+    g = build_geometric_graph(p)
+    center = outcome(center_cover, p, g)
+    first = outcome(reference_cover, p, g)
+    if isinstance(center, tuple):  # an edge in no shell: both rules say which
+        assert center == first
+        return
+    for ms in (center, first):
+        assert verify_cover(g, MatchingCover(ms)).valid
+    if C == 2:  # the band graph is complete, so every matching is one edge
+        assert sorted(center) == sorted(first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cn=st.tuples(st.integers(2, 9), st.integers(1, 7)).filter(lambda cn: cn[0] ** cn[1] <= 4096),
+    picks=st.lists(st.tuples(st.integers(0, 4095), st.integers(0, 4095)), min_size=1, max_size=40),
+)
+def test_edge_centers_equal_center_for_edge(cn, picks):
+    # Any two distinct lattice points, edge or not, have a center; n < 2C
+    # is drawn too, where the center shell can miss an endpoint.
+    p = GeomParams(*cn)
+    N = p.vertex_count
+    pairs = [(a % N, b % N) for a, b in picks if a % N != b % N]
+    eu = np.array([a for a, _ in pairs], dtype=np.int64)
+    ev = np.array([b for _, b in pairs], dtype=np.int64)
+    zid, inside = geometric._edge_centers(p, eu, ev)
+    for k, (a, b) in enumerate(pairs):
+        z = center_for_edge(vertex_coords(a, p.C, p.n), vertex_coords(b, p.C, p.n), p,
+                            require_edge=False)
+        members = set(shell(z, p))
+        assert zid[k] == vertex_id(z, p.C)
+        assert inside[k] == (a in members and b in members)
 
 
 @pytest.mark.parametrize("C,n", SMALL + [(2, 1), (3, 1), (7, 1)])
@@ -128,20 +202,35 @@ def test_max_shell_degree_equals_reference(C, n):
     assert got <= 10.5**n
 
 
-@settings(max_examples=60, deadline=None)
+def test_fallback_edges_go_to_their_lowest_shell():
+    # Every fallback edge of SMALL lies in no shell at all.  At C=8 n=3 the
+    # center shell misses an endpoint of 3024 of the 13680 edges, and each of
+    # them lies in some other shell.
+    p = GeomParams(8, 3)
+    g = build_geometric_graph(p)
+    eu, ev = np.array(list(g.edges())).T
+    _, inside = geometric._edge_centers(p, eu, ev)
+    assert np.count_nonzero(~inside) == 3024
+    cover = decompose_geometric(p, g)
+    assert cover.matchings == center_cover(p, g)
+    assert verify_cover(g, cover).valid
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    cn=st.sampled_from([(2, 4), (3, 3)]),
+    cn=st.sampled_from([(2, 4), (3, 3), (4, 3), (7, 2), (8, 3)]),
     drop=st.floats(0.0, 1.0),
     rnd=st.randoms(use_true_random=False),
 )
 def test_cover_equals_reference_after_edge_deletions(cn, drop, rnd):
     # Deleting edges makes the shells irregular, so first-fit takes paths
-    # the full band graph never does.
+    # the full band graph never does.  (7, 2) and (8, 3) have n < 2C, and
+    # (8, 3) has fallback edges.
     p = GeomParams(*cn)
     full = build_geometric_graph(p)
     g = Graph.from_edges(full.n, [e for e in full.edges() if rnd.random() >= drop])
     cover = decompose_geometric(p, g)
-    assert cover.matchings == reference_cover(p, g)
+    assert cover.matchings == center_cover(p, g)
     assert verify_cover(g, cover).valid
 
 
@@ -150,6 +239,7 @@ def test_empty_lattice_dimension(capsys):
     assert run(["construct", "geometric", "--c", "2", "--n", "0"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert (rep["N"], rep["edges"], rep["t"]) == (1, 0, 0)
+    assert rep["r_mean"] is rep["t_over_edges"] is rep["singleton_fraction"] is None
 
 
 def test_uncovered_edge_is_reported(capsys):

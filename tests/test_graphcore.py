@@ -124,6 +124,11 @@ def test_verify_cover_valid_and_kinds():
     rep = verify_cover(g, MatchingCover.from_matchings([[(0, 1), (2, 3)], [(0, 2)]]))
     assert ("edge-not-in-graph", (1, (0, 2))) in rep.violations
 
+    # ids outside the graph, negative or past the last vertex, beside an edge
+    for e in ((-1, 2), (2, 4), (-2, -1)):
+        rep = verify_cover(g, MatchingCover([[(0, 1), e], [(2, 3)]]))
+        assert rep.violations == [("edge-not-in-graph", (0, e))]
+
     # shared endpoint
     path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     rep = verify_cover(path3, MatchingCover.from_matchings([[(0, 1), (1, 2)]]))
