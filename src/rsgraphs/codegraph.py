@@ -22,12 +22,13 @@ import numpy as np
 
 from .codes import CodeChain, validate_chain
 from .errors import InternalCheckError, ParameterError, check_caps
-from .graphs import Graph, MatchingCover, adjacency_matrix, doubled_cover, singles_cover
+from .graphs import Graph, MatchingCover, adjacency_matrix, doubled_cover, graph_of_rows
+from .graphs import singles_cover
 from .lattice import lattice_points
 
-# Vertex pairs per chunk of adjacency rows scanned by enumerate_cover; the
-# chunk's per-edge arrays stay a few MB.
-_CHUNK_PAIRS = 1 << 16
+# Edges per chunk that enumerate_cover keys at once; the chunk's per-edge
+# arrays stay a few MB.
+_CHUNK_PAIRS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -69,18 +70,8 @@ def build_code_graph(p: CodeGraphParams, max_vertices: int | None = None) -> Gra
     N = p.vertex_count
     check_caps(N, max_vertices)
     pts = lattice_points(p.C, p.n)
-    rows: list[int] = []
-    block = max(1, 2**21 // max(N, 1))
-    for start in range(0, N, block):
-        stop = min(start + block, N)
-        agree = (pts[start:stop, None, :] == pts[None, :, :]).sum(axis=2)
-        mask = agree < p.d
-        # a vertex agrees with itself on all n >= d coordinates, so the
-        # diagonal is already excluded
-        packed = np.packbits(mask, axis=1, bitorder="little")
-        for r in packed:
-            rows.append(int.from_bytes(r.tobytes(), "little"))
-    return Graph(N, rows)
+    return graph_of_rows(N, max(1, 2**21 // max(N, 1)),
+                         lambda a, b: (pts[a:b, None, :] == pts[None, a:, :]).sum(axis=2) < p.d)
 
 
 def enumerate_cover(p: CodeGraphParams, g: Graph | None = None) -> MatchingCover:
@@ -106,12 +97,9 @@ def enumerate_cover(p: CodeGraphParams, g: Graph | None = None) -> MatchingCover
     place = p.C ** np.arange(n - 1, -1, -1, dtype=np.int64)
     # bits[r][j, c]: bit j of codeword c of the code for pairs agreeing on r coordinates
     bits = [(np.array(c.codewords()) >> np.arange(c.n)[:, None]) & 1 for c in p.chain.codes]
-    adj = adjacency_matrix(g)
-    edges, keys = [], []
-    block = max(1, _CHUNK_PAIRS // N)
-    for start in range(0, N, block):
-        u, v = np.nonzero(np.triu(adj[start : start + block], start + 1))
-        u += start
+    keys = [np.empty(0, dtype=np.int64)]
+    for a in range(0, g.edge_count, _CHUNK_PAIRS):
+        u, v = g.pairs[a : a + _CHUNK_PAIRS].T
         step = (pts[v] - pts[u]) * place
         free = step != 0
         agree = n - free.sum(axis=1)
@@ -122,13 +110,12 @@ def enumerate_cover(p: CodeGraphParams, g: Graph | None = None) -> MatchingCover
             sel = agree == r
             cols = np.nonzero(free[sel])[1].reshape(-1, n - r)
             shift[sel] = (np.take_along_axis(step[sel], cols, axis=1) @ b).min(axis=1)
-        edges.append(u * N + v)
-        keys.append(edges[-1] + (N - 1) * shift)
+        keys.append(u * N + v + (N - 1) * shift)
     key = np.concatenate(keys)
     if (np.unique(key, return_counts=True)[1] != size).any():
         raise InternalCheckError("flip class has a wrong edge count")
-    u, v = np.divmod(np.concatenate(edges)[np.argsort(key, kind="stable")], N)
-    return MatchingCover.from_arrays(np.stack((u, v), axis=1), np.arange(0, len(u) + 1, size))
+    pairs = g.pairs[np.argsort(key, kind="stable")]
+    return MatchingCover.from_arrays(pairs, np.arange(0, len(pairs) + 1, size))
 
 
 @dataclass(frozen=True)

@@ -289,6 +289,8 @@ def read_generator(path: str) -> LinearCode:
     if len(header) != 2:
         raise ParameterError(f"{path}:1: malformed header, expected 'n k'")
     n, k = (parse_int(t, path, 1) for t in header)
+    if n < 1 or k < 1:
+        raise ParameterError(f"{path}:1: need n, k >= 1, got n={n}, k={k}")
     rows = []
     for lineno, line in lines:
         line = line.strip()

@@ -25,8 +25,14 @@ import numpy as np
 
 from .errors import MAX_COVER_WORK, InternalCheckError, ParameterError, ResourceLimitError
 from .errors import VerificationError, check_caps
-from .graphs import Graph, MatchingCover, adjacency_matrix
+from .graphs import Graph, MatchingCover, adjacency_matrix, graph_of_rows
 from .lattice import lattice_points, vertex_coords
+
+# Bytes of temporary arrays a step may hold at once: each block of distance,
+# band or edge-by-shell membership rows, and the packed blocked[group,
+# matching, vertex] bits of one lockstep chunk of groups (a chunk always
+# takes at least one group).
+_CHUNK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -91,17 +97,9 @@ def build_geometric_graph(p: GeomParams, max_vertices: int | None = None) -> Gra
     check_caps(N, max_vertices)
     pts = lattice_points(p.C, p.n)
     sq = (pts * pts).sum(axis=1)
-    rows: list[int] = []
-    block = max(1, 2**22 // max(N, 1))
-    for start in range(0, N, block):
-        stop = min(start + block, N)
-        d2 = _pair_sq_dists(pts[start:stop], pts, sq, sq[start:stop])
-        mask = in_edge_band(d2, p)
-        mask[np.arange(start, stop) - start, np.arange(start, stop)] = False
-        packed = np.packbits(mask, axis=1, bitorder="little")
-        for r in packed:
-            rows.append(int.from_bytes(r.tobytes(), "little"))
-    return Graph(N, rows)
+    block = max(1, _CHUNK_BYTES // (8 * max(N, 1)))  # rows of int64 distances
+    return graph_of_rows(N, block, lambda a, b: in_edge_band(
+        _pair_sq_dists(pts[a:b], pts[a:], sq[a:], sq[a:b]), p))
 
 
 def missing_edge_bound(p: GeomParams) -> float:
@@ -203,13 +201,6 @@ def antipodal_gap(x, y, z) -> int:
     if direct != 2 * dx + 2 * dy - dxy:
         raise InternalCheckError("parallelogram identity failed")
     return direct
-
-
-# Bytes of temporary arrays the cover may hold at once: the packed
-# blocked[group, matching, vertex] bits of one lockstep chunk of groups (a
-# chunk always takes at least one group), and each block of distance or
-# edge-by-shell membership rows.
-_CHUNK_BYTES = 1 << 22
 
 
 def _shell_membership(p: GeomParams) -> np.ndarray:
@@ -326,8 +317,7 @@ def decompose_geometric(p: GeomParams, g: Graph | None = None) -> MatchingCover:
     """
     if g is None:
         g = build_geometric_graph(p)
-    adj = adjacency_matrix(g)
-    eu, ev = np.nonzero(np.triu(adj, 1))  # the order of g.edges()
+    eu, ev = g.pairs.T
     if len(eu) * g.n > MAX_COVER_WORK:
         raise ResourceLimitError(f"the shell cover needs {len(eu)} edges x {g.n} vertices "
                                  f"= {len(eu) * g.n} lockstep updates, over {MAX_COVER_WORK}")
@@ -346,7 +336,8 @@ def decompose_geometric(p: GeomParams, g: Graph | None = None) -> MatchingCover:
     sizes = np.bincount(group, minlength=g.n)
     seqs = np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1])
     order = sorted(np.flatnonzero(sizes), key=lambda z: -sizes[z])
-    closed = adj | np.eye(g.n, dtype=bool)
+    closed = adjacency_matrix(g)
+    np.fill_diagonal(closed, True)
     match = np.empty(len(eu), dtype=np.int64)  # matching index within the group
     start = 0
     while start < len(order):
@@ -358,9 +349,7 @@ def decompose_geometric(p: GeomParams, g: Graph | None = None) -> MatchingCover:
     key = group * len(eu) + match
     rank = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[rank], prepend=-1))
-    cover = MatchingCover.from_arrays(
-        np.stack((eu[rank], ev[rank]), axis=1), np.append(starts, len(rank))
-    )
+    cover = MatchingCover.from_arrays(g.pairs[rank], np.append(starts, len(rank)))
     d = g.max_degree()
     if cover.t > g.n * 2 * d * d:
         raise InternalCheckError("cover size exceeded the N * 2 d^2 bound")

@@ -1,9 +1,10 @@
 """Graphs, induced matchings, matching covers, and their verifier.
 
-Adjacency is stored as one Python-int bitmask per vertex, which keeps all
-set algebra exact.  An induced matching M in G is a matching such that no
-edge of G joins endpoints of two distinct edges of M; a cover is a list of
-matchings that partitions E(G).
+A graph is its vertex count n and one sorted, duplicate-free (M, 2) int64
+array of its edges (u, v), u < v; adjacency_matrix scatters it into a bool
+(N, N) matrix for the kernels that need one.  An induced matching M in G is
+a matching such that no edge of G joins endpoints of two distinct edges of
+M; a cover is a list of matchings that partitions E(G).
 
 A cover is held in columns: one (M, 2) int64 array of edges, matching after
 matching, and the t + 1 offsets that cut it into matchings.  verify_cover
@@ -32,93 +33,92 @@ Matching = list[Edge]
 
 # Block cells (group x pair x pair) that induced_groups gathers at once.
 _BLOCK_CELLS = 1 << 16
-# Pairs that write_groups formats at once.
+# Pairs that the writers format, and Graph.edges converts, at once.
 _WRITE_PAIRS = 1 << 16
 
 
-def bits_of(mask: int):
-    """Yield set-bit positions of mask in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class Graph:
-    """Undirected graph on vertex ids 0..n-1 with bitmask adjacency rows."""
+    """Undirected graph on vertex ids 0..n-1: pairs is the sorted,
+    duplicate-free (M, 2) int64 array of its edges (u, v), u < v."""
 
-    __slots__ = ("n", "_rows", "_m")
+    __slots__ = ("n", "pairs")
 
-    def __init__(self, n: int, rows: list[int], edge_count: int | None = None):
-        # Internal constructor; rows are trusted.  Use from_edges.
+    def __init__(self, n: int, pairs: np.ndarray):
+        # Internal constructor; pairs are trusted.  Use from_edges.
         self.n = n
-        self._rows = rows
-        if edge_count is None:
-            edge_count = sum(r.bit_count() for r in rows) // 2
-        self._m = edge_count
+        self.pairs = pairs
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        """The graph of the given edges, each (u, v) or (v, u); repeats
+        merge.  The first edge with an end outside 0..n-1, else the first
+        self-loop, raises ParameterError."""
         if n < 0:
             raise ParameterError("vertex count must be nonnegative")
-        rows = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+        e = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        e = e.reshape(-1, 2)
+        outside = ((e < 0) | (e >= n)).any(axis=1)
+        bad = outside | (e[:, 0] == e[:, 1])
+        if bad.any():
+            i = int(bad.argmax())
+            u, v = e[i].tolist()
+            if outside[i]:
                 raise ParameterError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
-            if u == v:
-                raise ParameterError(f"self-loop at vertex {u}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(n, rows)
+            raise ParameterError(f"self-loop at vertex {u}")
+        e.sort(axis=1)
+        e = e[np.lexsort((e[:, 1], e[:, 0]))]
+        new = np.ones(len(e), dtype=bool)
+        new[1:] = (e[1:] != e[:-1]).any(axis=1)
+        return cls(n, e[new])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and 0 <= v < self.n and bool((self._rows[u] >> v) & 1)
-
-    def neighbors_mask(self, u: int) -> int:
-        return self._rows[u]
-
-    def degree(self, u: int) -> int:
-        return self._rows[u].bit_count()
+    def degrees(self) -> np.ndarray:
+        return np.bincount(self.pairs.ravel(), minlength=self.n)
 
     def max_degree(self) -> int:
-        return max((r.bit_count() for r in self._rows), default=0)
+        return int(self.degrees().max(initial=0))
 
     @property
     def edge_count(self) -> int:
-        return self._m
+        return len(self.pairs)
 
     def edges(self):
         """Yield edges (u, v) with u < v in ascending lexicographic order."""
-        for u in range(self.n):
-            for v in bits_of(self._rows[u] >> (u + 1)):
-                yield (u, u + 1 + v)
+        for a in range(0, len(self.pairs), _WRITE_PAIRS):
+            yield from zip(*self.pairs[a : a + _WRITE_PAIRS].T.tolist())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph) and self.n == other.n and self._rows == other._rows
-        )
+        same_n = isinstance(other, Graph) and self.n == other.n
+        return same_n and np.array_equal(self.pairs, other.pairs)
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={self._m})"
+        return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def unpack_rows(masks: list[int], width: int) -> np.ndarray:
-    """Bool (len(masks), width) matrix whose entry [u, v] is bit v of masks[u]."""
-    nbytes = (width + 7) // 8
-    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
+def key_pairs(keys: np.ndarray, n: int) -> np.ndarray:
+    """The (M, 2) int64 array of the pairs (u, v) with keys u * n + v."""
+    pairs = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
 
 
-def _row_masks(mat: np.ndarray) -> list[int]:
-    """Each row of a bool matrix as an int bitmask, column v being bit v."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def graph_of_rows(n: int, block: int, rows) -> Graph:
+    """The graph on n vertices whose edges are the set entries above the
+    diagonal of a bool (n, n) matrix, made `block` rows at a time: rows(a, b)
+    is the matrix's rows a..b-1 by its columns a..n-1."""
+    keys = [np.empty(0, dtype=np.int64)]
+    for a in range(0, n, block):
+        u, v = np.nonzero(np.triu(rows(a, a + block), 1))
+        keys.append((u + a) * n + (v + a))
+    keys = np.concatenate(keys)  # frees the blocks' keys before the pairs are made
+    return Graph(n, key_pairs(keys, n))
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Bool (N, N) adjacency matrix of g."""
-    return unpack_rows(g._rows, g.n)
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    u, v = g.pairs.T
+    adj[u, v] = adj[v, u] = True
+    return adj
 
 
 def offsets_of(sizes) -> np.ndarray:
@@ -201,28 +201,30 @@ class CoverReport:
     t: int
 
 
-def _matching_violations(g: Graph, i: int, m: Matching, violations):
-    """Collect shared-endpoint and cross-edge defects of matching i."""
+def _has_edge(adj: np.ndarray, u: int, v: int) -> bool:
+    return 0 <= u < len(adj) and 0 <= v < len(adj) and bool(adj[u, v])
+
+
+def _matching_violations(adj: np.ndarray, i: int, m: Matching, violations):
+    """Collect shared-endpoint and cross-edge defects of matching i in the
+    graph with adjacency matrix adj."""
     owner: dict[int, Edge] = {}
-    pmask = 0
     for e in m:
         for x in e:
             if x in owner and owner[x] != e:
                 violations.append(("shared-endpoint", (i, x)))
             owner.setdefault(x, e)
-            if x >= 0:  # a negative id is reported as edge-not-in-graph
-                pmask |= 1 << x
     if any(e[0] == e[1] for e in m):  # self-pairs never arise from valid graphs
         return
+    ends = np.array(sorted(x for x in owner if 0 <= x < len(adj)), dtype=np.int64)
     reported = set()
     for u, v in m:
-        if not g.has_edge(u, v):
+        if not _has_edge(adj, u, v):
             continue
         for a, b in ((u, v), (v, u)):
-            stray = g.neighbors_mask(a) & pmask & ~(1 << b) & ~(1 << a)
-            for c in bits_of(stray):
+            for c in ends[adj[a, ends]].tolist():
                 other = owner[c]
-                if other == (u, v):
+                if c == b or other == (u, v):
                     continue
                 key = (i, min((u, v), other), max((u, v), other))
                 if key not in reported:
@@ -309,6 +311,7 @@ def _violations(g: Graph, c: MatchingCover) -> list[tuple]:
     """Every defect of c, found pair by pair: per matching its pairs outside
     g, then its shared endpoints and cross edges; then the edges covered
     more than once, then the uncovered edges."""
+    adj = adjacency_matrix(g)
     violations: list[tuple] = []
     covered: set[Edge] = set()
     placed = 0
@@ -316,12 +319,12 @@ def _violations(g: Graph, c: MatchingCover) -> list[tuple]:
     for i, m in enumerate(matchings):
         for u, v in m:
             e = (u, v) if u <= v else (v, u)
-            if g.has_edge(*e):
+            if _has_edge(adj, *e):
                 covered.add(e)
                 placed += 1
             else:
                 violations.append(("edge-not-in-graph", (i, e)))
-        _matching_violations(g, i, m, violations)
+        _matching_violations(adj, i, m, violations)
     if placed != len(covered):
         locs: dict[Edge, list[int]] = {}
         for i, m in enumerate(matchings):
@@ -350,7 +353,7 @@ def verify_cover_bipartite(mat: np.ndarray, c: MatchingCover) -> CoverReport:
     us, vs = c.pairs[:, 0], c.pairs[:, 1]
     if _covers_once(mat, us, vs, m) and induced_groups(c.offsets, us, vs, mat[None]).all():
         return _report(c, [])
-    g = Graph(2 * n, [r << n for r in _row_masks(mat)] + _row_masks(mat.T), m)
+    g = Graph(2 * n, key_pairs(np.flatnonzero(mat), n) + (0, n))  # row-major: sorted
     return verify_cover(g, MatchingCover.from_arrays(c.pairs + (0, n), c.offsets))
 
 
@@ -358,16 +361,14 @@ def complement_degree(g: Graph, v: int) -> int:
     """Degree of v in the complement graph: n - 1 - deg(v)."""
     if not 0 <= v < g.n:
         raise ParameterError(f"vertex {v} out of range")
-    return g.n - 1 - g.degree(v)
+    return g.n - 1 - int(g.degrees()[v])
 
 
 def singles_cover(mat: np.ndarray) -> MatchingCover:
     """The cover of the station matrix mat by one-pair matchings: (u, v)
     for each set mat[u, v], in ascending order."""
-    at = np.flatnonzero(mat)
-    pairs = np.empty((len(at), 2), dtype=np.int64)
-    np.divmod(at, len(mat), out=(pairs[:, 0], pairs[:, 1]))
-    return MatchingCover.from_arrays(pairs, np.arange(len(at) + 1))
+    pairs = key_pairs(np.flatnonzero(mat), len(mat))
+    return MatchingCover.from_arrays(pairs, np.arange(len(pairs) + 1))
 
 
 def doubled_cover(c: MatchingCover, n: int) -> MatchingCover:
@@ -401,8 +402,6 @@ def doubled_cover(c: MatchingCover, n: int) -> MatchingCover:
 SPACE = r"[\t\x0b\x0c\x1c-\x1f ]"
 # Characters of text that read_rows converts at once.
 _READ_CHARS = 1 << 16
-# Cells of each bool block that read_edge_list packs its rows from.
-_BUILD_CELLS = 1 << 25
 # 10^p for the places p = 0..18 of an int64 id.
 _POW10 = 10 ** np.arange(19, dtype=np.uint64)
 
@@ -577,21 +576,29 @@ def _digit_runs(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.n
     return vals
 
 
+def write_rows(fh, rows: np.ndarray) -> None:
+    """Write each row of the int array rows to the text file fh as one line
+    of ids separated by spaces, one % format per chunk of _WRITE_PAIRS rows."""
+    line = " ".join(["%d"] * rows.shape[1]) + "\n"
+    for a in range(0, len(rows), _WRITE_PAIRS):
+        chunk = rows[a : a + _WRITE_PAIRS]
+        fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
 def write_edge_list(g: Graph, path: str) -> None:
     """First line "N M", then one "u v" line per edge with u < v, ascending."""
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.edge_count}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
+        write_rows(fh, g.pairs)
 
 
 _EDGE_LINE = line_grammar(f"[0-9]+{SPACE}+[0-9]+")
 
 
 def read_edge_list(path: str, caps=None) -> Graph:
-    """The graph of the edge list at `path`.  caps(N), if given, runs on
-    the header's N once the lines, the edge count and the vertex range are
-    checked, before anything is allocated for N, and may refuse it."""
+    """The graph of the edge list at `path`: the pairs it read, sorted.
+    caps(N), if given, runs on the header's N once the lines, the edge
+    count and the vertex range are checked, and may refuse it."""
     rows = read_rows(path, _EDGE_LINE, 0, skip=1)
     header = rows.text.partition("\n")[0].split()
     if len(header) != 2:
@@ -609,7 +616,7 @@ def read_edge_list(path: str, caps=None) -> Graph:
         raise ParameterError(f"edge ({u[out[0]]},{v[out[0]]}) outside vertex range 0..{n - 1}")
     if caps:
         caps(n)
-    return _graph_of(n, rows.pairs)
+    return Graph(n, rows.pairs[order])
 
 
 def _edge_line(path, lineno: int, line: str, index: int, pairs: np.ndarray) -> None:
@@ -625,34 +632,6 @@ def _edge_line(path, lineno: int, line: str, index: int, pairs: np.ndarray) -> N
         raise ParameterError(f"{path}:{lineno}: id {v} does not fit in 64 bits")
     if (pairs[:index] == (u, v)).all(axis=1).any():
         raise ParameterError(f"{path}:{lineno}: edge ({u},{v}) repeats an earlier line")
-
-
-def _graph_of(n: int, pairs: np.ndarray) -> Graph:
-    """Graph.from_edges(n, pairs) for an (M, 2) array of distinct edges
-    (u, v) with u < v < n.  The rows of the vertices with edges are packed
-    through _row_masks from bool blocks of whole rows, each of about
-    _BUILD_CELLS cells (at least one row) of width the largest id plus one,
-    which is at most n; so a block never holds more than the row list."""
-    rows = [0] * n
-    u, v = pairs.T
-    if not len(pairs):
-        return Graph(n, rows, 0)
-    width = int(v.max()) + 1
-    used = np.flatnonzero(np.bincount(pairs.ravel(), minlength=width))
-    at = np.zeros(width, dtype=np.int64)
-    at[used] = np.arange(len(used))
-    step = max(1, _BUILD_CELLS // width)
-    for a in range(0, len(used), step):
-        k = min(step, len(used) - a)
-        block = np.zeros((k + 1, width), dtype=bool)  # row k takes the rows of other blocks
-        for x, y in ((u, v), (v, u)):  # y in the row of x
-            r = at[x]
-            r -= a
-            r[(r < 0) | (r >= k)] = k
-            block[r, y] = True
-        for x, mask in zip(used[a : a + k].tolist(), _row_masks(block[:k])):
-            rows[x] = mask
-    return Graph(n, rows, len(pairs))
 
 
 def write_groups(path: str, head: str, cols, pairs: np.ndarray, offsets: np.ndarray,

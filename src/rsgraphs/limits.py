@@ -12,7 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalCheckError, ParameterError, VerificationError
-from .graphs import Graph, MatchingCover, unpack_rows, verify_cover
+from .graphs import Graph, MatchingCover, adjacency_matrix, verify_cover, write_rows
+
+# Wedges that triangle_census checks at once.
+_WEDGES = 1 << 15
 
 
 def uniformize(c: MatchingCover, r: int) -> tuple[MatchingCover, list[tuple[int, int]]]:
@@ -34,32 +37,31 @@ def uniformize(c: MatchingCover, r: int) -> tuple[MatchingCover, list[tuple[int,
     return MatchingCover.from_matchings(blocks), dropped
 
 
-def greedy_bipartition(g: Graph) -> tuple[int, int]:
-    """Deterministic max-cut bipartition (left mask, right mask).
+def greedy_bipartition(g: Graph) -> np.ndarray:
+    """Deterministic max-cut bipartition: a bool array, True on the right.
 
     Vertices are placed in ascending id order, each on the side holding fewer
     of its already-placed neighbors (ties to the left side), so at least half
     of all edges end up crossing.
     """
-    left = right = 0
+    adj = adjacency_matrix(g)
+    right = np.zeros(g.n, dtype=bool)
     for v in range(g.n):
-        nm = g.neighbors_mask(v)
-        if (nm & left).bit_count() <= (nm & right).bit_count():
-            left |= 1 << v
-        else:
-            right |= 1 << v
-    return left, right
+        placed = adj[v, :v]
+        right[v] = 2 * np.count_nonzero(placed & right[:v]) < np.count_nonzero(placed)
+    return right
 
 
-@dataclass
+@dataclass(eq=False)
 class TriangleGraph:
-    """Tripartite graph H on U + V + apexes; every H-edge is in exactly one triangle."""
+    """Tripartite graph H on U + V + apexes; every H-edge is in exactly one
+    triangle.  == is identity: triangles is an array."""
 
     graph: Graph
     left: tuple[int, ...]  # original vertex ids placed left
     right: tuple[int, ...]
     apexes: tuple[int, ...]  # one new vertex per surviving matching
-    triangles: tuple[tuple[int, int, int], ...]  # (u, v, apex)
+    triangles: np.ndarray  # (T, 3) int64: rows (u, v, apex)
     crossing_edges: int
 
 
@@ -78,7 +80,7 @@ def triangle_graph(g: Graph, c: MatchingCover) -> TriangleGraph:
         raise ParameterError(
             f"cover is not uniform (sizes {rep.r_min}..{rep.r_max}); uniformize first"
         )
-    right = unpack_rows([greedy_bipartition(g)[1]], g.n)[0]
+    right = greedy_bipartition(g)
     pairs, sizes = c.pairs, np.diff(c.offsets)
     cross = right[pairs[:, 0]] != right[pairs[:, 1]]
     # crossing pairs written (left, right), matching by matching
@@ -89,31 +91,59 @@ def triangle_graph(g: Graph, c: MatchingCover) -> TriangleGraph:
     crossing = len(u)
     nv = g.n + int(np.count_nonzero(has))
     ends = np.concatenate((np.stack((u, v), 1), np.stack((u, w), 1), np.stack((v, w), 1)))
-    h = Graph.from_edges(nv, ends.tolist())
-    triangles = tuple(zip(u.tolist(), v.tolist(), w.tolist()))
     if 2 * crossing < g.edge_count:
         raise InternalCheckError("bipartization kept fewer than half the edges")
     return TriangleGraph(
-        graph=h,
+        graph=Graph.from_edges(nv, ends),
         left=tuple(np.flatnonzero(~right).tolist()),
         right=tuple(np.flatnonzero(right).tolist()),
         apexes=tuple(range(g.n, nv)),
-        triangles=triangles,
+        triangles=np.stack((u, v, w), axis=1),
         crossing_edges=crossing,
     )
 
 
 def triangle_census(g: Graph) -> tuple[int, dict[tuple[int, int], int]]:
     """Exhaustive triangle count plus per-edge triangle membership counts."""
-    per_edge: dict[tuple[int, int], int] = {}
-    total = 0
-    for u, v in g.edges():
-        k = (g.neighbors_mask(u) & g.neighbors_mask(v)).bit_count()
-        per_edge[(u, v)] = k
-        total += k
-    if total % 3:
-        raise InternalCheckError("per-edge triangle counts are inconsistent")
-    return total // 3, per_edge
+    counts = _edge_triangles(g)
+    ids = list(range(g.n))  # one int object per vertex, shared by the keys
+    keys = ((ids[u], ids[v]) for u, v in g.edges())
+    return int(counts.sum()) // 3, dict(zip(keys, counts.tolist()))
+
+
+def _edge_triangles(g: Graph) -> np.ndarray:
+    """The number of triangles on each edge of g, in the order of g.pairs.
+
+    Each edge is directed away from its endpoint lower in (degree, id)
+    order.  A triangle is then found exactly once, at its lowest vertex x,
+    as the wedge of two edges x -> p, x -> q whose closing pair pq is an
+    edge: a binary search for its key in the sorted edge keys.  Wedges are
+    checked in chunks of about _WEDGES."""
+    n, m = g.n, g.edge_count
+    u, v = g.pairs.T
+    keys = u * n + v  # ascending, as g.pairs is sorted
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(g.degrees(), kind="stable")] = np.arange(n)
+    flip = rank[u] > rank[v]
+    tail, head = np.where(flip, v, u), np.where(flip, u, v)
+    out = np.lexsort((head, tail))  # out-edges by tail, heads ascending
+    tail, head = tail[out], head[out]
+    # out-edge j makes a wedge with each later out-edge of its tail
+    later = np.searchsorted(tail, tail, side="right") - np.arange(1, m + 1)
+    ends = np.cumsum(later)
+    found = [np.empty(0, dtype=np.int64)]  # edge ids, three per triangle
+    a = 0
+    while a < m:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - later[a] + _WEDGES, side="right")))
+        k = later[a:b]
+        first = np.repeat(np.arange(a, b), k)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(k) - k, k)
+        key = head[first] * n + head[second]
+        at = np.minimum(np.searchsorted(keys, key), m - 1)
+        hit = keys[at] == key
+        found += [out[first[hit]], out[second[hit]], at[hit]]
+        a = b
+    return np.bincount(np.concatenate(found), minlength=m)
 
 
 @dataclass
@@ -134,14 +164,9 @@ def check_min_degree_bound(g: Graph, r: int, cover: MatchingCover | None = None)
     """
     if r < 1:
         raise ParameterError(f"need r >= 1, got {r}")
-    margins: list[int] = []
-    violations: list[int] = []
-    for v in range(g.n):
-        dv = g.n - 1 - g.degree(v)
-        margin = dv * (dv - 1) // 2 - (r - 1) * (g.n - 1 - dv)
-        margins.append(margin)
-        if margin < 0:
-            violations.append(v)
+    n = g.n
+    margins = [d * (d - 1) // 2 - (r - 1) * (n - 1 - d) for d in (n - 1 - g.degrees()).tolist()]
+    violations = [v for v, margin in enumerate(margins) if margin < 0]
     report = MinDegreeReport(
         r=r,
         margins=margins,
@@ -187,7 +212,5 @@ def write_triangle_graph(tg: TriangleGraph, path: str) -> None:
     g = tg.graph
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.edge_count} {len(tg.triangles)}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
-        for u, v, w in tg.triangles:
-            fh.write(f"{u} {v} {w}\n")
+        write_rows(fh, g.pairs)
+        write_rows(fh, tg.triangles)

@@ -157,8 +157,14 @@ def min_bound(N: int, d_f, r: int, t: int) -> float:
 
 
 def load_table(path: str, m: int) -> BooleanFunction:
-    """Read a truth table of 2^m characters '0'/'1' (whitespace ignored)."""
-    text = "".join("".join(line.split()) for _, line in numbered_lines(path))
-    if len(text) != 1 << m or set(text) - {"0", "1"}:
+    """Read a truth table of 2^m characters '0'/'1' (whitespace ignored); a
+    line with any other character raises ParameterError naming it."""
+    bits = []
+    for lineno, line in numbered_lines(path):
+        bits.append("".join(line.split()))
+        if bits[-1].strip("01"):
+            raise ParameterError(f"{path}:{lineno}: expected 2^{m} characters of 0/1")
+    text = "".join(bits)
+    if len(text) != 1 << m:
         raise ParameterError(f"{path}: expected 2^{m} characters of 0/1")
     return BooleanFunction(m, np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))

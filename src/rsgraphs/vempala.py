@@ -60,6 +60,15 @@ class EdgePartition:
     def _set(self, n: int, k: int, sizes: np.ndarray, pairs: np.ndarray) -> None:
         i, j = pairs[:, 0], pairs[:, 1]
         outside = (i < 0) | (i >= n) | (j < 0) | (j >= k)
+        if len(pairs) == n * k and sizes.all() and not outside.any():
+            # n * k pairs inside the n x k cells, none twice iff every cell is hit
+            hit = np.zeros(n * k, dtype=bool)
+            hit[i * k + j] = True
+            if hit.all():
+                self.left_n, self.right_n = n, k
+                self._sizes, self._pairs = sizes, pairs
+                return
+        # Name the defect: the slow path, only for parts that fail.
         repeated = np.ones(len(pairs), dtype=bool)
         repeated[np.unique(i * k + j, return_index=True)[1]] = False
         # Report the defect a scan over the parts meets first; an empty part
@@ -73,10 +82,7 @@ class EdgePartition:
             if outside[bad[0]]:
                 raise ParameterError(f"pair ({a},{b}) outside {n}x{k}")
             raise ParameterError(f"pair ({a},{b}) appears in two parts")
-        if len(pairs) != n * k:
-            raise ParameterError(f"parts cover {len(pairs)} of {n * k} pairs")
-        self.left_n, self.right_n = n, k
-        self._sizes, self._pairs = sizes, pairs
+        raise ParameterError(f"parts cover {len(pairs)} of {n * k} pairs")
 
     @property
     def parts(self) -> list[list[tuple[int, int]]]:

@@ -34,10 +34,11 @@ from rsgraphs.codegraph import (
 from rsgraphs.codes import LinearCode, build_chain, gv_search
 from rsgraphs.errors import ParameterError, SearchFailureError, VerificationError
 from rsgraphs.geometric import GeomParams, build_geometric_graph, decompose_geometric
-from rsgraphs.graphs import MatchingCover, bits_of, write_cover
+from rsgraphs.graphs import MatchingCover, write_cover
 from rsgraphs.vempala import counterexample_partition
 from test_codegraph_oracle import oracle_enumerate_cover
 from test_cover_oracle import doubled_matchings, station_matrix
+from test_graph_oracle import bit_graph, bits_of
 
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
 
@@ -314,6 +315,7 @@ def oracle_partition_shifts(p, num_channels, seed, max_attempts=1):
     g = build_geometric_graph(p)
     n = g.n
     base = doubled_matchings(decompose_geometric(p, g))
+    g = bit_graph(g)
     full = (1 << n) - 1
     rng = random.Random(seed)
     best = None  # (overflow_size, attempt_index, perms, assigned, overflow)
@@ -424,6 +426,7 @@ def oracle_schedule_text(g, cover) -> str:
     """The two-channel schedule file as the tuple path wrote it: the doubled
     matchings of the cover, then one round per remainder pair (u, v), read
     off the complement of g's bitmask rows."""
+    g = bit_graph(g)
     n = g.n
     full = (1 << n) - 1
     rounds = [(0, m) for m in doubled_matchings(cover)]

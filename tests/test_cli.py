@@ -126,17 +126,17 @@ def test_resource_cap_exit_code(tmp_path, capsys, command):
                                      "limits mindeg --edges {edges} --r 2",
                                      "lintest --edges {edges} --cover {cover} --m 2 --f and --trials 1"])
 def test_edge_list_header_is_capped_before_the_graph_is_built(tmp_path, capsys, monkeypatch, command):
-    # a header N of 2^63 - 1 with one edge: the row list for N is never built
+    # a header N of 2^63 - 1 with one edge: no N x N matrix is ever made
     edges, cover = tmp_path / "edges.txt", tmp_path / "cover.txt"
     edges.write_text(f"{2**63 - 1} 1\n0 1\n")
     cover.write_text("0: 0-1\n")
 
     def build(*args):
-        raise AssertionError("the graph was built before the caps ran")
+        raise AssertionError("the adjacency matrix was made before the caps ran")
 
-    monkeypatch.setattr(graphs, "_graph_of", build)
+    monkeypatch.setattr(graphs, "adjacency_matrix", build)
     assert run(command.format(edges=edges, cover=cover).split()) == 3
-    assert "9223372036854775807 vertices exceed the cap of 100000" in capsys.readouterr().err
+    assert "9223372036854775807 vertices exceed the cap of 100000;" in capsys.readouterr().err
     # an edge outside the header's range is reported first, as before the caps moved
     edges.write_text("5 1\n0 7\n")
     assert run(command.format(edges=edges, cover=cover).split() + ["--max-vertices", "1"]) == 1
@@ -496,6 +496,10 @@ BAD_INPUTS = {
     "generator-header": ("4 x\n11\n11\n10\n10\n",
                          ["construct", "code", "--c", "3", "--n", "4", "--d", "2", "--gen", "{f}"], 1),
     "missing-file": (None, ["limits", "mindeg", "--edges", "{f}", "--r", "2"], None),
+    "generator-zero": ("0 2\n", ["construct", "code", "--c", "3", "--n", "4", "--d", "2",
+                                 "--gen", "{f}"], 1),
+    "table-char": ("0110\n01x1\n0110\n0110\n", ["lintest", "--edges", "{g}", "--cover", "{c}",
+                                                  "--m", "4", "--f", "table:{f}", "--trials", "1"], 2),
 }
 
 

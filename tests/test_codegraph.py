@@ -79,7 +79,7 @@ def test_desk_graph_counts():
     assert g.n == 81
     assert g.edge_count == 1944
     # per-vertex neighbor count: sum over agreements j < 2 of C(4,j) 2^(4-j)
-    assert all(g.degree(v) == 16 + 32 for v in range(81))
+    assert g.degrees().tolist() == [16 + 32] * 81
 
 
 def test_x_flip_frozen_trace():

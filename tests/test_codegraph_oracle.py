@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from rsgraphs.codegraph import CodeGraphParams, build_code_graph, enumerate_cover
 from rsgraphs.codes import LinearCode, build_chain, gv_search
 from rsgraphs.errors import InternalCheckError, ParameterError, SearchFailureError
-from rsgraphs.graphs import Graph, MatchingCover, bits_of
+from rsgraphs.graphs import Graph, MatchingCover
 from rsgraphs.lattice import lattice_points
 from test_cover_oracle import is_induced_matching
+from test_graph_oracle import bit_graph, bits_of
 
 Coords = tuple[int, ...]
 OrderedPair = tuple[Coords, Coords]
@@ -84,6 +85,7 @@ def class_canonical(pair: OrderedPair, p: CodeGraphParams) -> OrderedPair:
 
 def oracle_enumerate_cover(p: CodeGraphParams, g: Graph) -> MatchingCover:
     """One induced matching per flip class, built from its canonical pair."""
+    g = bit_graph(g)
     k = p.k
     coords = [tuple(int(x) for x in row) for row in lattice_points(p.C, p.n)]
     seen: set[tuple[int, int]] = set()

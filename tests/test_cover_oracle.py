@@ -24,12 +24,10 @@ from rsgraphs.graphs import (
     CoverReport,
     Graph,
     MatchingCover,
-    bits_of,
-    unpack_rows,
     verify_cover,
     verify_cover_bipartite,
 )
-from test_geometric_oracle import greedy_cover_within
+from test_graph_oracle import bit_graph, bits_of, greedy_cover_within, unpack_rows
 
 
 def station_matrix(rows: list[int]) -> np.ndarray:
@@ -53,6 +51,7 @@ def is_induced_matching(g: Graph, m) -> bool:
     Every listed edge must be an edge of g; anything else signals a malformed
     cover and raises ParameterError rather than returning False.
     """
+    g = bit_graph(g)
     seen = 0
     for u, v in m:
         if not g.has_edge(u, v):
@@ -116,6 +115,7 @@ def oracle_matching_violations(i, m, neighbor_mask, has_edge, violations):
 
 def oracle_verify_cover(g: Graph, c: MatchingCover) -> CoverReport:
     """verify_cover as it was: every matching and every edge searched in full."""
+    g = bit_graph(g)
     violations = []
     locs = {}
     for i, m in enumerate(c.matchings):

@@ -1,5 +1,6 @@
 """File formats: the bulk edge-list, cover and schedule readers against the
-per-token readers they replaced, kept here as oracles.
+per-token readers they replaced, kept here as oracles, and the generator and
+truth-table readers against a line-by-line reading of their grammar.
 
 Round trips write an object and read it back.  Mutations edit a written
 file (whitespace, newlines, blank lines, digits, long ids, repeated,
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from rsgraphs import graphs
 from rsgraphs.channels import Schedule, read_schedule, write_schedule
+from rsgraphs.codes import LinearCode, read_generator, write_generator
 from rsgraphs.errors import InternalCheckError, ParameterError
 from rsgraphs.graphs import (
     Graph,
@@ -31,13 +33,15 @@ from rsgraphs.graphs import (
     write_cover,
     write_edge_list,
 )
+from rsgraphs.lintest import load_table
 from rsgraphs.vempala import EdgePartition, write_partition
+from test_graph_oracle import BitGraph
 
 # ---------------------------------------------------------------------------
 # oracles: the per-token readers
 
 
-def oracle_read_edge_list(path) -> Graph:
+def oracle_read_edge_list(path) -> BitGraph:
     """One parse_int call per token, checks line by line.  Like the bulk
     reader, it refuses an id of 2^63 or more in an edge line; the earlier
     reader took it as a Python int and failed later on the vertex range."""
@@ -63,7 +67,7 @@ def oracle_read_edge_list(path) -> Graph:
         edges[(u, v)] = None
     if len(edges) != m:
         raise ParameterError(f"{path}: header claims {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    return BitGraph.from_edges(n, edges)
 
 
 def oracle_read_cover(path) -> MatchingCover:
@@ -120,8 +124,8 @@ def oracle_read_schedule(path, n_stations=None) -> Schedule:
 
 def key(obj):
     """Everything that makes two read objects equal."""
-    if isinstance(obj, Graph):
-        return ("graph", obj.n, obj.edge_count, tuple(obj._rows))
+    if isinstance(obj, (Graph, BitGraph)):
+        return ("graph", obj.n, obj.edge_count, list(obj.edges()))
     if isinstance(obj, MatchingCover):
         return ("cover", obj.pairs.dtype, obj.pairs.tolist(), obj.offsets.tolist())
     return ("schedule", obj.n_stations, obj.num_subchannels, obj.chans.dtype,
@@ -276,7 +280,7 @@ LISTED = {
         "3 2\n1 1\n", "3 3\n0 1\n", "3 2\n0 1\n1 3\n", "0 1\n0 1\n", "3 1\n0 3\n",
         "3 1\n0 9223372036854775807\n", "3 1\n0 9223372036854775808\n", "3\n0 1\n", "",
         "\n3 1\n0 1\n", "3 2\n0 1\n1", "3 2\n000 0000000000000000000000001\n1 2\n",
-        "3 2\n0 1\n0 01\n", "3 0\n\n \n",
+        "3 2\n0 1\n0 01\n", "3 0\n\n \n", "9223372036854775807 1\n0 1\n",
     ],
     "cover": [
         "0: 0-1\n2: 1-0\n", "0 : 0-1\n", "0:0-1\n", "0\n", "0:\n1\n", "0: 0-1-2\n",
@@ -356,11 +360,31 @@ def test_a_line_the_bulk_check_wrongly_fails_is_an_internal_error(tmp_path):
             read_cover(path)
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(g=graphs_(), data=st.data())
+def test_shuffled_edge_list_reads_as_the_oracle_reads_it(tmp_path, g, data):
+    # the edge lines in any order, now and then with a repeated, reversed or
+    # out-of-range line, and the header's count kept right: the edges, the
+    # degrees and the error text of the bitmask oracle
+    path = tmp_path / "e.txt"
+    write_edge_list(g, path)
+    lines = data.draw(st.permutations(path.read_text().splitlines()[1:]))
+    if lines and data.draw(st.booleans()):
+        u, v = map(int, data.draw(st.sampled_from(lines)).split())
+        bad = data.draw(st.sampled_from([f"{u} {v}", f"{v} {u}", f"{u} {g.n}"]))
+        lines.insert(data.draw(st.integers(0, len(lines))), bad)
+    path.write_text(f"{g.n} {len(lines)}\n" + "".join(line + "\n" for line in lines))
+    got, want = outcome(read_edge_list, path), outcome(oracle_read_edge_list, path)
+    assert got == want
+    if got[0] == "graph":
+        assert read_edge_list(path).degrees().tolist() == [
+            oracle_read_edge_list(path).degree(v) for v in range(g.n)]
+
+
 @pytest.mark.parametrize("edges", [[(0, 99999), (5, 7)],
                                    [(i, 99999 - i) for i in range(400)]])
 def test_sparse_edge_list_with_a_large_header(tmp_path, edges):
-    # the bool blocks cover the vertices with edges only; past _BUILD_CELLS
-    # cells (the second case) the rows are packed in several blocks
+    # the graph is the pairs read: nothing is allocated per vertex
     path = tmp_path / "e.txt"
     path.write_text(f"100000 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
     assert read_edge_list(path) == Graph.from_edges(100000, edges)
@@ -376,7 +400,9 @@ def test_writers_match_one_format_per_pair(tmp_path, write_pairs, groups, chans,
     cells = [divmod(c, 4) for c in order]
     bounds = [0, *sorted(cuts), 12]
     parts = [cells[a:b] for a, b in zip(bounds, bounds[1:])]
+    g = Graph.from_edges(41, [e for m in groups for e in m if e[0] != e[1]])
     with mock.patch.object(graphs, "_WRITE_PAIRS", write_pairs):
+        write_edge_list(g, tmp_path / "e.txt")
         write_cover(MatchingCover(groups), tmp_path / "c.txt")
         write_schedule(Schedule(41, 10, list(zip(chans, groups))), tmp_path / "s.txt")
         write_partition(EdgePartition(3, 4, parts), tmp_path / "p.txt")
@@ -385,7 +411,137 @@ def test_writers_match_one_format_per_pair(tmp_path, write_pairs, groups, chans,
         return "".join(head(i) + "".join(f" {u}{sep}{v}" for u, v in g) + "\n"
                        for i, g in enumerate(groups))
 
+    assert (tmp_path / "e.txt").read_text() == f"41 {g.edge_count}\n" + "".join(
+        f"{u} {v}\n" for u, v in g.pairs.tolist())
     assert (tmp_path / "c.txt").read_text() == lines(groups, lambda i: f"{i}:", "-")
     assert (tmp_path / "s.txt").read_text() == lines(
         groups, lambda i: f"round {i} chan {chans[i]}:", ">")
     assert (tmp_path / "p.txt").read_text() == lines(parts, lambda i: f"part {i}:", ">")
+
+
+# ---------------------------------------------------------------------------
+# generator and truth-table files, against a line-by-line reading of their
+# grammar: ("code", n, k, cols) or ("table", bits) for a file that follows
+# it, else ("line", number) for its first line that breaks it, or ("count",)
+# when only the number of rows or characters is wrong.
+
+
+def file_lines(path) -> list[str]:
+    with open(path) as fh:  # newlines translated, as the readers read them
+        return fh.read().split("\n")
+
+
+def grammar_generator(path):
+    lines = file_lines(path)
+    header = lines[0].split()
+    if len(header) != 2 or not all(t.isascii() and t.isdigit() for t in header):
+        return ("line", 1)
+    n, k = map(int, header)
+    if n < 1 or k < 1:
+        return ("line", 1)
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        row = line.strip()
+        if row and (len(row) != k or row.strip("01")):
+            return ("line", lineno)
+        rows += [row] if row else []
+    if len(rows) != n:
+        return ("count",)
+    return ("code", n, k, tuple(int("".join(r[j] for r in reversed(rows)), 2) for j in range(k)))
+
+
+def grammar_table(path, m):
+    bits = ""
+    for lineno, line in enumerate(file_lines(path), start=1):
+        chars = "".join(line.split())
+        if chars.strip("01"):
+            return ("line", lineno)
+        bits += chars
+    return ("table", bits) if len(bits) == 1 << m else ("count",)
+
+
+def read_outcome(read, path):
+    """What read(path) returned, as the grammar readings above write it, or
+    the line its ParameterError names; any other error is returned as is."""
+    try:
+        got = read(path)
+    except ParameterError as exc:
+        named = re.match(rf"{re.escape(str(path))}:([0-9]+): ", str(exc))
+        if named:
+            return ("line", int(named[1]))
+        if str(exc).startswith(f"{path}: expected "):
+            return ("count",)
+        return ("raises", str(exc))
+    if isinstance(got, LinearCode):
+        return ("code", got.n, got.k, got.cols)
+    return ("table", "".join(map(str, got.table.tolist())))
+
+
+@st.composite
+def generator_files(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    return LinearCode(n, k, tuple(draw(st.lists(st.integers(0, (1 << n) - 1),
+                                                min_size=k, max_size=k))))
+
+
+@st.composite
+def table_files(draw):
+    """m, the 2^m table bits, and the file: the bits in lines of a drawn width."""
+    m = draw(st.integers(1, 6))
+    bits = "".join(draw(st.lists(st.sampled_from("01"), min_size=1 << m, max_size=1 << m)))
+    width = draw(st.integers(1, 1 << m))
+    return m, bits, "".join(bits[a : a + width] + "\n" for a in range(0, len(bits), width))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(code=generator_files(), table=table_files())
+def test_generator_and_table_round_trip(tmp_path, code, table):
+    path = tmp_path / "gen.txt"
+    write_generator(code, path)
+    assert read_outcome(read_generator, path) == ("code", code.n, code.k, code.cols)
+    assert grammar_generator(path) == ("code", code.n, code.k, code.cols)
+    m, bits, text = table
+    path.write_text(text)
+    assert read_outcome(lambda p: load_table(p, m), path) == ("table", bits)
+    assert grammar_table(path, m) == ("table", bits)
+
+
+@pytest.mark.parametrize("fmt", ["generator", "table"])
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_generator_and_table_read_by_their_grammar(tmp_path, fmt, data):
+    # the mutated file reads as the object its grammar gives, or raises a
+    # ParameterError naming its first bad line (path:line), or the path
+    # alone for a wrong count
+    path = tmp_path / "file.txt"
+    if fmt == "generator":
+        write_generator(data.draw(generator_files()), path)
+        read, grammar = read_generator, grammar_generator
+    else:
+        m, _, text = data.draw(table_files())
+        path.write_text(text)
+        read, grammar = (lambda p: load_table(p, m)), (lambda p: grammar_table(p, m))
+    text = path.read_text()
+    for _ in range(data.draw(st.integers(1, 3))):
+        text = mutate(text, data.draw)
+    path.write_bytes(text.encode("utf-8"))
+    assert read_outcome(read, path) == grammar(path)
+
+
+GRAMMAR_LISTED = {
+    "generator": ["0 2\n", "2 0\n\n", "0 0", "", "\n4 2\n", "2 2\n11\n10\n01\n", "2 2\n11\n",
+                  "2 2\r\n 10 \r\n\r\n01\r\n", "2 2\n1 0\n01\n", "2 2\n1١\n01\n", "2 2 2\n"],
+    "table": ["0110\n", "01\n10", "0 1　1\t0\n", "011\n", "01102\n", "0110\n0\n",
+              "\n\n01x0\n", "01١\n", ""],
+}
+
+
+@pytest.mark.parametrize("fmt,text", [(f, t) for f, ts in GRAMMAR_LISTED.items() for t in ts])
+def test_listed_generator_and_table_files(tmp_path, fmt, text):
+    path = tmp_path / "file.txt"
+    path.write_bytes(text.encode("utf-8"))
+    if fmt == "generator":
+        assert read_outcome(read_generator, path) == grammar_generator(path)
+    else:
+        assert read_outcome(lambda p: load_table(p, 2), path) == grammar_table(path, 2)

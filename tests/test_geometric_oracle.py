@@ -27,8 +27,9 @@ from rsgraphs.geometric import (
     max_shell_degree,
     shell,
 )
-from rsgraphs.graphs import Graph, MatchingCover, bits_of, verify_cover
+from rsgraphs.graphs import Graph, MatchingCover, verify_cover
 from rsgraphs.lattice import vertex_coords
+from test_graph_oracle import bit_graph, bits_of, first_fit, greedy_cover_within
 
 
 def shell_masks(p: GeomParams):
@@ -40,34 +41,6 @@ def shell_masks(p: GeomParams):
             mask |= 1 << x
         masks.append(mask)
     return masks
-
-
-def first_fit(g: Graph, edges) -> list[list[tuple[int, int]]]:
-    """First-fit induced-matching cover of the given edges of g, in order:
-    each edge joins the first matching with no vertex in N[u] | N[v]."""
-    matchings: list[list[tuple[int, int]]] = []
-    masks: list[int] = []
-    for u, v in edges:
-        conflict = g.neighbors_mask(u) | g.neighbors_mask(v) | (1 << u) | (1 << v)
-        for i, pm in enumerate(masks):
-            if pm & conflict == 0:
-                matchings[i].append((u, v))
-                masks[i] |= (1 << u) | (1 << v)
-                break
-        else:
-            matchings.append([(u, v)])
-            masks.append((1 << u) | (1 << v))
-    return matchings
-
-
-def greedy_cover_within(g: Graph, members: int) -> list[list[tuple[int, int]]]:
-    """First-fit induced-matching cover of the subgraph induced on `members`
-    (its matchings hold members only, so N[u] | N[v] in g decides as well)."""
-    return first_fit(g, [
-        (u, u + 1 + v)
-        for u in bits_of(members)
-        for v in bits_of((g.neighbors_mask(u) & members) >> (u + 1))
-    ])
 
 
 def vertex_id(x, C: int) -> int:
@@ -86,6 +59,7 @@ def no_shell_error(e, p: GeomParams) -> VerificationError:
 def center_cover(p: GeomParams, g: Graph) -> list[list[tuple[int, int]]]:
     """Group each edge by its center's shell (else its lowest shell holding
     both endpoints), then first-fit every group in ascending group id."""
+    g = bit_graph(g)
     masks = shell_masks(p)
     groups: dict[int, list[tuple[int, int]]] = {}
     for u, v in g.edges():
@@ -102,6 +76,7 @@ def center_cover(p: GeomParams, g: Graph) -> list[list[tuple[int, int]]]:
 
 def reference_cover(p: GeomParams, g: Graph) -> list[list[tuple[int, int]]]:
     """Cover every shell in full, then keep each edge at its first occurrence."""
+    g = bit_graph(g)
     collected: list[list[tuple[int, int]]] = []
     for members in shell_masks(p):
         collected.extend(greedy_cover_within(g, members))
@@ -119,6 +94,7 @@ def reference_cover(p: GeomParams, g: Graph) -> list[list[tuple[int, int]]]:
 
 
 def reference_max_shell_degree(p: GeomParams, g: Graph) -> int:
+    g = bit_graph(g)
     best = 0
     for members in shell_masks(p):
         for u in bits_of(members):

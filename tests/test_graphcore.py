@@ -10,6 +10,7 @@ from rsgraphs.errors import ParameterError
 from rsgraphs.graphs import (
     Graph,
     MatchingCover,
+    adjacency_matrix,
     complement_degree,
     doubled_cover,
     read_cover,
@@ -20,7 +21,7 @@ from rsgraphs.graphs import (
     write_edge_list,
 )
 from test_cover_oracle import doubled_matchings, is_induced_matching, station_matrix, two_sided
-from test_geometric_oracle import greedy_cover_within
+from test_graph_oracle import greedy_cover_within
 
 
 def naive_is_induced_matching(edges, m):
@@ -52,12 +53,14 @@ def random_graph(n, p, rng):
 
 
 def test_graph_basics():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    g = Graph.from_edges(4, [(2, 1), (0, 1), (2, 3)])
     assert g.n == 4
     assert g.edge_count == 3
-    assert g.has_edge(1, 0) and g.has_edge(2, 3) and not g.has_edge(0, 2)
-    assert g.neighbors_mask(1) == 0b101
-    assert g.degree(1) == 2 and g.degree(0) == 1
+    assert g.pairs.dtype == np.int64 and g.pairs.tolist() == [[0, 1], [1, 2], [2, 3]]
+    adj = adjacency_matrix(g)
+    assert adj[1, 0] and adj[2, 3] and not adj[0, 2]
+    assert adj[1].tolist() == [True, False, True, False]
+    assert g.degrees().tolist() == [1, 2, 2, 1]
     assert g.max_degree() == 2
     assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
 
@@ -190,14 +193,14 @@ def test_bipartite_graph_and_double():
 
     # the bipartite double of a graph is its adjacency matrix
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    d = station_matrix([g.neighbors_mask(u) for u in range(g.n)])
+    d = adjacency_matrix(g)
     assert np.count_nonzero(d) == 2 * g.edge_count
     assert d[0, 1] and d[1, 0] and not d[0, 0]
 
 
 def test_doubled_matchings_are_bipartite_induced():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5), (1, 2)])
-    d = station_matrix([g.neighbors_mask(u) for u in range(g.n)])
+    d = adjacency_matrix(g)
     c = MatchingCover.from_matchings([[(0, 1), (4, 5)]])
     dg, dms = two_sided(d, doubled_matchings(c))
     for dm in dms:
