@@ -295,7 +295,7 @@ def induced_groups(offsets, us, vs, mats: np.ndarray, chan=None) -> np.ndarray:
     flat = mats.reshape(len(mats), n * n)
     sizes = np.diff(offsets)
     induced = sizes <= 1
-    for size in np.unique(sizes[sizes > 1]).tolist():
+    for size in np.flatnonzero(np.bincount(sizes[sizes > 1])).tolist():
         groups = np.flatnonzero(sizes == size)
         step = max(1, _BLOCK_CELLS // (size * size))
         for a in range(0, len(groups), step):
@@ -381,7 +381,7 @@ def doubled_cover(c: MatchingCover, n: int) -> MatchingCover:
     sizes = np.diff(offsets)
     key = pairs[:, 0] * n + pairs[:, 1]
     order = np.arange(len(pairs))
-    for size in np.unique(sizes[sizes > 1]).tolist():
+    for size in np.flatnonzero(np.bincount(sizes[sizes > 1])).tolist():
         pos = offsets[:-1][sizes == size, None] + np.arange(size)
         order[pos] = np.take_along_axis(pos, key[pos].argsort(axis=1), axis=1)
     return MatchingCover.from_arrays(pairs[order], offsets)
@@ -655,7 +655,8 @@ def write_groups(path: str, head: str, cols, pairs: np.ndarray, offsets: np.ndar
             in_pairs[at] = False
             vals[at] = [col[a:b] for col in cols]
             vals[in_pairs] = pairs[offsets[a] : offsets[b]].ravel()
-            line = {s: head + f" %d{sep}%d" * s + "\n" for s in np.unique(sizes).tolist()}
+            distinct = np.flatnonzero(np.bincount(sizes)).tolist()
+            line = {s: head + f" %d{sep}%d" * s + "\n" for s in distinct}
             fh.write("".join([line[s] for s in sizes.tolist()]) % tuple(vals.tolist()))
             a = b
 

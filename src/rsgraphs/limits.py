@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InternalCheckError, ParameterError, VerificationError
 from .graphs import Graph, MatchingCover, adjacency_matrix, verify_cover, write_rows
 
-# Wedges that triangle_census checks at once.
+# Wedges that edge_triangles checks at once.
 _WEDGES = 1 << 15
 
 
@@ -105,13 +105,13 @@ def triangle_graph(g: Graph, c: MatchingCover) -> TriangleGraph:
 
 def triangle_census(g: Graph) -> tuple[int, dict[tuple[int, int], int]]:
     """Exhaustive triangle count plus per-edge triangle membership counts."""
-    counts = _edge_triangles(g)
+    counts = edge_triangles(g)
     ids = list(range(g.n))  # one int object per vertex, shared by the keys
     keys = ((ids[u], ids[v]) for u, v in g.edges())
     return int(counts.sum()) // 3, dict(zip(keys, counts.tolist()))
 
 
-def _edge_triangles(g: Graph) -> np.ndarray:
+def edge_triangles(g: Graph) -> np.ndarray:
     """The number of triangles on each edge of g, in the order of g.pairs.
 
     Each edge is directed away from its endpoint lower in (degree, id)

@@ -423,12 +423,16 @@ def test_tampered_exact_count_trips_the_gate(tmp_path, capsys, monkeypatch, comm
 # Beside rsgraphs, rsgraphs.cli and rsgraphs.errors, the modules each command
 # loads: the ones it runs and what they import, nothing more.
 COMMAND_MODULES = {
+    "codes gv --n 5 --k 2 --d 1 --out gv.txt": "codes graphs",
     "channel simulate --schedule s.txt": "channels graphs",
     "limits triangle --edges e.txt --cover c.txt": "graphs limits",
     "limits mindeg --edges e.txt --r 2": "graphs limits",
     "lintest --edges e.txt --cover c.txt --m 4 --f and --trials 20": "graphs lintest",
     "vempala --c 3 --n 4 --d 2 --gen gen.txt": "codegraph codes graphs lattice vempala",
     "channel two --c 3 --n 4 --d 2 --gen gen.txt": "channels codegraph codes graphs lattice",
+    # the same with its schedule written, so write_groups runs too
+    "channel two --c 3 --n 4 --d 2 --gen gen.txt --out-schedule s2.txt":
+        "channels codegraph codes graphs lattice",
     "channel shifts --c 3 --n 2 --channels 2": "channels geometric graphs lattice",
     "construct code --c 3 --n 4 --d 2 --gen gen.txt": "codegraph codes graphs lattice",
     "construct geometric --c 3 --n 2": "geometric graphs lattice",
@@ -447,22 +451,34 @@ def desk_artifacts(tmp_path_factory):
     return d
 
 
+# The numpy subpackages a command may load beyond those `import numpy` loads:
+# only lintest draws from numpy.random.  (numpy 2 loads numpy.ma lazily, and a
+# plain np.unique loads it to ask np.ma.is_masked.)
+NUMPY_EXTRAS = {"lintest": {"numpy.random"}}
+
+
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
 def test_command_loads_only_the_modules_it_runs(desk_artifacts, capsys, command):
     capsys.readouterr()
     probe = ("import json, sys\n"
+             "import numpy\n"
+             "base = set(sys.modules)\n"
              "from rsgraphs.cli import run\n"
              "rc = run(sys.argv[1:])\n"
-             "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('rsgraphs'))]))")
+             "extra = sorted(m for m in set(sys.modules) - base if m.startswith('numpy.'))\n"
+             "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('rsgraphs')),"
+             " extra]))")
     src = str(Path(rsgraphs.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", probe, *command.split()], capture_output=True,
                           text=True, env=env, cwd=desk_artifacts, timeout=120)
-    rc, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    rc, modules, numpy_extra = json.loads(proc.stdout.strip().splitlines()[-1])
     assert rc == 0, proc.stderr
     want = {"rsgraphs", "rsgraphs.cli", "rsgraphs.errors"}
     want |= {f"rsgraphs.{m}" for m in COMMAND_MODULES[command].split()}
     assert set(modules) == want
+    packages = {".".join(m.split(".")[:2]) for m in numpy_extra}
+    assert packages <= NUMPY_EXTRAS.get(command.split()[0], set()), numpy_extra
 
 
 NOT_TEXT = b"\xff\xfe\x00\x01"

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsgraphs.errors import ParameterError
 from rsgraphs.graphs import (
@@ -208,6 +210,29 @@ def test_doubled_matchings_are_bipartite_induced():
     assert doubled_matchings(c)[0] == [(0, 1), (1, 0), (4, 5), (5, 4)]
     assert doubled_cover(c, g.n).matchings == doubled_matchings(c)
     assert verify_cover_bipartite(d, doubled_cover(c, g.n)).r_max == 4
+
+
+@st.composite
+def mixed_covers(draw):
+    """(cover, n): matchings on n <= 16 vertices of sizes drawn from 0, 1,
+    2, 3 and 7, so a cover mixes empty and one-pair matchings with sizes
+    that leave gaps, each pair written either way round."""
+    n = draw(st.integers(2, 16))
+    sizes = st.sampled_from([0, 1, 2, 3, 7]).filter(lambda s: 2 * s <= n)
+    matchings = []
+    for size in draw(st.lists(sizes, max_size=12)):
+        ends = draw(st.permutations(range(n)))[: 2 * size]
+        matchings.append(list(zip(ends[0::2], ends[1::2])))
+    return MatchingCover(matchings), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_covers())
+def test_doubled_cover_equals_the_oracle(drawn):
+    c, n = drawn
+    d = doubled_cover(c, n)
+    assert d.matchings == doubled_matchings(c)
+    assert d.sizes() == [2 * s for s in c.sizes()]
 
 
 def test_verify_cover_bipartite_kinds():
