@@ -347,14 +347,17 @@ def verify_cover_bipartite(mat: np.ndarray, c: MatchingCover) -> CoverReport:
     Validity is decided on mat: the pairs are its set entries, each once,
     and every matching is induced (see induced_groups).  Only a cover that
     fails goes, for its witnesses, to verify_cover on the same graph on 2N
-    vertices, right station v being vertex N+v.
+    vertices, right station v being vertex N+v.  An id outside 0..N-1 is
+    kept off the 2N vertices (a left u >= N is u+N, a right v < 0 is v), so
+    no pair of a failed cover turns into an edge there.
     """
     n, m = len(mat), int(np.count_nonzero(mat))
     us, vs = c.pairs[:, 0], c.pairs[:, 1]
     if _covers_once(mat, us, vs, m) and induced_groups(c.offsets, us, vs, mat[None]).all():
         return _report(c, [])
     g = Graph(2 * n, key_pairs(np.flatnonzero(mat), n) + (0, n))  # row-major: sorted
-    return verify_cover(g, MatchingCover.from_arrays(c.pairs + (0, n), c.offsets))
+    two = np.column_stack([us + n * (us >= n), vs + n * (vs >= 0)])
+    return verify_cover(g, MatchingCover.from_arrays(two, c.offsets))
 
 
 def complement_degree(g: Graph, v: int) -> int:

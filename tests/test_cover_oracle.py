@@ -39,10 +39,12 @@ def station_matrix(rows: list[int]) -> np.ndarray:
 def two_sided(mat: np.ndarray, ms=()):
     """The subgraph of K_{N,N} with station matrix mat as a graph on 2N
     vertices, right station v being vertex N+v, and the matchings ms of
-    station pairs (u, v) as matchings of its (u, N+v) pairs."""
+    station pairs (u, v) as matchings of its (u, N+v) pairs.  An id outside
+    0..N-1 stays off the 2N vertices: a left u >= N is u+N, a right v < 0
+    is v."""
     n = len(mat)
     g = Graph.from_edges(2 * n, [(u, n + v) for u, v in np.argwhere(mat).tolist()])
-    return g, [[(u, n + v) for u, v in m] for m in ms]
+    return g, [[(u + n * (u >= n), v + n * (v >= 0)) for u, v in m] for m in ms]
 
 
 def is_induced_matching(g: Graph, m) -> bool:

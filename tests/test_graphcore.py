@@ -248,10 +248,14 @@ def test_verify_cover_bipartite_kinds():
     assert verify_cover_bipartite(path, c).valid
     # (0, 2) and (2, 0) are no station pairs of N = 2, though the key
     # 0 * 2 + 2 of the first is that of (1, 0); on 2N vertices they are
-    # (0, 4), past the last vertex, and the self-pair (2, 2)
-    for pair, outside in (((0, 2), (0, 4)), ((2, 0), (2, 2))):
+    # (0, 4) and (2, 4), each with an id past the last vertex
+    for pair, outside in (((0, 2), (0, 4)), ((2, 0), (2, 4))):
         rep = verify_cover_bipartite(path, MatchingCover([[(0, 0)], [pair], [(1, 1)]]))
         assert rep.violations == [("edge-not-in-graph", (1, outside)), ("uncovered-edge", (1, 2))]
+    # (1, -1) of N = 1 would be (1, 0) on 2N vertices, the edge of the pair
+    # (0, 0), if its ids were not kept off the 2N vertices
+    rep = verify_cover_bipartite(station_matrix([0b1]), MatchingCover([[(1, -1)]]))
+    assert rep.violations == [("edge-not-in-graph", (0, (-1, 2))), ("uncovered-edge", (0, 1))]
 
 
 def test_cover_normalization_and_sizes():
