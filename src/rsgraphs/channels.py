@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, parse_int
 from .graphs import (
     SPACE,
     MatchingCover,
@@ -29,7 +29,6 @@ from .graphs import (
     line_grammar,
     offsets_of,
     pair_groups,
-    parse_int,
     parse_pairs,
     read_rows,
     singles_cover,

@@ -6,7 +6,9 @@ and seed produce byte-identical reports and artifacts; reports carry the
 toolkit version and the resolved parameters.  Each subcommand imports the
 modules it runs when it runs, so a command loads no code it does not use:
 no rsgraphs module and no numpy submodule (no command loads numpy.ma, and
-only lintest loads numpy.random).
+only lintest loads numpy.random).  Importing this module loads no numpy, and
+neither do --help, --version, an argument error, `codes gv`, `codes verify`,
+or a station-cap refusal of `channel two`, `channel shifts` or `vempala`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import random
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import __version__
 from .errors import (
@@ -48,10 +48,12 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
+    np = sys.modules.get("numpy")  # only a command that has loaded numpy holds its scalars
+    if np is not None:
+        if isinstance(x, np.integer):
+            return int(x)
+        if isinstance(x, np.floating):
+            return float(x)
     return x
 
 
@@ -123,6 +125,8 @@ def _check_counts(p: codegraph.CodeGraphParams, built: dict) -> None:
 def _cover_quality(cover) -> dict:
     """Mean matching size, t / |E| and the share of one-edge matchings of a
     graph cover, each a quotient of exact counts (None when it divides by 0)."""
+    import numpy as np
+
     sizes = np.diff(cover.offsets)
     t, edges, singles = len(sizes), len(cover.pairs), int(np.count_nonzero(sizes == 1))
     return {"r_mean": edges / t if t else None, "t_over_edges": t / edges if edges else None,
@@ -305,9 +309,11 @@ def _cmd_limits_mindeg(args) -> int:
 
 
 def _cmd_channel_two(args) -> int:
+    _check_stations(args.c**args.n, args.max_vertices)
+    import numpy as np
+
     from . import channels, codegraph
 
-    _check_stations(args.c**args.n, args.max_vertices)
     chain = _chain_from_args(args, args.n, args.d)
     p = codegraph.CodeGraphParams(args.c, args.n, args.d, chain)
     cp = channels.partition_two(p)
@@ -341,9 +347,11 @@ def _cmd_channel_two(args) -> int:
 
 
 def _cmd_channel_shifts(args) -> int:
+    check_caps(args.c**args.n, args.max_vertices)
+    import numpy as np
+
     from . import channels, geometric
 
-    check_caps(args.c**args.n, args.max_vertices)
     p = geometric.GeomParams(args.c, args.n)
     cp = channels.partition_shifts(
         p, args.channels, args.seed, max_attempts=args.attempts
@@ -378,6 +386,8 @@ def _cmd_channel_shifts(args) -> int:
 
 
 def _cmd_channel_simulate(args) -> int:
+    import numpy as np
+
     from . import channels
 
     schedule = channels.read_schedule(args.schedule, n_stations=args.stations)
@@ -386,6 +396,12 @@ def _cmd_channel_simulate(args) -> int:
     if chans * schedule.n_stations**2 > DEFAULT_MAX_PAIR_CHECKS:
         chans = 1 + np.count_nonzero(np.diff(np.sort(schedule.chans)))  # ids run to 2^63
     _check_stations(schedule.n_stations, args.max_vertices, chans)
+    # the report counts the rounds of every subchannel id up to the largest
+    if schedule.num_subchannels > DEFAULT_MAX_PAIR_CHECKS:
+        raise ResourceLimitError(
+            f"subchannel id {schedule.num_subchannels - 1} exceeds the cap of "
+            f"{DEFAULT_MAX_PAIR_CHECKS} subchannels"
+        )
     sim = channels.simulate(schedule)
     report = _base_report(args, "channel simulate", schedule=args.schedule)
     report.update(
@@ -452,9 +468,9 @@ def _cmd_lintest(args) -> int:
 
 
 def _cmd_vempala(args) -> int:
+    _check_stations(args.c**args.n, args.max_vertices)
     from . import codegraph, vempala
 
-    _check_stations(args.c**args.n, args.max_vertices)
     chain = _chain_from_args(args, args.n, args.d)
     p = codegraph.CodeGraphParams(args.c, args.n, args.d, chain)
     parts = vempala.counterexample_partition(p)

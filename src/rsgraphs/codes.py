@@ -15,8 +15,9 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
     SearchFailureError,
+    numbered_lines,
+    parse_int,
 )
-from .graphs import numbered_lines, parse_int
 
 MAX_ENUM_DIM = 24
 

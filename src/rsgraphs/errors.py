@@ -1,9 +1,13 @@
-"""Exception types and size caps shared across the toolkit.
+"""Exception types, size caps and the text-file helpers shared across the
+toolkit.
 
 CLI exit-code mapping: ParameterError and OSError (a missing or unreadable
 file) -> 1; VerificationError, InternalCheckError, SearchFailureError -> 2;
-ResourceLimitError -> 3.
+ResourceLimitError -> 3.  This module is pure Python, so a command that
+reads a text file without array work loads no numpy.
 """
+
+import io
 
 
 class ParameterError(ValueError):
@@ -46,3 +50,27 @@ def check_caps(n_vertices, max_vertices=None):
         raise ResourceLimitError(
             f"{pairs} vertex pairs exceed the cap of {DEFAULT_MAX_PAIR_CHECKS} pair checks"
         )
+
+
+def read_text(path) -> str:
+    """The text of the file at `path`, newlines translated as open() does;
+    bytes that do not decode as text raise ParameterError naming the path."""
+    with open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path}: not a text file ({exc.reason})") from None
+
+
+def numbered_lines(path):
+    """(line number, line) over the text file at `path`, counting from 1;
+    every line but a last unterminated one ends in a newline."""
+    return enumerate(io.StringIO(read_text(path)), start=1)
+
+
+def parse_int(token: str, path, lineno: int) -> int:
+    """The integer that a token of ASCII decimal digits on line `lineno` of
+    `path` spells; any other token raises ParameterError naming path:line."""
+    if token.isascii() and token.isdigit():
+        return int(token)
+    raise ParameterError(f"{path}:{lineno}: expected an integer, got {token!r}")

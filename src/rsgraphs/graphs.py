@@ -26,7 +26,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import InternalCheckError, ParameterError
+from .errors import InternalCheckError, ParameterError, parse_int, read_text
 
 Edge = tuple[int, int]
 Matching = list[Edge]
@@ -407,30 +407,6 @@ SPACE = r"[\t\x0b\x0c\x1c-\x1f ]"
 _READ_CHARS = 1 << 16
 # 10^p for the places p = 0..18 of an int64 id.
 _POW10 = 10 ** np.arange(19, dtype=np.uint64)
-
-
-def read_text(path) -> str:
-    """The text of the file at `path`, newlines translated as open() does;
-    bytes that do not decode as text raise ParameterError naming the path."""
-    with open(path) as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParameterError(f"{path}: not a text file ({exc.reason})") from None
-
-
-def numbered_lines(path):
-    """(line number, line) over the text file at `path`, counting from 1;
-    every line but a last unterminated one ends in a newline."""
-    return enumerate(io.StringIO(read_text(path)), start=1)
-
-
-def parse_int(token: str, path, lineno: int) -> int:
-    """The integer that a token of ASCII decimal digits on line `lineno` of
-    `path` spells; any other token raises ParameterError naming path:line."""
-    if token.isascii() and token.isdigit():
-        return int(token)
-    raise ParameterError(f"{path}:{lineno}: expected an integer, got {token!r}")
 
 
 def parse_pairs(tokens: list[str], sep: str, path, lineno: int) -> list[int]:

@@ -15,8 +15,8 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError
-from .graphs import Graph, numbered_lines
+from .errors import ParameterError, ResourceLimitError, numbered_lines
+from .graphs import Graph
 
 MAX_TRANSFORM_DIM = 24
 # Edge-by-trial cells that estimate_soundness checks per chunk of edges.

@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rsgraphs
 from rsgraphs import channels, codegraph, geometric, graphs, vempala
-from rsgraphs.cli import run
+from rsgraphs.cli import _jsonable, run
 from rsgraphs.graphs import MatchingCover, read_cover, read_edge_list, verify_cover
 from test_cover_oracle import is_induced_matching, two_sided
 
@@ -22,6 +24,19 @@ def run_out(argv, capsys):
     code = run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def child_env() -> dict:
+    """The environment of a child Python that imports this checkout's rsgraphs."""
+    src = str(Path(rsgraphs.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_jsonable_converts_numpy_scalars_and_fractions():
+    report = {"i": np.int64(7), "f": np.float64(0.25), "q": Fraction(3, 6), 2: [np.int64(-1)]}
+    assert json.dumps(_jsonable(report), sort_keys=True) == (
+        '{"2": [-1], "f": 0.25, "i": 7, "q": "1/2"}')
+    assert [type(v) for v in _jsonable([np.int64(1), np.float64(1)])] == [int, float]
 
 
 def test_no_command_is_parameter_error(capsys):
@@ -203,6 +218,24 @@ def test_simulate_is_capped_by_the_matrices_it_holds(tmp_path, capsys, monkeypat
         else:
             with pytest.raises(Simulated):
                 run(["channel", "simulate", "--schedule", str(sched)])
+    # the report counts the rounds of each id up to the largest: 10^8 ids are
+    # under the cap
+    sched.write_text(f"round 0 chan {10**8 - 1}: 0>1\n")
+    with pytest.raises(Simulated):
+        run(["channel", "simulate", "--schedule", str(sched)])
+
+
+@pytest.mark.parametrize("chan", [2 * 10**12, 2 * 10**8, 10**8])
+def test_simulate_refuses_a_huge_subchannel_id(tmp_path, chan):
+    # one distinct subchannel on 2 stations passes the matrix caps, but its id
+    # would size the report's round counts; it is refused before anything is
+    sched = tmp_path / "sched.txt"
+    sched.write_text(f"round 0 chan {chan}: 0>1\n")
+    proc = subprocess.run([sys.executable, "-m", "rsgraphs.cli", "channel", "simulate",
+                           "--schedule", str(sched)],
+                          capture_output=True, text=True, env=child_env(), timeout=30)
+    assert proc.returncode == 3, proc.stderr[-500:]
+    assert f"subchannel id {chan} exceeds the cap of 100000000 subchannels" in proc.stderr
 
 
 def test_construct_code_pinned_generator(tmp_path, capsys):
@@ -423,7 +456,7 @@ def test_tampered_exact_count_trips_the_gate(tmp_path, capsys, monkeypatch, comm
 # Beside rsgraphs, rsgraphs.cli and rsgraphs.errors, the modules each command
 # loads: the ones it runs and what they import, nothing more.
 COMMAND_MODULES = {
-    "codes gv --n 5 --k 2 --d 1 --out gv.txt": "codes graphs",
+    "codes gv --n 5 --k 2 --d 1 --out gv.txt": "codes",
     "channel simulate --schedule s.txt": "channels graphs",
     "limits triangle --edges e.txt --cover c.txt": "graphs limits",
     "limits mindeg --edges e.txt --r 2": "graphs limits",
@@ -436,7 +469,7 @@ COMMAND_MODULES = {
     "channel shifts --c 3 --n 2 --channels 2": "channels geometric graphs lattice",
     "construct code --c 3 --n 4 --d 2 --gen gen.txt": "codegraph codes graphs lattice",
     "construct geometric --c 3 --n 2": "geometric graphs lattice",
-    "codes verify gen.txt": "codes graphs",
+    "codes verify gen.txt": "codes",
 }
 
 
@@ -468,10 +501,8 @@ def test_command_loads_only_the_modules_it_runs(desk_artifacts, capsys, command)
              "extra = sorted(m for m in set(sys.modules) - base if m.startswith('numpy.'))\n"
              "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('rsgraphs')),"
              " extra]))")
-    src = str(Path(rsgraphs.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", probe, *command.split()], capture_output=True,
-                          text=True, env=env, cwd=desk_artifacts, timeout=120)
+                          text=True, env=child_env(), cwd=desk_artifacts, timeout=120)
     rc, modules, numpy_extra = json.loads(proc.stdout.strip().splitlines()[-1])
     assert rc == 0, proc.stderr
     want = {"rsgraphs", "rsgraphs.cli", "rsgraphs.errors"}
@@ -479,6 +510,39 @@ def test_command_loads_only_the_modules_it_runs(desk_artifacts, capsys, command)
     assert set(modules) == want
     packages = {".".join(m.split(".")[:2]) for m in numpy_extra}
     assert packages <= NUMPY_EXTRAS.get(command.split()[0], set()), numpy_extra
+
+
+# Commands that do no array work, and the station-cap refusals made before
+# any, with their exit codes; "" only imports the CLI.
+NO_NUMPY = {
+    "": None,
+    "codes gv --n 5 --k 2 --d 1 --out gv.txt": 0,
+    "codes verify gen.txt": 0,
+    "--version": 0,
+    "--help": 0,
+    "codes gv --n 5": 1,
+    "channel two --c 3 --n 9 --d 2": 3,
+    "channel shifts --c 3 --n 20 --channels 2": 3,
+    "vempala --c 3 --n 9 --d 2": 3,
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_NUMPY))
+def test_command_loads_no_numpy(desk_artifacts, command):
+    probe = ("import json, sys\n"
+             "from rsgraphs.cli import run\n"
+             "rc = None\n"
+             "if sys.argv[1:]:\n"
+             "    try:\n"
+             "        rc = run(sys.argv[1:])\n"
+             "    except SystemExit as exc:  # --help and --version exit from argparse\n"
+             "        rc = exc.code\n"
+             "print(json.dumps([rc, 'numpy' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", probe, *command.split()], capture_output=True,
+                          text=True, env=child_env(), cwd=desk_artifacts, timeout=120)
+    rc, numpy_loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert rc == NO_NUMPY[command], proc.stderr
+    assert not numpy_loaded
 
 
 NOT_TEXT = b"\xff\xfe\x00\x01"
@@ -532,10 +596,8 @@ def test_bad_input_file_exits_1_naming_the_line(tmp_path, case):
     cover = tmp_path / "cover.txt"
     cover.write_text("0: 0-1\n")
     argv = [a.format(f=bad, g=good, c=cover) for a in argv]
-    src = str(Path(rsgraphs.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-m", "rsgraphs.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     # a missing or non-text file has no line to name; the message names the file

@@ -20,13 +20,11 @@ from hypothesis import strategies as st
 from rsgraphs import graphs
 from rsgraphs.channels import Schedule, read_schedule, write_schedule
 from rsgraphs.codes import LinearCode, read_generator, write_generator
-from rsgraphs.errors import InternalCheckError, ParameterError
+from rsgraphs.errors import InternalCheckError, ParameterError, numbered_lines, parse_int
 from rsgraphs.graphs import (
     Graph,
     MatchingCover,
-    numbered_lines,
     offsets_of,
-    parse_int,
     parse_pairs,
     read_cover,
     read_edge_list,
