@@ -33,8 +33,9 @@ Matching = list[Edge]
 
 # Block cells (group x pair x pair) that induced_groups gathers at once.
 _BLOCK_CELLS = 1 << 16
-# Pairs that the writers format, and Graph.edges converts, at once.
-_WRITE_PAIRS = 1 << 16
+# Ids that the writers format, and Graph.edges converts, at once: a line
+# costs its head columns plus two ids per pair.
+_WRITE_IDS = 1 << 13
 
 
 class Graph:
@@ -82,9 +83,12 @@ class Graph:
         return len(self.pairs)
 
     def edges(self):
-        """Yield edges (u, v) with u < v in ascending lexicographic order."""
-        for a in range(0, len(self.pairs), _WRITE_PAIRS):
-            yield from zip(*self.pairs[a : a + _WRITE_PAIRS].T.tolist())
+        """Yield edges (u, v) with u < v in ascending lexicographic order,
+        converted to Python ints in chunks of about _WRITE_IDS ids (two per
+        edge)."""
+        step = max(1, _WRITE_IDS // 2)
+        for a in range(0, len(self.pairs), step):
+            yield from zip(*self.pairs[a : a + step].T.tolist())
 
     def __eq__(self, other):
         same_n = isinstance(other, Graph) and self.n == other.n
@@ -557,10 +561,13 @@ def _digit_runs(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.n
 
 def write_rows(fh, rows: np.ndarray) -> None:
     """Write each row of the int array rows to the text file fh as one line
-    of ids separated by spaces, one % format per chunk of _WRITE_PAIRS rows."""
+    of ids separated by spaces, one % format per chunk of whole rows of
+    about _WRITE_IDS ids (one row if it is longer), so memory stays flat
+    however long the file."""
     line = " ".join(["%d"] * rows.shape[1]) + "\n"
-    for a in range(0, len(rows), _WRITE_PAIRS):
-        chunk = rows[a : a + _WRITE_PAIRS]
+    step = max(1, _WRITE_IDS // rows.shape[1])
+    for a in range(0, len(rows), step):
+        chunk = rows[a : a + step]
         fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
@@ -617,26 +624,32 @@ def write_groups(path: str, head: str, cols, pairs: np.ndarray, offsets: np.ndar
                  sep: str) -> None:
     """Write one line per group of pairs: `head` with its %d fields filled
     from the group's entries of the int arrays cols, then " u{sep}v" per
-    pair.  Lines are formatted and written in chunks of whole groups of
-    about _WRITE_PAIRS pairs, one % format per chunk, so memory stays flat
-    however long the file."""
-    t = len(offsets) - 1
+    pair.  A line costs len(cols) ids plus two per pair.  Lines are
+    formatted and written in chunks of whole groups of at most _WRITE_IDS
+    ids (one group if it is longer), one % format per chunk, so memory
+    stays flat however long the file.  A chunk's template repeats one line
+    per run of groups of equal size."""
+    h, t = len(cols), len(offsets) - 1
+    span = max(1, _WRITE_IDS // h)  # groups a chunk can hold: each costs h ids or more
+    heads = h * np.arange(span + 1)
     with open(path, "w") as fh:
         a = 0
         while a < t:
-            b = int(np.searchsorted(offsets, offsets[a] + _WRITE_PAIRS, side="right")) - 1
-            b = min(max(a + 1, b), a + _WRITE_PAIRS)
-            sizes = np.diff(offsets[a : b + 1])
-            width = len(cols) + 2 * sizes
-            at = offsets_of(width)[:-1] + np.arange(len(cols))[:, None]
-            vals = np.empty(int(width.sum()), dtype=np.int64)
+            window = offsets[a : a + span + 1]
+            starts = 2 * (window - window[0]) + heads[: len(window)]  # of each line, in ids
+            n = max(1, int(starts.searchsorted(_WRITE_IDS, side="right")) - 1)
+            b = a + n
+            at = starts[:n] + np.arange(h)[:, None]
+            vals = np.empty(int(starts[n]), dtype=np.int64)
             in_pairs = np.ones(len(vals), dtype=bool)
             in_pairs[at] = False
             vals[at] = [col[a:b] for col in cols]
-            vals[in_pairs] = pairs[offsets[a] : offsets[b]].ravel()
-            distinct = np.flatnonzero(np.bincount(sizes)).tolist()
-            line = {s: head + f" %d{sep}%d" * s + "\n" for s in distinct}
-            fh.write("".join([line[s] for s in sizes.tolist()]) % tuple(vals.tolist()))
+            vals[in_pairs] = pairs[window[0] : window[n]].ravel()
+            sizes = window[1 : n + 1] - window[:n]
+            cuts = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), n]
+            template = "".join([(head + f" %d{sep}%d" * int(sizes[i]) + "\n") * (j - i)
+                                for i, j in zip(cuts, cuts[1:])])
+            fh.write(template % tuple(vals.tolist()))
             a = b
 
 

@@ -19,7 +19,8 @@ from .errors import ParameterError, ResourceLimitError, numbered_lines
 from .graphs import Graph
 
 MAX_TRANSFORM_DIM = 24
-# Edge-by-trial cells that estimate_soundness checks per chunk of edges.
+# Edge-by-trial cells that estimate_soundness checks per chunk of edges, and
+# vertex-by-trial points that it draws per block of trials.
 _CHUNK_CELLS = 1 << 17
 
 
@@ -97,17 +98,13 @@ def estimate_soundness(
     """Monte Carlo acceptance frequency of the graph test, with binomial stderr.
 
     Vectorized over trials with numpy's seeded PCG64 stream; results replay
-    bit-exact for a fixed (graph, f, trials, seed).  The points are one
-    (trials, N) draw, checked over chunks of edges at a time; the walk stops
-    after the first chunk that leaves no trial accepting.
+    bit-exact for a fixed (graph, f, trials, seed).  The points (see _points)
+    are checked over chunks of edges at a time; the walk stops after the
+    first chunk that leaves no trial accepting.
     """
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    pts = rng.integers(0, 1 << f.m, size=(trials, g.n), dtype=np.int64)
-    # One row of points per vertex, in the narrowest dtype that holds them.
-    x = np.ascontiguousarray(pts.T, dtype=np.min_scalar_type((1 << f.m) - 1))
-    del pts
+    x = _points(g.n, f.m, trials, seed)
     table = f.table
     fx = table[x]
     acc = np.ones(trials, dtype=bool)
@@ -124,6 +121,20 @@ def estimate_soundness(
     p_hat = float(acc.sum()) / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return p_hat, stderr
+
+
+def _points(n: int, m: int, trials: int, seed: int) -> np.ndarray:
+    """The points of the trials, one row per vertex, in the narrowest dtype
+    that holds them: column i is row i of one (trials, n) int64 draw of
+    integers below 2^m from default_rng(seed).  The draw is made in blocks
+    of trials of about _CHUNK_CELLS points, which continue the same stream."""
+    rng = np.random.default_rng(seed)
+    x = np.empty((n, trials), dtype=np.min_scalar_type((1 << m) - 1))
+    step = max(1, _CHUNK_CELLS // max(1, n))
+    for a in range(0, trials, step):
+        block = rng.integers(0, 1 << m, size=(min(step, trials - a), n), dtype=np.int64)
+        x[:, a : a + step] = block.T
+    return x
 
 
 def hw_bound(r: int, t: int, d_f) -> float:

@@ -443,7 +443,7 @@ def oracle_schedule_text(g, cover) -> str:
     st.data(),
     st.integers(1, 64),
 )
-def test_written_cover_and_schedule_equal_the_tuple_path(cn, data, write_pairs):
+def test_written_cover_and_schedule_equal_the_tuple_path(cn, data, write_ids):
     C, n = cn
     d = data.draw(st.integers(1, n - 1), label="d")
     k = data.draw(st.integers(1, n - 1), label="k")
@@ -456,7 +456,7 @@ def test_written_cover_and_schedule_equal_the_tuple_path(cn, data, write_pairs):
     g = build_code_graph(p)
     oracle = oracle_enumerate_cover(p, g)
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(graphs, "_WRITE_PAIRS", write_pairs):
+            mock.patch.object(graphs, "_WRITE_IDS", write_ids):
         cover_path, schedule_path = Path(tmp) / "cover.txt", Path(tmp) / "schedule.txt"
         write_cover(enumerate_cover(p, g), cover_path)
         write_schedule(build_schedule(partition_two(p)), schedule_path)

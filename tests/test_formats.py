@@ -10,6 +10,7 @@ oracle's object or raise the oracle's exact error.
 
 import re
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -388,18 +389,18 @@ def test_sparse_edge_list_with_a_large_header(tmp_path, edges):
     assert read_edge_list(path) == Graph.from_edges(100000, edges)
 
 
-@pytest.mark.parametrize("write_pairs", [1, 3, 1 << 16])
+@pytest.mark.parametrize("write_ids", [1, 3, 1 << 16])
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(groups=st.lists(small_pairs, max_size=8),
        chans=st.lists(st.integers(0, 9), min_size=8, max_size=8),
        order=st.permutations(range(12)), cuts=st.sets(st.integers(1, 11)))
-def test_writers_match_one_format_per_pair(tmp_path, write_pairs, groups, chans, order, cuts):
+def test_writers_match_one_format_per_pair(tmp_path, write_ids, groups, chans, order, cuts):
     # the partition: the cells of a 3 x 4 grid in a drawn order, cut into parts
     cells = [divmod(c, 4) for c in order]
     bounds = [0, *sorted(cuts), 12]
     parts = [cells[a:b] for a, b in zip(bounds, bounds[1:])]
     g = Graph.from_edges(41, [e for m in groups for e in m if e[0] != e[1]])
-    with mock.patch.object(graphs, "_WRITE_PAIRS", write_pairs):
+    with mock.patch.object(graphs, "_WRITE_IDS", write_ids):
         write_edge_list(g, tmp_path / "e.txt")
         write_cover(MatchingCover(groups), tmp_path / "c.txt")
         write_schedule(Schedule(41, 10, list(zip(chans, groups))), tmp_path / "s.txt")
@@ -415,6 +416,24 @@ def test_writers_match_one_format_per_pair(tmp_path, write_pairs, groups, chans,
     assert (tmp_path / "s.txt").read_text() == lines(
         groups, lambda i: f"round {i} chan {chans[i]}:", ">")
     assert (tmp_path / "p.txt").read_text() == lines(parts, lambda i: f"part {i}:", ">")
+
+
+def test_a_long_schedule_is_written_in_flat_memory(tmp_path):
+    # 2^16 one-pair rounds, every station pair of 256 stations: the writer
+    # holds one chunk of about _WRITE_IDS ids as Python objects at a time
+    n = 256
+    s = Schedule.from_arrays(n, 2, np.arange(n * n) % 2, np.arange(n * n + 1),
+                             graphs.key_pairs(np.arange(n * n), n))
+    tracemalloc.start()
+    try:
+        write_schedule(s, tmp_path / "s.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    lines = (tmp_path / "s.txt").read_text().splitlines()
+    assert len(lines) == n * n
+    assert lines[0] == "round 0 chan 0: 0>0" and lines[-1] == "round 65535 chan 1: 255>255"
 
 
 # ---------------------------------------------------------------------------

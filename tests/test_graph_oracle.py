@@ -190,7 +190,7 @@ def test_from_edges_equals_the_bitmask_graph(case, chunk):
     n, edges = case
     want = outcome(BitGraph.from_edges, n, edges)
     arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    with mock.patch.object(graphs, "_WRITE_PAIRS", chunk):
+    with mock.patch.object(graphs, "_WRITE_IDS", chunk):
         assert outcome(Graph.from_edges, n, edges) == want
         assert outcome(Graph.from_edges, n, arr) == want
 

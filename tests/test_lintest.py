@@ -84,6 +84,26 @@ def test_estimate_soundness_matches_oracle(case):
         )
 
 
+@st.composite
+def point_draws(draw):
+    """m, N, a block of trials and a trial count that is often not a
+    multiple of it, a seed, and the cells per block that give that block."""
+    m, n, step = draw(st.integers(1, 32)), draw(st.integers(0, 40)), draw(st.integers(1, 16))
+    trials = draw(st.integers(0, 8)) * step + draw(st.integers(0, step - 1))
+    return m, n, max(1, trials), draw(st.integers(0, 2**32)), step * max(1, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_draws())
+def test_points_drawn_in_blocks_equal_the_one_shot_draw(case):
+    m, n, trials, seed, cells = case
+    want = np.random.default_rng(seed).integers(0, 1 << m, size=(trials, n), dtype=np.int64)
+    with mock.patch.object(lintest, "_CHUNK_CELLS", cells):
+        got = lintest._points(n, m, trials, seed)
+    assert got.dtype == np.min_scalar_type((1 << m) - 1)
+    assert np.array_equal(got, want.T)
+
+
 def brute_correlation(f):
     """Oracle: max agreement bias against every linear function, exactly."""
     size = 1 << f.m
