@@ -323,10 +323,12 @@ def meshulam_lower_bound(N: int, C: int) -> float:
     return float(N) ** (1.0 + 1.0 / (2.0**C - 1.0))
 
 
+_SCHEDULE_TEMPLATE = ("round %d chan %d:", " %d>%d")
+
+
 def write_schedule(s: Schedule, path: str) -> None:
     """One line per round: "round <idx> chan <i>: u1>v1 u2>v2 ..."."""
-    rounds = np.arange(len(s.chans))
-    write_groups(path, "round %d chan %d:", [rounds, s.chans], s.pairs, s.offsets, ">")
+    write_groups(path, _SCHEDULE_TEMPLATE, [s.chans], s.pairs, s.offsets)
 
 
 _SCHEDULE_LINE = line_grammar(
@@ -337,7 +339,7 @@ _SCHEDULE_LINE = line_grammar(
 def read_schedule(path: str, n_stations: int | None = None) -> Schedule:
     if n_stations is not None and n_stations < 0:
         raise ParameterError(f"need a nonnegative station count, got {n_stations}")
-    rows = read_rows(path, _SCHEDULE_LINE, 2, ">")
+    rows = read_rows(path, _SCHEDULE_LINE, _SCHEDULE_TEMPLATE)
     index, chans = rows.heads
     rows.raise_first(rows.huge | (index != np.arange(len(index))) | (chans < 0), _schedule_line)
     pairs = rows.pairs

@@ -503,7 +503,23 @@ def _cmd_vempala(args) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
-def _build_parser() -> _Parser:
+def _build_parser(argv=None) -> _Parser:
+    """The command-line parser.  Every subcommand is registered with its
+    help, but only the leaf that the leading words of argv name gets its
+    arguments.  Every leaf does when argv is None, names no leaf or asks
+    for -h/--help, so help and argument errors read as from the full tree."""
+    full = argv is None or "-h" in argv or "--help" in argv
+    named = []  # the leaves that get their arguments
+
+    def leaf(subs, *words, **kw):
+        """Register the leaf that the command words name under subs; return
+        its parser, with the common options, if it gets its arguments."""
+        if not (full or list(argv[: len(words)]) == list(words)):
+            subs.add_parser(words[-1], **kw)
+            return None
+        named.append(subs.add_parser(words[-1], parents=[common], **kw))
+        return named[-1]
+
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument("--max-vertices", type=int, default=None,
@@ -517,115 +533,113 @@ def _build_parser() -> _Parser:
     construct = sub.add_parser("construct", help="build graphs with their covers")
     csub = construct.add_subparsers(dest="variant", required=True, parser_class=_Parser)
 
-    geo = csub.add_parser("geometric", parents=[common])
-    geo.add_argument("--c", type=int, required=True)
-    geo.add_argument("--n", type=int, required=True)
-    geo.add_argument("--out", help="edge-list output path")
-    geo.add_argument("--cover", help="cover output path")
-    geo.add_argument("--report", help="report output path")
-    geo.set_defaults(func=_cmd_construct_geometric)
+    if geo := leaf(csub, "construct", "geometric"):
+        geo.add_argument("--c", type=int, required=True)
+        geo.add_argument("--n", type=int, required=True)
+        geo.add_argument("--out", help="edge-list output path")
+        geo.add_argument("--cover", help="cover output path")
+        geo.add_argument("--report", help="report output path")
+        geo.set_defaults(func=_cmd_construct_geometric)
 
-    cod = csub.add_parser("code", parents=[common])
-    cod.add_argument("--c", type=int, required=True)
-    cod.add_argument("--n", type=int, required=True)
-    cod.add_argument("--d", type=int, required=True)
-    src = cod.add_mutually_exclusive_group(required=True)
-    src.add_argument("--gen", help="generator matrix file for the chain root")
-    src.add_argument("--gv-seed", type=int, help="search seed for a GV chain root")
-    cod.add_argument("--out", help="edge-list output path")
-    cod.add_argument("--cover", help="cover output path")
-    cod.add_argument("--report", help="report output path")
-    cod.set_defaults(func=_cmd_construct_code)
+    if cod := leaf(csub, "construct", "code"):
+        cod.add_argument("--c", type=int, required=True)
+        cod.add_argument("--n", type=int, required=True)
+        cod.add_argument("--d", type=int, required=True)
+        src = cod.add_mutually_exclusive_group(required=True)
+        src.add_argument("--gen", help="generator matrix file for the chain root")
+        src.add_argument("--gv-seed", type=int, help="search seed for a GV chain root")
+        cod.add_argument("--out", help="edge-list output path")
+        cod.add_argument("--cover", help="cover output path")
+        cod.add_argument("--report", help="report output path")
+        cod.set_defaults(func=_cmd_construct_code)
 
     codes_p = sub.add_parser("codes", help="linear-code search and verification")
     codes_sub = codes_p.add_subparsers(dest="variant", required=True, parser_class=_Parser)
 
-    gv = codes_sub.add_parser("gv", parents=[common])
-    gv.add_argument("--n", type=int, required=True)
-    gv.add_argument("--k", type=int, required=True)
-    gv.add_argument("--d", type=int, required=True)
-    gv.add_argument("--gv-seed", type=int, default=None,
-                    help="search seed (defaults to --seed)")
-    gv.add_argument("--out", help="generator output path")
-    gv.add_argument("--report", help="report output path")
-    gv.set_defaults(func=_cmd_codes_gv)
+    if gv := leaf(codes_sub, "codes", "gv"):
+        gv.add_argument("--n", type=int, required=True)
+        gv.add_argument("--k", type=int, required=True)
+        gv.add_argument("--d", type=int, required=True)
+        gv.add_argument("--gv-seed", type=int, default=None,
+                        help="search seed (defaults to --seed)")
+        gv.add_argument("--out", help="generator output path")
+        gv.add_argument("--report", help="report output path")
+        gv.set_defaults(func=_cmd_codes_gv)
 
-    cv = codes_sub.add_parser("verify", parents=[common])
-    cv.add_argument("generator", help="generator matrix file")
-    cv.add_argument("--report", help="report output path")
-    cv.set_defaults(func=_cmd_codes_verify)
+    if cv := leaf(codes_sub, "codes", "verify"):
+        cv.add_argument("generator", help="generator matrix file")
+        cv.add_argument("--report", help="report output path")
+        cv.set_defaults(func=_cmd_codes_verify)
 
     lim = sub.add_parser("limits", help="structural-limit checks")
     lim_sub = lim.add_subparsers(dest="variant", required=True, parser_class=_Parser)
 
-    tri = lim_sub.add_parser("triangle", parents=[common])
-    tri.add_argument("--edges", required=True)
-    tri.add_argument("--cover", required=True)
-    tri.add_argument("--out", help="triangle-graph output path")
-    tri.add_argument("--report", help="report output path")
-    tri.set_defaults(func=_cmd_limits_triangle)
+    if tri := leaf(lim_sub, "limits", "triangle"):
+        tri.add_argument("--edges", required=True)
+        tri.add_argument("--cover", required=True)
+        tri.add_argument("--out", help="triangle-graph output path")
+        tri.add_argument("--report", help="report output path")
+        tri.set_defaults(func=_cmd_limits_triangle)
 
-    mindeg = lim_sub.add_parser("mindeg", parents=[common])
-    mindeg.add_argument("--edges", required=True)
-    mindeg.add_argument("--r", type=int, required=True)
-    mindeg.add_argument("--report", help="report output path")
-    mindeg.set_defaults(func=_cmd_limits_mindeg)
+    if mindeg := leaf(lim_sub, "limits", "mindeg"):
+        mindeg.add_argument("--edges", required=True)
+        mindeg.add_argument("--r", type=int, required=True)
+        mindeg.add_argument("--report", help="report output path")
+        mindeg.set_defaults(func=_cmd_limits_mindeg)
 
     chan = sub.add_parser("channel", help="shared-channel scheduling")
     chan_sub = chan.add_subparsers(dest="variant", required=True, parser_class=_Parser)
 
-    two = chan_sub.add_parser("two", parents=[common])
-    two.add_argument("--c", type=int, required=True)
-    two.add_argument("--n", type=int, required=True)
-    two.add_argument("--d", type=int, required=True)
-    two.add_argument("--gen", help="generator matrix file for the chain root")
-    two.add_argument("--out-schedule", help="schedule output path")
-    two.add_argument("--report", help="report output path")
-    two.set_defaults(func=_cmd_channel_two)
+    if two := leaf(chan_sub, "channel", "two"):
+        two.add_argument("--c", type=int, required=True)
+        two.add_argument("--n", type=int, required=True)
+        two.add_argument("--d", type=int, required=True)
+        two.add_argument("--gen", help="generator matrix file for the chain root")
+        two.add_argument("--out-schedule", help="schedule output path")
+        two.add_argument("--report", help="report output path")
+        two.set_defaults(func=_cmd_channel_two)
 
-    shifts = chan_sub.add_parser("shifts", parents=[common])
-    shifts.add_argument("--c", type=int, required=True)
-    shifts.add_argument("--n", type=int, required=True)
-    shifts.add_argument("--channels", type=int, required=True)
-    shifts.add_argument("--attempts", type=int, default=1)
-    shifts.add_argument("--out-schedule", help="schedule output path")
-    shifts.add_argument("--report", help="report output path")
-    shifts.set_defaults(func=_cmd_channel_shifts)
+    if shifts := leaf(chan_sub, "channel", "shifts"):
+        shifts.add_argument("--c", type=int, required=True)
+        shifts.add_argument("--n", type=int, required=True)
+        shifts.add_argument("--channels", type=int, required=True)
+        shifts.add_argument("--attempts", type=int, default=1)
+        shifts.add_argument("--out-schedule", help="schedule output path")
+        shifts.add_argument("--report", help="report output path")
+        shifts.set_defaults(func=_cmd_channel_shifts)
 
-    simu = chan_sub.add_parser("simulate", parents=[common])
-    simu.add_argument("--schedule", required=True)
-    simu.add_argument("--stations", type=int, default=None,
-                      help="station count (default: inferred from the schedule)")
-    simu.add_argument("--report", help="report output path")
-    simu.set_defaults(func=_cmd_channel_simulate)
+    if simu := leaf(chan_sub, "channel", "simulate"):
+        simu.add_argument("--schedule", required=True)
+        simu.add_argument("--stations", type=int, default=None,
+                          help="station count (default: inferred from the schedule)")
+        simu.add_argument("--report", help="report output path")
+        simu.set_defaults(func=_cmd_channel_simulate)
 
-    lt = sub.add_parser("lintest", parents=[common],
-                        help="graph-based linearity testing")
-    lt.add_argument("--edges", required=True)
-    lt.add_argument("--cover", required=True)
-    lt.add_argument("--m", type=int, required=True)
-    lt.add_argument("--f", required=True,
-                    help="linear | and | random:SEED | table:FILE")
-    lt.add_argument("--trials", type=int, required=True)
-    lt.add_argument("--report", help="report output path")
-    lt.set_defaults(func=_cmd_lintest)
+    if lt := leaf(sub, "lintest", help="graph-based linearity testing"):
+        lt.add_argument("--edges", required=True)
+        lt.add_argument("--cover", required=True)
+        lt.add_argument("--m", type=int, required=True)
+        lt.add_argument("--f", required=True,
+                        help="linear | and | random:SEED | table:FILE")
+        lt.add_argument("--trials", type=int, required=True)
+        lt.add_argument("--report", help="report output path")
+        lt.set_defaults(func=_cmd_lintest)
 
-    vem = sub.add_parser("vempala", parents=[common],
-                         help="local-density sum for the duplication partition")
-    vem.add_argument("--c", type=int, required=True)
-    vem.add_argument("--n", type=int, required=True)
-    vem.add_argument("--d", type=int, required=True)
-    vem.add_argument("--gen", help="generator matrix file for the chain root")
-    vem.add_argument("--out-partition", help="partition output path")
-    vem.add_argument("--report", help="report output path")
-    vem.set_defaults(func=_cmd_vempala)
+    if vem := leaf(sub, "vempala", help="local-density sum for the duplication partition"):
+        vem.add_argument("--c", type=int, required=True)
+        vem.add_argument("--n", type=int, required=True)
+        vem.add_argument("--d", type=int, required=True)
+        vem.add_argument("--gen", help="generator matrix file for the chain root")
+        vem.add_argument("--out-partition", help="partition output path")
+        vem.add_argument("--report", help="report output path")
+        vem.set_defaults(func=_cmd_vempala)
 
-    return top
+    return top if named else _build_parser()
 
 
 def run(argv) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         return args.func(args)
     except (ParameterError, OSError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

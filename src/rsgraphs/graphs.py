@@ -18,7 +18,6 @@ induced_groups is the one induced-block kernel: verify_cover_bipartite
 decides on it, and so does verify_cover, through the bipartite double.
 """
 
-import io
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -26,7 +25,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import InternalCheckError, ParameterError, parse_int, read_text
+from .errors import InternalCheckError, ParameterError, numbered_lines, parse_int, read_text
 
 Edge = tuple[int, int]
 Matching = list[Edge]
@@ -397,20 +396,39 @@ def doubled_cover(c: MatchingCover, n: int) -> MatchingCover:
 # ---------------------------------------------------------------------------
 # text formats
 #
-# The edge-list, cover and schedule readers share one shape, read_rows: the
-# file's text is read once, each line is checked against the format's line
-# grammar, the ids of all lines are converted in one numpy pass over their
-# runs of digits, and the checks across lines are array comparisons.  At the
-# first line that fails any check, the format's per-line parse runs on that
-# line alone and raises its path:line error.
+# A format's lines are written from a template (head, pair) of two %d
+# strings: head is filled from a line's leading ids, the first its ordinal,
+# and pair from each of its pairs.  The edge list's "u v" lines have no
+# head and one pair each.  The readers share one shape, read_rows, which
+# reads a file in one of two ways and gives the same rows either way.  A
+# canonical file, byte for byte what the writers emit, is read as bytes in
+# line-aligned chunks: one byte-class pass finds the runs of digits, the
+# bytes between them are compared with the template's literals, and the
+# runs are converted by numpy.  Any other file is read as text: each line
+# is checked against the format's line grammar, and the ids of the lines
+# that pass are converted the same way.  The checks across lines are array
+# comparisons on the rows.  At the first line that fails any check, the
+# format's per-line parse runs on that line alone and raises its
+# path:line error.
 
 # What str.split() splits on within a line, in ASCII; read_rows turns the
 # other whitespace of a non-ASCII file into spaces before the grammar check.
 SPACE = r"[\t\x0b\x0c\x1c-\x1f ]"
-# Characters of text that read_rows converts at once.
+# Bytes of a canonical file, or characters of any other, that read_rows
+# converts at once (see _canonical_rows for the first chunks).
 _READ_CHARS = 1 << 16
 # 10^p for the places p = 0..18 of an int64 id.
 _POW10 = 10 ** np.arange(19, dtype=np.uint64)
+# The top k bytes of a uint64, k = 0..8.
+_TOP_BYTES = np.array([(1 << 64) - (1 << 64 - 8 * k) for k in range(9)], dtype=np.uint64)
+# "0" in each byte of a uint64, and the multiply-shift steps that add the
+# places of eight digits, a byte each and the first in the low byte, into
+# one number: 2561 = 10 * 2^8 + 1 makes 2-digit numbers, 6553601 = 100 *
+# 2^16 + 1 4-digit ones, and 10^4 * 2^32 + 1 the 8-digit number.
+_ZEROS = np.uint64(0x3030303030303030)
+_PLACE_STEPS = [(np.uint64(mask), np.uint64(mul), np.uint64(shift)) for mask, mul, shift in (
+    (0x0F0F0F0F0F0F0F0F, 2561, 8), (0x00FF00FF00FF00FF, 6553601, 16),
+    (0x0000FFFF0000FFFF, 42949672960001, 32))]
 
 
 def parse_pairs(tokens: list[str], sep: str, path, lineno: int) -> list[int]:
@@ -448,7 +466,7 @@ class TextRows:
     as a negative number."""
 
     path: str
-    text: str
+    header: str  # the first `skip` lines
     skip: int
     heads: np.ndarray  # (h, rows): the h leading ids of each row
     sizes: np.ndarray  # pairs on each row
@@ -462,13 +480,13 @@ class TextRows:
         comes first.  parse(path, lineno, line, index) is the format's
         per-line parse, index counting the rows before the line; it raises
         ParameterError.  If it does not, the bulk checks and the parse
-        disagree, and InternalCheckError is raised."""
+        disagree, and InternalCheckError is raised.  The file's lines are
+        read again, as text, only when a line fails."""
         row = int(fail.argmax()) if fail.any() else None
         if row is None and self.bad is None:
             return
         index = 0
-        lines = enumerate(io.StringIO(self.text), start=1)
-        for lineno, line in islice(lines, self.skip, None):
+        for lineno, line in islice(numbered_lines(self.path), self.skip, None):
             if lineno == self.bad:
                 break
             if line.strip():  # a non-blank line before the first failure is a row
@@ -479,14 +497,156 @@ class TextRows:
         raise InternalCheckError(f"{self.path}:{lineno}: line passes its parse but not the bulk checks")
 
 
-def read_rows(path, grammar: str, h: int, sep: str | None = None,
-              skip: int = 0) -> TextRows:
+def read_rows(path, grammar: str, template: tuple[str, str], skip: int = 0) -> TextRows:
+    """Read the file at `path` into rows (see TextRows) of the format with
+    the given line grammar (see line_grammar) and template: the ids are
+    read in order from each line's runs of digits, the first h of them the
+    leading ids, h the %d fields of the template's head.  A format with
+    no head (h = 0) has one pair on each line.  A canonical file goes
+    through _canonical_rows, any other through _grammar_rows."""
+    rows = _canonical_rows(path, template, skip)
+    if rows is None:
+        head, pair = template
+        h = head.count("%d")
+        rows = _grammar_rows(path, grammar, h, pair.split("%d")[1] if h else None, skip)
+    return rows
+
+
+def _gap_literals(template: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """The widths and the values of the bytes before each run of digits in
+    a canonical file of the template, by code: code j <= h before the
+    line's run j (the line's start for j = 0), h + 1 inside a pair, h + 2
+    between pairs, h + 3 and h + 4 across the end of a line with pairs and
+    without (a newline and the next line's start), and h + 5 and h + 6 at
+    the end of the file, after such lines.  Each literal is at most eight
+    bytes, and its value is that of its bytes as the top bytes of a
+    little-endian uint64, as a window (see _canonical_chunk) holds them."""
+    head, pair = (part.split("%d") for part in template)
+    h = len(head) - 1
+    lits = [*head[:h], head[h] + pair[0], pair[1], pair[2] + pair[0]]
+    ends = [pair[2] + "\n", head[h] + "\n"]
+    lits = [lit.encode("ascii") for lit in lits + [end + lits[0] for end in ends] + ends]
+    return (np.array([len(lit) for lit in lits]),
+            np.array([int.from_bytes(bytes(8 - len(lit)) + lit, "little") for lit in lits],
+                     dtype=np.uint64))
+
+
+def _canonical_rows(path, template: tuple[str, str], skip: int) -> TextRows | None:
+    """The rows of the file at `path` if it is canonical for the template,
+    else None.  It is canonical if its first `skip` lines are ASCII with no
+    carriage return and each later line is the template's head and then
+    its pair, once per pair of the line, filled from ids written without
+    leading zeros in at most 18 digits, and then a newline.  Such a line
+    passes the format's grammar, and its ids are below 2^63.  The file is
+    read as bytes twice: once in blocks of _READ_CHARS bytes to size the
+    arrays from its counts of newlines and of the byte inside a pair, which
+    bound the rows and the pairs, and once in chunks of whole lines (one
+    line if it is longer) to fill them.  The chunks grow from an eighth of
+    _READ_CHARS bytes to _READ_CHARS, so a short file's temporary arrays
+    stay small.  The text is never whole in memory."""
+    h = template[0].count("%d")
+    lits = _gap_literals(template)
+    sep = template[1].split("%d")[1].encode("ascii")[0]
+    with open(path, "rb") as fh:
+        header = b"".join([fh.readline() for _ in range(skip)])
+        if not header.isascii() or b"\r" in header or header.count(b"\n") < skip:
+            return None
+        body, most, seps = fh.tell(), 0, 0
+        while block := fh.read(_READ_CHARS):
+            data = np.frombuffer(block, dtype=np.uint8)
+            most += np.count_nonzero(data == 10)
+            seps += np.count_nonzero(data == sep)
+        heads = np.empty((h, most), dtype=np.int64)
+        sizes = np.empty(most, dtype=np.int64)
+        pairs = np.empty((seps, 2), dtype=np.int64)
+        r = m = 0  # rows and pairs read
+        fh.seek(body)
+        rest, size = b"", max(1, _READ_CHARS >> 3)
+        while block := fh.read(max(size, len(rest))):
+            size = min(2 * size, _READ_CHARS)
+            chunk = rest + block
+            cut = chunk.rfind(b"\n") + 1
+            rest = chunk[cut:]
+            if cut:
+                part = _canonical_chunk(memoryview(chunk)[:cut], h, lits)
+                if part is None:
+                    return None
+                k, n = len(part[1]), len(part[2])
+                heads[:, r : r + k], sizes[r : r + k], pairs[m : m + n] = part
+                r, m = r + k, m + n
+    if rest:
+        return None
+    return TextRows(path, header.decode("ascii"), skip, heads[:, :r], sizes[:r], pairs[:m],
+                    np.zeros(r, dtype=bool), None)
+
+
+def _canonical_chunk(buf, h: int, lits: tuple[np.ndarray, np.ndarray]):
+    """heads, sizes and pairs (see TextRows) of buf, whole lines that each
+    end in a newline, with h leading ids, if every byte between its runs
+    of digits is the literal that _gap_literals gives there and no run has
+    a leading zero or more than 18 digits, else None."""
+    padded = np.zeros(8 + len(buf), dtype=np.uint8)
+    data = padded[8:]
+    data[:] = np.frombuffer(buf, dtype=np.uint8)
+    # win[i]: the eight bytes before place i of data, as a little-endian
+    # int, so the byte just before i is its top byte
+    win = np.ndarray(len(data) + 1, dtype="<u8", buffer=padded, strides=(1,))
+    digit = (padded[7:] - 48) < 10  # a pad byte, then data's
+    bounds = (digit[1:] != digit[:-1]).nonzero()[0]
+    starts, stops = bounds[0::2], bounds[1::2]
+    lens = stops - starts
+    if not len(lens) or lens.max() > 18 or (lens[(data[starts] == 48).nonzero()[0]] > 1).any():
+        return None
+    ends = starts.searchsorted((data == 10).nonzero()[0])  # runs before each newline
+    counts = ends.copy()
+    counts[1:] -= ends[:-1]
+    if (counts < max(h, 1)).any() or ((counts - h) & 1).any():
+        return None
+    firsts = ends - counts
+    j = np.arange(len(starts)) - firsts.repeat(counts)  # run j of its line
+    code = np.empty(len(starts) + 1, dtype=np.int64)  # of the bytes before each run, and the end
+    np.minimum(j, (h + 2) - ((j - h) & 1), out=code[:-1])  # j, or h + 1 or h + 2 in pairs
+    code[firsts[1:]] = h + 3 + (counts[:-1] == h)
+    code[-1] = h + 5 + (counts[-1] == h)
+    width, value = lits
+    size = width[code]
+    at = np.append(starts, len(data))  # where the bytes before each run, and after the last, end
+    if (at - np.append(0, stops) != size).any() or (win[at] & _TOP_BYTES[size] != value[code]).any():
+        return None
+    ids = _run_values(win, stops, lens)
+    return ids[firsts + np.arange(h)[:, None]], (counts - h) // 2, ids[j >= h].reshape(-1, 2)
+
+
+def _run_values(win: np.ndarray, stops: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The int64 value of each run of lens[i] <= 18 ASCII digits that ends
+    before stops[i], from the windows win (see _canonical_chunk): its last
+    eight places, then the eight before them, then the rest."""
+    vals = _eight_digits(win[stops], np.minimum(lens, 8))
+    for k in range(1, (int(lens.max()) + 7) // 8):
+        at = np.flatnonzero(lens > 8 * k)
+        x = _eight_digits(win[stops[at] - 8 * k], np.minimum(lens[at] - 8 * k, 8))
+        vals[at] += x * np.uint64(10 ** (8 * k))
+    return vals.view(np.int64)
+
+
+def _eight_digits(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The value of the top n[i] <= 8 bytes of x[i], ASCII digits, the most
+    significant lowest: xor takes "0" off each digit, a mask drops the
+    other bytes, and three multiply-shift steps add neighbouring places."""
+    x = (x ^ _ZEROS) & _TOP_BYTES[n]
+    for mask, mul, shift in _PLACE_STEPS:
+        x &= mask
+        x *= mul
+        x >>= shift
+    return x
+
+
+def _grammar_rows(path, grammar: str, h: int, sep: str | None, skip: int) -> TextRows:
     """Read the text file at `path` into rows (see TextRows) of h leading
-    ids and then pairs "u{sep}v", or one pair "u v" when sep is None; the
-    ids are read in order from each line's runs of digits.  The lines are
-    checked against `grammar` (see line_grammar) and converted in chunks of
-    about _READ_CHARS characters into arrays sized once from the counts of
-    newlines and separators."""
+    ids and then pairs "u{sep}v", or one pair "u v" when sep is None.  The
+    lines are checked against `grammar` (see line_grammar) and converted in
+    chunks of about _READ_CHARS characters into arrays sized once from the
+    counts of newlines and separators."""
     text = read_text(path)
     search = re.compile(grammar).search  # compiled on first use, then cached by re
     check = text
@@ -495,6 +655,7 @@ def read_rows(path, grammar: str, h: int, sep: str | None = None,
     a = 0
     for _ in range(skip):
         a = check.find("\n", a) + 1 or len(check)
+    header = text[:a]
     most = check.count("\n", a) + 1
     heads = np.empty((h, most), dtype=np.int64)
     sizes = np.empty(most, dtype=np.int64)
@@ -517,7 +678,7 @@ def read_rows(path, grammar: str, h: int, sep: str | None = None,
         r, m = r + k, m + len(seg_pairs)
         lineno += seg.count("\n")
         a = b
-    return TextRows(path, text, skip, heads[:, :r], sizes[:r], pairs[:m], huge[:r], bad)
+    return TextRows(path, header, skip, heads[:, :r], sizes[:r], pairs[:m], huge[:r], bad)
 
 
 def _rows_of(seg: str, h: int):
@@ -578,6 +739,8 @@ def write_edge_list(g: Graph, path: str) -> None:
         write_rows(fh, g.pairs)
 
 
+# The line template and grammar of each format (see read_rows).
+_EDGE_TEMPLATE = ("", "%d %d")
 _EDGE_LINE = line_grammar(f"[0-9]+{SPACE}+[0-9]+")
 
 
@@ -585,15 +748,18 @@ def read_edge_list(path: str, caps=None) -> Graph:
     """The graph of the edge list at `path`: the pairs it read, sorted.
     caps(N), if given, runs on the header's N once the lines, the edge
     count and the vertex range are checked, and may refuse it."""
-    rows = read_rows(path, _EDGE_LINE, 0, skip=1)
-    header = rows.text.partition("\n")[0].split()
+    rows = read_rows(path, _EDGE_LINE, _EDGE_TEMPLATE, skip=1)
+    header = rows.header.split()
     if len(header) != 2:
         raise ParameterError(f"{path}:1: malformed header, expected 'N M'")
     n, m = (parse_int(t, path, 1) for t in header)
     u, v = rows.pairs.T
     fail = rows.huge | (u >= v)
-    order = np.lexsort((v, u))  # stable: of equal edges, the earliest line first
-    fail[order[1:][(np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)]] = True
+    du = np.diff(u)
+    order = None  # pairs whose (u, v) strictly increase are sorted and distinct
+    if not ((du > 0) | ((du == 0) & (np.diff(v) > 0))).all():
+        order = np.lexsort((v, u))  # stable: of equal edges, the earliest line first
+        fail[order[1:][(np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)]] = True
     rows.raise_first(fail, partial(_edge_line, pairs=rows.pairs))
     if len(u) != m:
         raise ParameterError(f"{path}: header claims {m} edges, found {len(u)}")
@@ -602,7 +768,7 @@ def read_edge_list(path: str, caps=None) -> Graph:
         raise ParameterError(f"edge ({u[out[0]]},{v[out[0]]}) outside vertex range 0..{n - 1}")
     if caps:
         caps(n)
-    return Graph(n, rows.pairs[order])
+    return Graph(n, rows.pairs if order is None else rows.pairs[order])
 
 
 def _edge_line(path, lineno: int, line: str, index: int, pairs: np.ndarray) -> None:
@@ -620,16 +786,19 @@ def _edge_line(path, lineno: int, line: str, index: int, pairs: np.ndarray) -> N
         raise ParameterError(f"{path}:{lineno}: edge ({u},{v}) repeats an earlier line")
 
 
-def write_groups(path: str, head: str, cols, pairs: np.ndarray, offsets: np.ndarray,
-                 sep: str) -> None:
-    """Write one line per group of pairs: `head` with its %d fields filled
-    from the group's entries of the int arrays cols, then " u{sep}v" per
-    pair.  A line costs len(cols) ids plus two per pair.  Lines are
+def write_groups(path: str, template: tuple[str, str], cols, pairs: np.ndarray,
+                 offsets: np.ndarray) -> None:
+    """Write one line per group of pairs from template (head, pair): head
+    with its %d fields filled from the line's ordinal and then the group's
+    entries of the int arrays cols, then pair filled from each of its
+    pairs.  A line costs 1 + len(cols) ids plus two per pair.  Lines are
     formatted and written in chunks of whole groups of at most _WRITE_IDS
     ids (one group if it is longer), one % format per chunk, so memory
-    stays flat however long the file.  A chunk's template repeats one line
-    per run of groups of equal size."""
-    h, t = len(cols), len(offsets) - 1
+    stays flat however long the file; a chunk's ordinals are made from its
+    bounds.  A chunk's format repeats one line per run of groups of equal
+    size."""
+    head, pair = template
+    h, t = 1 + len(cols), len(offsets) - 1
     span = max(1, _WRITE_IDS // h)  # groups a chunk can hold: each costs h ids or more
     heads = h * np.arange(span + 1)
     with open(path, "w") as fh:
@@ -643,26 +812,29 @@ def write_groups(path: str, head: str, cols, pairs: np.ndarray, offsets: np.ndar
             vals = np.empty(int(starts[n]), dtype=np.int64)
             in_pairs = np.ones(len(vals), dtype=bool)
             in_pairs[at] = False
-            vals[at] = [col[a:b] for col in cols]
+            vals[at] = [np.arange(a, b), *(col[a:b] for col in cols)]
             vals[in_pairs] = pairs[window[0] : window[n]].ravel()
             sizes = window[1 : n + 1] - window[:n]
             cuts = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), n]
-            template = "".join([(head + f" %d{sep}%d" * int(sizes[i]) + "\n") * (j - i)
-                                for i, j in zip(cuts, cuts[1:])])
-            fh.write(template % tuple(vals.tolist()))
+            lines = "".join([(head + pair * int(sizes[i]) + "\n") * (j - i)
+                             for i, j in zip(cuts, cuts[1:])])
+            fh.write(lines % tuple(vals.tolist()))
             a = b
+
+
+_COVER_TEMPLATE = ("%d:", " %d-%d")
 
 
 def write_cover(c: MatchingCover, path: str) -> None:
     """One line per matching: "i: u1-v1 u2-v2 ..." with i the ordinal."""
-    write_groups(path, "%d:", [np.arange(c.t)], c.pairs, c.offsets, "-")
+    write_groups(path, _COVER_TEMPLATE, [], c.pairs, c.offsets)
 
 
 _COVER_LINE = line_grammar("[0-9]+", "-")
 
 
 def read_cover(path: str) -> MatchingCover:
-    rows = read_rows(path, _COVER_LINE, 1, "-")
+    rows = read_rows(path, _COVER_LINE, _COVER_TEMPLATE)
     ordinal = rows.heads[0]
     rows.raise_first(rows.huge | (ordinal != np.arange(len(ordinal))), _cover_line)
     return MatchingCover.from_arrays(rows.pairs, offsets_of(rows.sizes))

@@ -99,8 +99,9 @@ def estimate_soundness(
 
     Vectorized over trials with numpy's seeded PCG64 stream; results replay
     bit-exact for a fixed (graph, f, trials, seed).  The points (see _points)
-    are checked over chunks of edges at a time; the walk stops after the
-    first chunk that leaves no trial accepting.
+    are checked over chunks of edges at a time, in buffers made once, so
+    the walk's memory does not churn; it stops after the first chunk that
+    leaves no trial accepting.
     """
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
@@ -110,14 +111,22 @@ def estimate_soundness(
     acc = np.ones(trials, dtype=bool)
     edges = g.edges()
     per_chunk = max(1, _CHUNK_CELLS // trials)
+    xu, xv = (np.empty((per_chunk, trials), dtype=x.dtype) for _ in range(2))
+    fu, fv = (np.empty((per_chunk, trials), dtype=fx.dtype) for _ in range(2))
     while acc.any():
         uv = np.fromiter(chain.from_iterable(islice(edges, per_chunk)), dtype=np.int64)
         if not uv.size:
             break
         u, v = uv[0::2], uv[1::2]
-        # x[u] ^ x[v] < 2^m indexes the table; mode="clip" skips the bounds check
-        fuv = table.take(x[u] ^ x[v], mode="clip")
-        acc &= ~(fx[u] ^ fx[v] ^ fuv).any(axis=0)
+        k = len(u)
+        # mode="clip" skips the bounds checks: u, v < n, and x[u] ^ x[v] < 2^m
+        # indexes the table
+        np.bitwise_xor(x.take(u, axis=0, mode="clip", out=xu[:k]),
+                       x.take(v, axis=0, mode="clip", out=xv[:k]), out=xu[:k])
+        np.bitwise_xor(fx.take(u, axis=0, mode="clip", out=fu[:k]),
+                       fx.take(v, axis=0, mode="clip", out=fv[:k]), out=fu[:k])
+        fu[:k] ^= table.take(xu[:k], mode="clip", out=fv[:k])
+        acc &= ~fu[:k].any(axis=0)
     p_hat = float(acc.sum()) / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return p_hat, stderr

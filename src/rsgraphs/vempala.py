@@ -207,5 +207,4 @@ def conjecture_verdict(ep: EdgePartition) -> ConjectureVerdict:
 
 def write_partition(ep: EdgePartition, path: str) -> None:
     """One line per part: "part <id>: u>v u>v ..."."""
-    write_groups(path, "part %d:", [np.arange(len(ep._sizes))], ep._pairs,
-                 offsets_of(ep._sizes), ">")
+    write_groups(path, ("part %d:", " %d>%d"), [], ep._pairs, offsets_of(ep._sizes))

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, artifacts, determinism."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import rsgraphs
-from rsgraphs import channels, codegraph, geometric, graphs, vempala
+from rsgraphs import channels, cli, codegraph, geometric, graphs, vempala
 from rsgraphs.cli import _jsonable, run
 from rsgraphs.graphs import MatchingCover, read_cover, read_edge_list, verify_cover
 from test_cover_oracle import is_induced_matching, two_sided
@@ -42,6 +43,57 @@ def test_jsonable_converts_numpy_scalars_and_fractions():
 def test_no_command_is_parameter_error(capsys):
     assert run([]) == 1
     assert "parameter error" in capsys.readouterr().err
+
+
+# Help at the top, group and leaf levels, and argument errors at each level.
+PARSE_CASES = [
+    ["--help"], ["-h"], ["--version"], ["construct", "--help"], ["channel", "-h"],
+    ["construct", "geometric", "--help"], ["codes", "verify", "-h"], ["lintest", "--help"],
+    ["vempala", "--c", "3", "-h"], [], ["bogus"], ["channel"], ["channel", "bogus"],
+    ["construct", "geometric"], ["construct", "geometric", "--c", "3"],
+    ["construct", "geometric", "--c", "x", "--n", "2"],
+    ["construct", "code", "--c", "3", "--n", "4", "--d", "2", "--gen", "g.txt", "--gv-seed", "1"],
+    ["lintest", "--bogus"], ["vempala", "--c", "3", "--n", "4", "--d", "2", "--format", "xml"],
+    ["codes", "verify"], ["limits", "mindeg", "--edges"], ["codes", "gv", "--n", "5", "extra"],
+    ["channel", "simulate", "--sched", "missing.txt"], ["channel", "shifts", "--seed", "q"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=[" ".join(a) or "empty" for a in PARSE_CASES])
+def test_a_parser_of_one_leaf_answers_as_the_full_tree(argv, capsys, monkeypatch, tmp_path):
+    # the same output bytes and exit code as the parser with every leaf's arguments
+    monkeypatch.chdir(tmp_path)
+
+    def answer():
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:  # argparse's exit after --help or --version
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    got = answer()
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: build())
+    assert answer() == got
+
+
+def test_a_parser_of_one_leaf_gives_no_other_leaf_arguments():
+    def leaves(parser):
+        """(words, option strings) of each leaf below parser."""
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return [((), sorted(o for a in parser._actions for o in a.option_strings))]
+        return [((name, *words), opts) for name, p in subs[0].choices.items()
+                for words, opts in leaves(p)]
+
+    full = dict(leaves(cli._build_parser()))
+    assert len(full) == 11 and all("--seed" in opts for opts in full.values())
+    for words in full:
+        got = dict(leaves(cli._build_parser([*words, "--seed", "1"])))
+        assert got.keys() == full.keys()
+        assert [w for w, opts in got.items() if opts != ["--help", "-h"]] == [words]
+        assert got[words] == full[words]
 
 
 def test_unknown_flag_is_parameter_error(capsys):

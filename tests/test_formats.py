@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rsgraphs import graphs
-from rsgraphs.channels import Schedule, read_schedule, write_schedule
+from rsgraphs.channels import _SCHEDULE_TEMPLATE, Schedule, read_schedule, write_schedule
 from rsgraphs.codes import LinearCode, read_generator, write_generator
 from rsgraphs.errors import InternalCheckError, ParameterError, numbered_lines, parse_int
 from rsgraphs.graphs import (
@@ -136,6 +136,13 @@ def outcome(read, path):
         return key(read(path))
     except Exception as exc:  # noqa: BLE001 - the oracle's failure, whatever it is
         return ("raises", type(exc).__name__, str(exc))
+
+
+def canonical_only():
+    """Within it, a file that is not canonical fails the read: the line
+    grammar's reader is not called."""
+    return mock.patch.object(graphs, "_grammar_rows",
+                             side_effect=AssertionError("read through the line grammar"))
 
 
 small_pairs = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=4)
@@ -258,6 +265,22 @@ def test_round_trip(tmp_path, fmt, data):
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_written_files_are_read_without_the_line_grammar(tmp_path, fmt, data):
+    # what the writers emit is canonical: it reads in one pass over its
+    # bytes, at any chunk budget, as the oracle reads it
+    objects, write, read, oracle = FORMATS[fmt]
+    path = tmp_path / "file.txt"
+    write(data.draw(objects), path)
+    with mock.patch.object(graphs, "_READ_CHARS", data.draw(st.sampled_from([1, 5, 1 << 18]))):
+        with canonical_only():
+            got = outcome(read, path)
+    assert got[0] != "raises"
+    assert got == outcome(oracle, path)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_file_reads_as_the_oracle_reads_it(tmp_path, fmt, data):
@@ -306,6 +329,42 @@ def test_listed_files_read_as_the_oracle_reads_them(tmp_path, fmt, text):
     assert outcome(read, path) == outcome(oracle, path)
 
 
+# Canonical files that break one check across or within lines, and files
+# that differ from canonical ones only in an id's length or a final
+# newline: (format, text, whether it is read without the line grammar).
+SEMANTIC = [
+    ("edges", "3 2\n0 1\n0 1\n", True), ("edges", "3 1\n1 0\n", True),
+    ("edges", "3 1\n1 1\n", True), ("edges", "3 1\n0 3\n", True),
+    ("edges", "3 2\n0 1\n", True), ("edges", "3 1\n0 1\n1 2\n", True),
+    ("edges", "3 2\n1 2\n0 1\n", True), ("edges", "3 3\n0 2\n1 2\n0 2\n", True),
+    ("edges", "3 1\n0 1000000000000000000\n", False), ("edges", "3 1\n0 1", False),
+    ("edges", "3 1\n0 999999999999999999\n", True), ("edges", "3 1\n0 123456789012345678\n", True),
+    ("edges", "3 1\n0 01\n", False), ("edges", "3 1\r0 1\n", False),
+    ("cover", "0: 0-1\n2: 1-2\n", True), ("cover", "1: 0-1\n", True),
+    ("cover", "0: 0-1\n0: 1-2\n", True), ("cover", "0: 0-1 1-2\n1:\n", True),
+    ("cover", "0: 0-1\n1: 2-1000000000000000000\n", False), ("cover", "0: 0-1\n1: 2-3", False),
+    ("schedule", "round 0 chan 0: 0>1\nround 2 chan 0: 1>0\n", True),
+    ("schedule", "round 1 chan 0:\n", True),
+    ("schedule", "round 0 chan 0: 0>1\nround 0 chan 1: 1>0\n", True),
+    ("schedule", "round 0 chan 1000000000000000000: 0>1\n", False),
+    ("schedule", "round 0 chan 0: 0>1", False), ("schedule", "round 0 chan 00: 0>1\n", False),
+    ("schedule", "round 0 chan 123456789: 0>1 12345678901234567>987654321\n", True),
+]
+
+
+@pytest.mark.parametrize("fmt,text,canonical", SEMANTIC)
+def test_canonical_files_that_fail_a_check_read_as_the_oracle_reads_them(
+        tmp_path, fmt, text, canonical):
+    _, _, read, oracle = FORMATS[fmt]
+    path = tmp_path / "file.txt"
+    path.write_bytes(text.encode("ascii"))
+    template = {"edges": graphs._EDGE_TEMPLATE, "cover": graphs._COVER_TEMPLATE,
+                "schedule": _SCHEDULE_TEMPLATE}[fmt]
+    rows = graphs._canonical_rows(path, template, int(fmt == "edges"))
+    assert (rows is not None) == canonical
+    assert outcome(read, path) == outcome(oracle, path)
+
+
 # Per format, files whose last line fails after a run of 10^5 whitespace
 # characters: the text before the run and the text after it.
 LONG_RUNS = {
@@ -349,11 +408,20 @@ def test_chunk_edges_do_not_change_what_is_read(tmp_path, read_chars):
         assert key(read_schedule(path, 41)) == key(oracle_read_schedule(path, 41))
         assert outcome(read_schedule, bad) == outcome(oracle_read_schedule, bad)
         assert "bad.txt:34: round indices must be sequential" in outcome(read_schedule, bad)[2]
+    # the same schedule as written, and with one round index off: canonical
+    # files, read without the line grammar
+    write_schedule(s, path)
+    bad.write_text(path.read_text().replace("round 33", "round 34"))
+    with mock.patch.object(graphs, "_READ_CHARS", read_chars), canonical_only():
+        assert key(read_schedule(path, 41)) == key(oracle_read_schedule(path, 41))
+        assert outcome(read_schedule, bad) == outcome(oracle_read_schedule, bad)
+        assert "bad.txt:34: round indices must be sequential" in outcome(read_schedule, bad)[2]
 
 
 def test_a_line_the_bulk_check_wrongly_fails_is_an_internal_error(tmp_path):
+    # two spaces after the colon: not canonical, so the line grammar reads it
     path = tmp_path / "cover.txt"
-    path.write_text("0: 0-1\n")
+    path.write_text("0:  0-1\n")
     with mock.patch.object(graphs, "_COVER_LINE", graphs.line_grammar("[1-9]+", "-")):
         with pytest.raises(InternalCheckError, match="cover.txt:1: line passes"):
             read_cover(path)
@@ -418,22 +486,35 @@ def test_writers_match_one_format_per_pair(tmp_path, write_ids, groups, chans, o
     assert (tmp_path / "p.txt").read_text() == lines(parts, lambda i: f"part {i}:", ">")
 
 
+def peak_of(write, obj, path) -> int:
+    tracemalloc.start()
+    try:
+        write(obj, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_long_schedule_is_written_in_flat_memory(tmp_path):
     # 2^16 one-pair rounds, every station pair of 256 stations: the writer
     # holds one chunk of about _WRITE_IDS ids as Python objects at a time
     n = 256
     s = Schedule.from_arrays(n, 2, np.arange(n * n) % 2, np.arange(n * n + 1),
                              graphs.key_pairs(np.arange(n * n), n))
-    tracemalloc.start()
-    try:
-        write_schedule(s, tmp_path / "s.txt")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20
+    assert peak_of(write_schedule, s, tmp_path / "s.txt") < 2 << 20
     lines = (tmp_path / "s.txt").read_text().splitlines()
     assert len(lines) == n * n
     assert lines[0] == "round 0 chan 0: 0>0" and lines[-1] == "round 65535 chan 1: 255>255"
+
+
+def test_many_empty_matchings_are_written_in_flat_memory(tmp_path):
+    # 2^18 matchings and no pairs: a column of every ordinal alone would
+    # take the 2 MB the writer may use
+    t = 1 << 18
+    c = MatchingCover.from_arrays(np.empty((0, 2), dtype=np.int64), np.zeros(t + 1, dtype=np.int64))
+    assert peak_of(write_cover, c, tmp_path / "c.txt") < 2 << 20
+    text = (tmp_path / "c.txt").read_text()
+    assert text.startswith("0:\n1:\n") and text.endswith(f"\n{t - 1}:\n") and text.count("\n") == t
 
 
 # ---------------------------------------------------------------------------
