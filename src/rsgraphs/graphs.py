@@ -18,7 +18,9 @@ induced_groups is the one induced-block kernel: verify_cover_bipartite
 decides on it, and so does verify_cover, through the bipartite double.
 """
 
+import os
 import re
+import stat
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
@@ -543,7 +545,11 @@ def _canonical_rows(path, template: tuple[str, str], skip: int) -> TextRows | No
     bound the rows and the pairs, and once in chunks of whole lines (one
     line if it is longer) to fill them.  The chunks grow from an eighth of
     _READ_CHARS bytes to _READ_CHARS, so a short file's temporary arrays
-    stay small.  The text is never whole in memory."""
+    stay small.  The text is never whole in memory.  A path that is not a
+    regular file, such as a pipe, can be read only once and is left to the
+    grammar path unopened."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
     h = template[0].count("%d")
     lits = _gap_literals(template)
     sep = template[1].split("%d")[1].encode("ascii")[0]

@@ -8,7 +8,9 @@ swapped and truncated lines) and require the bulk reader to return the
 oracle's object or raise the oracle's exact error.
 """
 
+import os
 import re
+import threading
 import time
 import tracemalloc
 from unittest import mock
@@ -416,6 +418,23 @@ def test_chunk_edges_do_not_change_what_is_read(tmp_path, read_chars):
         assert key(read_schedule(path, 41)) == key(oracle_read_schedule(path, 41))
         assert outcome(read_schedule, bad) == outcome(oracle_read_schedule, bad)
         assert "bad.txt:34: round indices must be sequential" in outcome(read_schedule, bad)[2]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_is_read_once_as_a_file_is(tmp_path):
+    # a named pipe carrying a written schedule: it is opened once, by the
+    # grammar path, and reads as the file it copies
+    path, fifo = tmp_path / "s.txt", tmp_path / "fifo"
+    write_schedule(Schedule(5, 2, [(0, [(0, 1)]), (1, [(2, 3), (4, 0)]), (0, [])]), path)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+    writer.start()
+    try:
+        got = read_schedule(fifo, 5)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert key(got) == key(read_schedule(path, 5))
 
 
 def test_a_line_the_bulk_check_wrongly_fails_is_an_internal_error(tmp_path):
