@@ -503,22 +503,29 @@ def _cmd_vempala(args) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
+# The command words of each leaf of the parser.
+_LEAVES = (("construct", "geometric"), ("construct", "code"), ("codes", "gv"),
+           ("codes", "verify"), ("limits", "triangle"), ("limits", "mindeg"),
+           ("channel", "two"), ("channel", "shifts"), ("channel", "simulate"),
+           ("lintest",), ("vempala",))
+
+
 def _build_parser(argv=None) -> _Parser:
     """The command-line parser.  Every subcommand is registered with its
     help, but only the leaf that the leading words of argv name gets its
     arguments.  Every leaf does when argv is None, names no leaf or asks
     for -h/--help, so help and argument errors read as from the full tree."""
-    full = argv is None or "-h" in argv or "--help" in argv
-    named = []  # the leaves that get their arguments
+    named = None  # the leaf that gets its arguments, or None for every leaf
+    if argv is not None and "-h" not in argv and "--help" not in argv:
+        named = next((w for w in _LEAVES if tuple(argv[: len(w)]) == w), None)
 
     def leaf(subs, *words, **kw):
         """Register the leaf that the command words name under subs; return
         its parser, with the common options, if it gets its arguments."""
-        if not (full or list(argv[: len(words)]) == list(words)):
+        if named not in (None, words):
             subs.add_parser(words[-1], **kw)
             return None
-        named.append(subs.add_parser(words[-1], parents=[common], **kw))
-        return named[-1]
+        return subs.add_parser(words[-1], parents=[common], **kw)
 
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
@@ -634,7 +641,7 @@ def _build_parser(argv=None) -> _Parser:
         vem.add_argument("--report", help="report output path")
         vem.set_defaults(func=_cmd_vempala)
 
-    return top if named else _build_parser()
+    return top
 
 
 def run(argv) -> int:

@@ -18,6 +18,7 @@ induced_groups is the one induced-block kernel: verify_cover_bipartite
 decides on it, and so does verify_cover, through the bipartite double.
 """
 
+import io
 import os
 import re
 import stat
@@ -27,7 +28,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import InternalCheckError, ParameterError, numbered_lines, parse_int, read_text
+from .errors import InternalCheckError, ParameterError, parse_int, read_text
 
 Edge = tuple[int, int]
 Matching = list[Edge]
@@ -469,6 +470,7 @@ class TextRows:
 
     path: str
     header: str  # the first `skip` lines
+    text: str | None  # the whole text, if the read held it
     skip: int
     heads: np.ndarray  # (h, rows): the h leading ids of each row
     sizes: np.ndarray  # pairs on each row
@@ -482,19 +484,22 @@ class TextRows:
         comes first.  parse(path, lineno, line, index) is the format's
         per-line parse, index counting the rows before the line; it raises
         ParameterError.  If it does not, the bulk checks and the parse
-        disagree, and InternalCheckError is raised.  The file's lines are
-        read again, as text, only when a line fails."""
+        disagree, and InternalCheckError is raised.  A text that the read
+        did not hold is read again, only when a line fails."""
         row = int(fail.argmax()) if fail.any() else None
         if row is None and self.bad is None:
             return
+        text = read_text(self.path) if self.text is None else self.text
         index = 0
-        for lineno, line in islice(numbered_lines(self.path), self.skip, None):
+        for lineno, line in islice(enumerate(io.StringIO(text), start=1), self.skip, None):
             if lineno == self.bad:
                 break
             if line.strip():  # a non-blank line before the first failure is a row
                 if index == row:
                     break
                 index += 1
+        else:
+            raise ParameterError(f"{self.path}: the file changed while it was read")
         parse(self.path, lineno, line, index)
         raise InternalCheckError(f"{self.path}:{lineno}: line passes its parse but not the bulk checks")
 
@@ -542,12 +547,11 @@ def _canonical_rows(path, template: tuple[str, str], skip: int) -> TextRows | No
     passes the format's grammar, and its ids are below 2^63.  The file is
     read as bytes twice: once in blocks of _READ_CHARS bytes to size the
     arrays from its counts of newlines and of the byte inside a pair, which
-    bound the rows and the pairs, and once in chunks of whole lines (one
-    line if it is longer) to fill them.  The chunks grow from an eighth of
-    _READ_CHARS bytes to _READ_CHARS, so a short file's temporary arrays
-    stay small.  The text is never whole in memory.  A path that is not a
-    regular file, such as a pipe, can be read only once and is left to the
-    grammar path unopened."""
+    bound the rows and the pairs, and once in chunks of whole lines to fill
+    them (see _canonical_chunks); a file that grows in between overfills
+    them and gives None.  The text is never whole in memory.  A path that
+    is not a regular file, such as a pipe, can be read only once and is
+    left to the grammar path unopened."""
     if not stat.S_ISREG(os.stat(path).st_mode):
         return None
     h = template[0].count("%d")
@@ -562,35 +566,33 @@ def _canonical_rows(path, template: tuple[str, str], skip: int) -> TextRows | No
             data = np.frombuffer(block, dtype=np.uint8)
             most += np.count_nonzero(data == 10)
             seps += np.count_nonzero(data == sep)
-        heads = np.empty((h, most), dtype=np.int64)
-        sizes = np.empty(most, dtype=np.int64)
-        pairs = np.empty((seps, 2), dtype=np.int64)
-        r = m = 0  # rows and pairs read
         fh.seek(body)
-        rest, size = b"", max(1, _READ_CHARS >> 3)
-        while block := fh.read(max(size, len(rest))):
-            size = min(2 * size, _READ_CHARS)
-            chunk = rest + block
-            cut = chunk.rfind(b"\n") + 1
-            rest = chunk[cut:]
-            if cut:
-                part = _canonical_chunk(memoryview(chunk)[:cut], h, lits)
-                if part is None:
-                    return None
-                k, n = len(part[1]), len(part[2])
-                heads[:, r : r + k], sizes[r : r + k], pairs[m : m + n] = part
-                r, m = r + k, m + n
+        rows = _filled(h, most, seps, _canonical_chunks(fh, h, lits))
+    return rows and TextRows(path, header.decode("ascii"), None, skip, *rows, None)
+
+
+def _canonical_chunks(fh, h: int, lits: tuple[np.ndarray, np.ndarray]):
+    """The rows (see _filled) of the rest of fh, in chunks of whole lines
+    (one line if it is longer) read by _canonical_chunk, then None if the
+    last line has no newline.  The chunks grow from an eighth of _READ_CHARS
+    bytes to _READ_CHARS, so a short file's temporary arrays stay small."""
+    rest, step = b"", max(1, _READ_CHARS >> 3)
+    while block := fh.read(max(step, len(rest))):
+        step = min(2 * step, _READ_CHARS)
+        chunk = rest + block
+        cut = chunk.rfind(b"\n") + 1
+        rest = chunk[cut:]
+        if cut:
+            yield _canonical_chunk(memoryview(chunk)[:cut], h, lits)
     if rest:
-        return None
-    return TextRows(path, header.decode("ascii"), skip, heads[:, :r], sizes[:r], pairs[:m],
-                    np.zeros(r, dtype=bool), None)
+        yield None
 
 
 def _canonical_chunk(buf, h: int, lits: tuple[np.ndarray, np.ndarray]):
-    """heads, sizes and pairs (see TextRows) of buf, whole lines that each
-    end in a newline, with h leading ids, if every byte between its runs
-    of digits is the literal that _gap_literals gives there and no run has
-    a leading zero or more than 18 digits, else None."""
+    """heads, sizes, pairs and huge (see TextRows) of buf, whole lines that
+    each end in a newline, with h leading ids, if every byte between its
+    runs of digits is the literal that _gap_literals gives there and no run
+    has a leading zero or more than 18 digits, else None."""
     padded = np.zeros(8 + len(buf), dtype=np.uint8)
     data = padded[8:]
     data[:] = np.frombuffer(buf, dtype=np.uint8)
@@ -620,7 +622,8 @@ def _canonical_chunk(buf, h: int, lits: tuple[np.ndarray, np.ndarray]):
     if (at - np.append(0, stops) != size).any() or (win[at] & _TOP_BYTES[size] != value[code]).any():
         return None
     ids = _run_values(win, stops, lens)
-    return ids[firsts + np.arange(h)[:, None]], (counts - h) // 2, ids[j >= h].reshape(-1, 2)
+    return (ids[firsts + np.arange(h)[:, None]], (counts - h) // 2, ids[j >= h].reshape(-1, 2),
+            np.zeros(len(counts), dtype=bool))
 
 
 def _run_values(win: np.ndarray, stops: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -651,8 +654,7 @@ def _grammar_rows(path, grammar: str, h: int, sep: str | None, skip: int) -> Tex
     """Read the text file at `path` into rows (see TextRows) of h leading
     ids and then pairs "u{sep}v", or one pair "u v" when sep is None.  The
     lines are checked against `grammar` (see line_grammar) and converted in
-    chunks of about _READ_CHARS characters into arrays sized once from the
-    counts of newlines and separators."""
+    chunks of about _READ_CHARS characters."""
     text = read_text(path)
     search = re.compile(grammar).search  # compiled on first use, then cached by re
     check = text
@@ -661,30 +663,44 @@ def _grammar_rows(path, grammar: str, h: int, sep: str | None, skip: int) -> Tex
     a = 0
     for _ in range(skip):
         a = check.find("\n", a) + 1 or len(check)
-    header = text[:a]
+    bad = None
+
+    def parts(a, lineno):
+        nonlocal bad
+        while a < len(check) and bad is None:
+            b = (check.rfind("\n", a, a + _READ_CHARS) + 1
+                 or check.find("\n", a + _READ_CHARS) + 1 or len(check))
+            seg = check[a:b]
+            found = search("\n" + seg)
+            if found:
+                seg = seg[: found.start()]
+                bad = lineno + seg.count("\n") + 1
+            yield _rows_of(seg, h)
+            lineno += seg.count("\n")
+            a = b
+
     most = check.count("\n", a) + 1
+    rows = _filled(h, most, check.count(sep, a) if sep else most, parts(a, skip))
+    return TextRows(path, text[:a], text, skip, *rows, bad)
+
+
+def _filled(h: int, most: int, most_pairs: int, parts):
+    """heads, sizes, pairs and huge (see TextRows) of the rows of parts, an
+    iterable of such tuples, chunk after chunk, in arrays sized once for
+    `most` rows and most_pairs pairs; None if a part is None or the parts
+    hold more."""
     heads = np.empty((h, most), dtype=np.int64)
     sizes = np.empty(most, dtype=np.int64)
+    pairs = np.empty((most_pairs, 2), dtype=np.int64)
     huge = np.empty(most, dtype=bool)
-    pairs = np.empty((check.count(sep, a) if sep else most, 2), dtype=np.int64)
     r = m = 0  # rows and pairs read
-    lineno, bad = skip, None
-    while a < len(check) and bad is None:
-        b = (check.rfind("\n", a, a + _READ_CHARS) + 1
-             or check.find("\n", a + _READ_CHARS) + 1 or len(check))
-        seg = check[a:b]
-        found = search("\n" + seg)
-        if found:
-            seg = seg[: found.start()]
-            bad = lineno + seg.count("\n") + 1
-        seg_heads, seg_sizes, seg_pairs, seg_huge = _rows_of(seg, h)
-        k = len(seg_sizes)
-        heads[:, r : r + k], sizes[r : r + k], huge[r : r + k] = seg_heads, seg_sizes, seg_huge
-        pairs[m : m + len(seg_pairs)] = seg_pairs
-        r, m = r + k, m + len(seg_pairs)
-        lineno += seg.count("\n")
-        a = b
-    return TextRows(path, header, skip, heads[:, :r], sizes[:r], pairs[:m], huge[:r], bad)
+    for part in parts:
+        if part is None or r + len(part[1]) > most or m + len(part[2]) > most_pairs:
+            return None
+        k, n = len(part[1]), len(part[2])
+        heads[:, r : r + k], sizes[r : r + k], pairs[m : m + n], huge[r : r + k] = part
+        r, m = r + k, m + n
+    return heads[:, :r], sizes[:r], pairs[:m], huge[:r]
 
 
 def _rows_of(seg: str, h: int):

@@ -290,6 +290,18 @@ def test_simulate_refuses_a_huge_subchannel_id(tmp_path, chan):
     assert f"subchannel id {chan} exceeds the cap of 100000000 subchannels" in proc.stderr
 
 
+def test_simulate_names_the_failing_line_of_standard_input():
+    # standard input can be read only once; its failing line is named as a
+    # file's is
+    proc = subprocess.run([sys.executable, "-m", "rsgraphs.cli", "channel", "simulate",
+                           "--schedule", "/dev/stdin"],
+                          input="round 0 chan 0: 0>1\nround 2 chan 0: 1>0\n",
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "/dev/stdin:2: round indices must be sequential" in proc.stderr
+
+
 def test_construct_code_pinned_generator(tmp_path, capsys):
     gen = tmp_path / "gen.txt"
     gen.write_text(PINNED_TEXT)

@@ -420,21 +420,62 @@ def test_chunk_edges_do_not_change_what_is_read(tmp_path, read_chars):
         assert "bad.txt:34: round indices must be sequential" in outcome(read_schedule, bad)[2]
 
 
+PIPED_SCHEDULES = {
+    "valid": "round 0 chan 0: 0>1\nround 1 chan 1: 2>3 4>0\nround 2 chan 0:\n",
+    "round index": "round 0 chan 0: 0>1\nround 2 chan 1: 2>3 4>0\n",
+    "grammar": "round 0 chan 0: 0>1\nround 1 chan 1: 2>3 4<0\n",
+}
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_a_pipe_is_read_once_as_a_file_is(tmp_path):
-    # a named pipe carrying a written schedule: it is opened once, by the
-    # grammar path, and reads as the file it copies
+@pytest.mark.parametrize("case", PIPED_SCHEDULES)
+def test_a_pipe_is_read_once_as_a_file_is(tmp_path, case):
+    # a named pipe carrying a schedule: it is opened once, by the grammar
+    # path, and reads as the file it copies, a failing line's message too
     path, fifo = tmp_path / "s.txt", tmp_path / "fifo"
-    write_schedule(Schedule(5, 2, [(0, [(0, 1)]), (1, [(2, 3), (4, 0)]), (0, [])]), path)
+    path.write_text(PIPED_SCHEDULES[case])
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
     writer.start()
     try:
-        got = read_schedule(fifo, 5)
+        got = outcome(lambda p: read_schedule(p, 5), fifo)
     finally:
         writer.join(timeout=10)
     assert not writer.is_alive()
-    assert key(got) == key(read_schedule(path, 5))
+    want = outcome(lambda p: oracle_read_schedule(p, 5), path)
+    if want[0] == "raises":
+        want = (*want[:2], want[2].replace(str(path), str(fifo)))
+    assert got == want
+
+
+def test_a_file_that_changes_while_it_is_read(tmp_path):
+    # lines added between the counting and the filling pass: the grammar
+    # path reads the file as it then is
+    path = tmp_path / "s.txt"
+    path.write_text("round 0 chan 0: 0>1\n")
+    fill = graphs._canonical_chunks
+
+    def grown(fh, *args):
+        with open(path, "a") as out:
+            out.write("round 1 chan 1: 2>3 4>0\n" * 3)
+        return fill(fh, *args)
+
+    with mock.patch.object(graphs, "_canonical_chunks", grown):
+        got = outcome(read_schedule, path)
+    assert got == outcome(oracle_read_schedule, path)
+    assert "s.txt:3: round indices must be sequential" in got[2]
+    # a failing line gone when the file is read again for its message
+    path.write_text("round 0 chan 0: 0>1\nround 2 chan 0: 1>0\n")
+    rows = graphs._canonical_rows
+
+    def emptied(*args):
+        got = rows(*args)
+        path.write_text("")
+        return got
+
+    with mock.patch.object(graphs, "_canonical_rows", emptied):
+        with pytest.raises(ParameterError, match="s.txt: the file changed while it was read"):
+            read_schedule(path)
 
 
 def test_a_line_the_bulk_check_wrongly_fails_is_an_internal_error(tmp_path):
