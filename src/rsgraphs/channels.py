@@ -13,24 +13,19 @@ it with the same block kernel, graphs.induced_groups.
 """
 
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, parse_int
+from .errors import ParameterError
 from .graphs import (
-    SPACE,
     MatchingCover,
     adjacency_matrix,
     doubled_cover,
     group_arrays,
     induced_groups,
-    line_grammar,
     offsets_of,
     pair_groups,
-    parse_pairs,
-    read_rows,
     singles_cover,
     verify_cover_bipartite,
     write_groups,
@@ -43,17 +38,23 @@ if TYPE_CHECKING:
 Matching = list[tuple[int, int]]
 
 
-@dataclass(eq=False)
 class ChannelPartition:
     """Subchannels (bool (N, N) station matrix, cover) whose pairs
-    partition K_{N,N} exactly.  == is identity: the fields hold arrays."""
+    partition K_{N,N} exactly.  == is identity: the fields hold arrays.
 
-    n_stations: int
-    subchannels: list[tuple[np.ndarray, MatchingCover]]
-    overflow_index: int | None = None  # subchannel holding unassigned pairs, if any
-    attempts_used: int | None = None
-    right_permutations: list[list[int]] | None = None
-    graph_cover: MatchingCover | None = None  # the cover the shift channels are made from
+    overflow_index is the subchannel holding unassigned pairs, if any, and
+    graph_cover the cover the shift channels are made from."""
+
+    __slots__ = ("n_stations", "subchannels", "overflow_index", "attempts_used",
+                 "right_permutations", "graph_cover")
+
+    def __init__(self, n_stations: int, subchannels: list[tuple[np.ndarray, MatchingCover]],
+                 overflow_index: int | None = None, attempts_used: int | None = None,
+                 right_permutations: list[list[int]] | None = None,
+                 graph_cover: MatchingCover | None = None):
+        self.n_stations, self.subchannels = n_stations, subchannels
+        self.overflow_index, self.attempts_used = overflow_index, attempts_used
+        self.right_permutations, self.graph_cover = right_permutations, graph_cover
 
 
 def validate_partition(cp: ChannelPartition) -> None:
@@ -223,13 +224,12 @@ def build_schedule(cp: ChannelPartition) -> Schedule:
     return Schedule.from_arrays(cp.n_stations, len(covers), chans, offsets_of(sizes), pairs)
 
 
-@dataclass
-class SimReport:
+class SimReport(NamedTuple):
     delivered: int
     garbled_events: list[tuple]  # (round, subchannel, receiver, transmitters)
     rounds_used: int
     per_subchannel_rounds: list[int]
-    double_deliveries: list[tuple] = field(default_factory=list)  # (round, u, v)
+    double_deliveries: list[tuple]  # (round, u, v)
 
 
 def simulate(s: Schedule, n_stations: int | None = None) -> SimReport:
@@ -331,44 +331,16 @@ def write_schedule(s: Schedule, path: str) -> None:
     write_groups(path, _SCHEDULE_TEMPLATE, [s.chans], s.pairs, s.offsets)
 
 
-_SCHEDULE_LINE = line_grammar(
-    f"round{SPACE}+[0-9]+{SPACE}+chan{SPACE}+[0-9]+", ">", f"{SPACE}*:"
-)
-
-
-def read_schedule(path: str, n_stations: int | None = None) -> Schedule:
-    if n_stations is not None and n_stations < 0:
-        raise ParameterError(f"need a nonnegative station count, got {n_stations}")
-    rows = read_rows(path, _SCHEDULE_LINE, _SCHEDULE_TEMPLATE)
-    index, chans = rows.heads
-    rows.raise_first(rows.huge | (index != np.arange(len(index))) | (chans < 0), _schedule_line)
-    pairs = rows.pairs
-    if n_stations is None:
-        n_stations = int(pairs.max()) + 1 if len(pairs) else 0
-    k = int(chans.max()) + 1 if len(chans) else 0
-    return Schedule.from_arrays(n_stations, k, chans.copy(), offsets_of(rows.sizes), pairs)
-
-
-def _schedule_line(path, lineno: int, line: str, index: int) -> None:
-    """Parse schedule line `lineno`, which follows `index` rounds:
-    ParameterError unless it is round `index` with ids below 2^63."""
-    head, _, rest = line.strip().partition(":")
-    parts = head.split()
-    if len(parts) != 4 or parts[0] != "round" or parts[2] != "chan":
-        raise ParameterError(f"{path}:{lineno}: malformed round header")
-    if parse_int(parts[1], path, lineno) != index:
-        raise ParameterError(f"{path}:{lineno}: round indices must be sequential")
-    chan = parse_int(parts[3], path, lineno)
-    if chan >> 63:
-        raise ParameterError(f"{path}:{lineno}: channel {chan} does not fit in 64 bits")
-    parse_pairs(rest.split(), ">", path, lineno)
-
-
 def __getattr__(name: str):
-    # channels.two_channel_split is codegraph's, looked up when asked for,
-    # so that importing channels does not import codegraph.
-    if name == "two_channel_split":
-        from . import codegraph
-
-        return codegraph.two_channel_split
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # read_schedule is the readers module's and two_channel_split codegraph's,
+    # imported when first asked for, so that importing channels imports
+    # neither.  The name is then held here like an imported one, so that a
+    # wrapper set on it here (as perfbench's spans set) sees every call.
+    if name == "read_schedule":
+        from .readers import read_schedule as value
+    elif name == "two_channel_split":
+        from .codegraph import two_channel_split as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

@@ -5,10 +5,13 @@ file included), 2 verification failure, 3 resource refusal.  Identical argv
 and seed produce byte-identical reports and artifacts; reports carry the
 toolkit version and the resolved parameters.  Each subcommand imports the
 modules it runs when it runs, so a command loads no code it does not use:
-no rsgraphs module and no numpy submodule (no command loads numpy.ma, and
-only lintest loads numpy.random).  Importing this module loads no numpy, and
-neither do --help, --version, an argument error, `codes gv`, `codes verify`,
-or a station-cap refusal of `channel two`, `channel shifts` or `vempala`.
+no rsgraphs module (only channel simulate, limits and lintest load the
+artifact readers), no numpy submodule (no command loads numpy.ma, and only
+lintest loads numpy.random) and no dataclasses.  Importing this module
+loads neither numpy nor fractions, and neither do --help, --version, an
+argument error, `codes gv`, `codes verify`, or a station-cap refusal of
+`channel two`, `channel shifts` or `vempala`.  The parser is built with
+only the leaf that argv names.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -42,13 +44,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonable(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    np = sys.modules.get("numpy")  # only a command that has loaded numpy holds its scalars
+    # only a command that has loaded fractions or numpy holds their numbers
+    fractions, np = sys.modules.get("fractions"), sys.modules.get("numpy")
+    if fractions is not None and isinstance(x, fractions.Fraction):
+        return f"{x.numerator}/{x.denominator}"
     if np is not None:
         if isinstance(x, np.integer):
             return int(x)
@@ -447,7 +450,7 @@ def _cmd_lintest(args) -> int:
             f"test-graph cover invalid ({len(rep.violations)} violations)"
         )
     if rep.r_min != rep.r_max:
-        raise ParameterError("the soundness bound needs a uniform cover; uniformize first")
+        raise ParameterError("the soundness bound needs a cover whose matchings all have one size")
     f = _make_function(args.f, args.m, args.seed)
     d_f = lintest.walsh_correlation(f)
     p_hat, stderr = lintest.estimate_soundness(g, f, args.trials, args.seed)
@@ -511,21 +514,21 @@ _LEAVES = (("construct", "geometric"), ("construct", "code"), ("codes", "gv"),
 
 
 def _build_parser(argv=None) -> _Parser:
-    """The command-line parser.  Every subcommand is registered with its
-    help, but only the leaf that the leading words of argv name gets its
-    arguments.  Every leaf does when argv is None, names no leaf or asks
-    for -h/--help, so help and argument errors read as from the full tree."""
-    named = None  # the leaf that gets its arguments, or None for every leaf
+    """The command-line parser.  When the leading words of argv name a
+    leaf, only that leaf and the groups above it are registered; when argv
+    is None, names no leaf or asks for -h/--help, every leaf is, so help and
+    argument errors read as from the full tree."""
+    named = ()  # the command words of the one leaf registered, or () for every leaf
     if argv is not None and "-h" not in argv and "--help" not in argv:
-        named = next((w for w in _LEAVES if tuple(argv[: len(w)]) == w), None)
+        named = next((w for w in _LEAVES if tuple(argv[: len(w)]) == w), ())
 
-    def leaf(subs, *words, **kw):
-        """Register the leaf that the command words name under subs; return
-        its parser, with the common options, if it gets its arguments."""
-        if named not in (None, words):
-            subs.add_parser(words[-1], **kw)
+    def branch(subs, *words, **kw):
+        """The parser of the group or leaf that the command words name under
+        subs, a leaf with the common options; None if argv names a leaf
+        outside it."""
+        if named[: len(words)] != words[: len(named)]:
             return None
-        return subs.add_parser(words[-1], parents=[common], **kw)
+        return subs.add_parser(words[-1], parents=[common] if words in _LEAVES else [], **kw)
 
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
@@ -537,92 +540,92 @@ def _build_parser(argv=None) -> _Parser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    construct = sub.add_parser("construct", help="build graphs with their covers")
-    csub = construct.add_subparsers(dest="variant", required=True, parser_class=_Parser)
+    if construct := branch(sub, "construct", help="build graphs with their covers"):
+        csub = construct.add_subparsers(dest="variant", required=True, parser_class=_Parser)
 
-    if geo := leaf(csub, "construct", "geometric"):
-        geo.add_argument("--c", type=int, required=True)
-        geo.add_argument("--n", type=int, required=True)
-        geo.add_argument("--out", help="edge-list output path")
-        geo.add_argument("--cover", help="cover output path")
-        geo.add_argument("--report", help="report output path")
-        geo.set_defaults(func=_cmd_construct_geometric)
+        if geo := branch(csub, "construct", "geometric"):
+            geo.add_argument("--c", type=int, required=True)
+            geo.add_argument("--n", type=int, required=True)
+            geo.add_argument("--out", help="edge-list output path")
+            geo.add_argument("--cover", help="cover output path")
+            geo.add_argument("--report", help="report output path")
+            geo.set_defaults(func=_cmd_construct_geometric)
 
-    if cod := leaf(csub, "construct", "code"):
-        cod.add_argument("--c", type=int, required=True)
-        cod.add_argument("--n", type=int, required=True)
-        cod.add_argument("--d", type=int, required=True)
-        src = cod.add_mutually_exclusive_group(required=True)
-        src.add_argument("--gen", help="generator matrix file for the chain root")
-        src.add_argument("--gv-seed", type=int, help="search seed for a GV chain root")
-        cod.add_argument("--out", help="edge-list output path")
-        cod.add_argument("--cover", help="cover output path")
-        cod.add_argument("--report", help="report output path")
-        cod.set_defaults(func=_cmd_construct_code)
+        if cod := branch(csub, "construct", "code"):
+            cod.add_argument("--c", type=int, required=True)
+            cod.add_argument("--n", type=int, required=True)
+            cod.add_argument("--d", type=int, required=True)
+            src = cod.add_mutually_exclusive_group(required=True)
+            src.add_argument("--gen", help="generator matrix file for the chain root")
+            src.add_argument("--gv-seed", type=int, help="search seed for a GV chain root")
+            cod.add_argument("--out", help="edge-list output path")
+            cod.add_argument("--cover", help="cover output path")
+            cod.add_argument("--report", help="report output path")
+            cod.set_defaults(func=_cmd_construct_code)
 
-    codes_p = sub.add_parser("codes", help="linear-code search and verification")
-    codes_sub = codes_p.add_subparsers(dest="variant", required=True, parser_class=_Parser)
+    if codes_p := branch(sub, "codes", help="linear-code search and verification"):
+        codes_sub = codes_p.add_subparsers(dest="variant", required=True, parser_class=_Parser)
 
-    if gv := leaf(codes_sub, "codes", "gv"):
-        gv.add_argument("--n", type=int, required=True)
-        gv.add_argument("--k", type=int, required=True)
-        gv.add_argument("--d", type=int, required=True)
-        gv.add_argument("--gv-seed", type=int, default=None,
-                        help="search seed (defaults to --seed)")
-        gv.add_argument("--out", help="generator output path")
-        gv.add_argument("--report", help="report output path")
-        gv.set_defaults(func=_cmd_codes_gv)
+        if gv := branch(codes_sub, "codes", "gv"):
+            gv.add_argument("--n", type=int, required=True)
+            gv.add_argument("--k", type=int, required=True)
+            gv.add_argument("--d", type=int, required=True)
+            gv.add_argument("--gv-seed", type=int, default=None,
+                            help="search seed (defaults to --seed)")
+            gv.add_argument("--out", help="generator output path")
+            gv.add_argument("--report", help="report output path")
+            gv.set_defaults(func=_cmd_codes_gv)
 
-    if cv := leaf(codes_sub, "codes", "verify"):
-        cv.add_argument("generator", help="generator matrix file")
-        cv.add_argument("--report", help="report output path")
-        cv.set_defaults(func=_cmd_codes_verify)
+        if cv := branch(codes_sub, "codes", "verify"):
+            cv.add_argument("generator", help="generator matrix file")
+            cv.add_argument("--report", help="report output path")
+            cv.set_defaults(func=_cmd_codes_verify)
 
-    lim = sub.add_parser("limits", help="structural-limit checks")
-    lim_sub = lim.add_subparsers(dest="variant", required=True, parser_class=_Parser)
+    if lim := branch(sub, "limits", help="structural-limit checks"):
+        lim_sub = lim.add_subparsers(dest="variant", required=True, parser_class=_Parser)
 
-    if tri := leaf(lim_sub, "limits", "triangle"):
-        tri.add_argument("--edges", required=True)
-        tri.add_argument("--cover", required=True)
-        tri.add_argument("--out", help="triangle-graph output path")
-        tri.add_argument("--report", help="report output path")
-        tri.set_defaults(func=_cmd_limits_triangle)
+        if tri := branch(lim_sub, "limits", "triangle"):
+            tri.add_argument("--edges", required=True)
+            tri.add_argument("--cover", required=True)
+            tri.add_argument("--out", help="triangle-graph output path")
+            tri.add_argument("--report", help="report output path")
+            tri.set_defaults(func=_cmd_limits_triangle)
 
-    if mindeg := leaf(lim_sub, "limits", "mindeg"):
-        mindeg.add_argument("--edges", required=True)
-        mindeg.add_argument("--r", type=int, required=True)
-        mindeg.add_argument("--report", help="report output path")
-        mindeg.set_defaults(func=_cmd_limits_mindeg)
+        if mindeg := branch(lim_sub, "limits", "mindeg"):
+            mindeg.add_argument("--edges", required=True)
+            mindeg.add_argument("--r", type=int, required=True)
+            mindeg.add_argument("--report", help="report output path")
+            mindeg.set_defaults(func=_cmd_limits_mindeg)
 
-    chan = sub.add_parser("channel", help="shared-channel scheduling")
-    chan_sub = chan.add_subparsers(dest="variant", required=True, parser_class=_Parser)
+    if chan := branch(sub, "channel", help="shared-channel scheduling"):
+        chan_sub = chan.add_subparsers(dest="variant", required=True, parser_class=_Parser)
 
-    if two := leaf(chan_sub, "channel", "two"):
-        two.add_argument("--c", type=int, required=True)
-        two.add_argument("--n", type=int, required=True)
-        two.add_argument("--d", type=int, required=True)
-        two.add_argument("--gen", help="generator matrix file for the chain root")
-        two.add_argument("--out-schedule", help="schedule output path")
-        two.add_argument("--report", help="report output path")
-        two.set_defaults(func=_cmd_channel_two)
+        if two := branch(chan_sub, "channel", "two"):
+            two.add_argument("--c", type=int, required=True)
+            two.add_argument("--n", type=int, required=True)
+            two.add_argument("--d", type=int, required=True)
+            two.add_argument("--gen", help="generator matrix file for the chain root")
+            two.add_argument("--out-schedule", help="schedule output path")
+            two.add_argument("--report", help="report output path")
+            two.set_defaults(func=_cmd_channel_two)
 
-    if shifts := leaf(chan_sub, "channel", "shifts"):
-        shifts.add_argument("--c", type=int, required=True)
-        shifts.add_argument("--n", type=int, required=True)
-        shifts.add_argument("--channels", type=int, required=True)
-        shifts.add_argument("--attempts", type=int, default=1)
-        shifts.add_argument("--out-schedule", help="schedule output path")
-        shifts.add_argument("--report", help="report output path")
-        shifts.set_defaults(func=_cmd_channel_shifts)
+        if shifts := branch(chan_sub, "channel", "shifts"):
+            shifts.add_argument("--c", type=int, required=True)
+            shifts.add_argument("--n", type=int, required=True)
+            shifts.add_argument("--channels", type=int, required=True)
+            shifts.add_argument("--attempts", type=int, default=1)
+            shifts.add_argument("--out-schedule", help="schedule output path")
+            shifts.add_argument("--report", help="report output path")
+            shifts.set_defaults(func=_cmd_channel_shifts)
 
-    if simu := leaf(chan_sub, "channel", "simulate"):
-        simu.add_argument("--schedule", required=True)
-        simu.add_argument("--stations", type=int, default=None,
-                          help="station count (default: inferred from the schedule)")
-        simu.add_argument("--report", help="report output path")
-        simu.set_defaults(func=_cmd_channel_simulate)
+        if simu := branch(chan_sub, "channel", "simulate"):
+            simu.add_argument("--schedule", required=True)
+            simu.add_argument("--stations", type=int, default=None,
+                              help="station count (default: inferred from the schedule)")
+            simu.add_argument("--report", help="report output path")
+            simu.set_defaults(func=_cmd_channel_simulate)
 
-    if lt := leaf(sub, "lintest", help="graph-based linearity testing"):
+    if lt := branch(sub, "lintest", help="graph-based linearity testing"):
         lt.add_argument("--edges", required=True)
         lt.add_argument("--cover", required=True)
         lt.add_argument("--m", type=int, required=True)
@@ -632,7 +635,7 @@ def _build_parser(argv=None) -> _Parser:
         lt.add_argument("--report", help="report output path")
         lt.set_defaults(func=_cmd_lintest)
 
-    if vem := leaf(sub, "vempala", help="local-density sum for the duplication partition"):
+    if vem := branch(sub, "vempala", help="local-density sum for the duplication partition"):
         vem.add_argument("--c", type=int, required=True)
         vem.add_argument("--n", type=int, required=True)
         vem.add_argument("--d", type=int, required=True)

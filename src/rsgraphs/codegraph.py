@@ -15,8 +15,8 @@ masked sums of steps, taken for every edge at once in numpy.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,28 +31,26 @@ from .lattice import lattice_points
 _CHUNK_PAIRS = 1 << 13
 
 
-@dataclass(frozen=True)
-class CodeGraphParams:
+class CodeGraphParams(NamedTuple("CodeGraphParams", [("C", int), ("n", int), ("d", int),
+                                                    ("chain", CodeChain | None)])):
     """Alphabet size C, length n, agreement threshold d, and the code chain.
 
     The chain is only needed by the flip-class operations; graph building and
     the counting bounds run with chain=None.
     """
 
-    C: int
-    n: int
-    d: int
-    chain: CodeChain | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.C < 2:
-            raise ParameterError(f"need C >= 2, got {self.C}")
-        if not 0 <= self.d <= self.n:
-            raise ParameterError(f"need 0 <= d <= n, got d={self.d}, n={self.n}")
-        if self.chain is not None:
-            if self.d < 1:
+    def __new__(cls, C: int, n: int, d: int, chain: CodeChain | None = None):
+        if C < 2:
+            raise ParameterError(f"need C >= 2, got {C}")
+        if not 0 <= d <= n:
+            raise ParameterError(f"need 0 <= d <= n, got d={d}, n={n}")
+        if chain is not None:
+            if d < 1:
                 raise ParameterError("a code chain requires d >= 1")
-            validate_chain(self.chain, self.n, self.k, self.d)
+            validate_chain(chain, n, chain.k, d)
+        return super().__new__(cls, C, n, d, chain)
 
     @property
     def k(self) -> int:
@@ -118,8 +116,7 @@ def enumerate_cover(p: CodeGraphParams, g: Graph | None = None) -> MatchingCover
     return MatchingCover.from_arrays(pairs, np.arange(0, len(pairs) + 1, size))
 
 
-@dataclass(frozen=True)
-class MissingEdgeBound:
+class MissingEdgeBound(NamedTuple):
     """Exact half-sum bound on missing pairs, and its closed-form relaxation."""
 
     exact: Fraction
@@ -158,8 +155,7 @@ def cover_exponents(C: int, n: int, d: int) -> tuple[float, float]:
     return e, f
 
 
-@dataclass(frozen=True)
-class CoverCounts:
+class CoverCounts(NamedTuple):
     """Exact sizes of the second construction at (C, n, d, k)."""
 
     edges: int  # code-graph edges
@@ -180,16 +176,16 @@ def cover_counts(C: int, n: int, d: int, k: int) -> CoverCounts:
     return CoverCounts(edges, edges >> (k - 1), N * N - 2 * edges)
 
 
-@dataclass(eq=False)
 class TwoChannelSplit:
     """K_{N,N} split into the bipartite double of the code graph with its
     doubled cover, and the rest with its pairs as one-pair matchings; each
     part is a bool (N, N) station matrix.  == is identity."""
 
-    covered: np.ndarray
-    cover: MatchingCover
-    remainder: np.ndarray
-    singles: MatchingCover
+    __slots__ = ("covered", "cover", "remainder", "singles")
+
+    def __init__(self, covered: np.ndarray, cover: MatchingCover, remainder: np.ndarray,
+                 singles: MatchingCover):
+        self.covered, self.cover, self.remainder, self.singles = covered, cover, remainder, singles
 
 
 def two_channel_split(

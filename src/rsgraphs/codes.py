@@ -8,7 +8,7 @@ O(2^k) XORs; the dimension gate k <= 24 keeps that honest.
 
 import math
 import random
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (
     InternalCheckError,
@@ -22,24 +22,22 @@ from .errors import (
 MAX_ENUM_DIM = 24
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(NamedTuple("LinearCode", [("n", int), ("k", int), ("cols", tuple[int, ...]),
+                                            ("claimed_d", int)])):
     """[n, k] code spanned by `cols`; claimed_d is a verified distance lower bound."""
 
-    n: int
-    k: int
-    cols: tuple[int, ...]
-    claimed_d: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise ParameterError(f"need n, k >= 1, got n={self.n}, k={self.k}")
-        if len(self.cols) != self.k:
-            raise ParameterError(f"expected {self.k} generator columns, got {len(self.cols)}")
-        full = (1 << self.n) - 1
-        for c in self.cols:
+    def __new__(cls, n: int, k: int, cols: tuple[int, ...], claimed_d: int = 0):
+        if n < 1 or k < 1:
+            raise ParameterError(f"need n, k >= 1, got n={n}, k={k}")
+        if len(cols) != k:
+            raise ParameterError(f"expected {k} generator columns, got {len(cols)}")
+        full = (1 << n) - 1
+        for c in cols:
             if c & ~full:
                 raise ParameterError("generator column has bits beyond row n-1")
+        return super().__new__(cls, n, k, cols, claimed_d)
 
     def codewords(self) -> list[int]:
         """All 2^k codewords as n-bit ints (Gray-code order)."""
@@ -60,8 +58,7 @@ class LinearCode:
         ]
 
 
-@dataclass(frozen=True)
-class CodeVerification:
+class CodeVerification(NamedTuple):
     is_proper: bool
     distance: int
     rank: int
@@ -195,7 +192,7 @@ def gv_search(n: int, k: int, d: int, seed: int, max_tries: int = 100) -> Linear
         code = LinearCode(n, k, canonical_columns(basis, n))
         v = verify_code(code)
         if v.is_proper and v.rank == k and v.distance > d:
-            return replace(code, claimed_d=v.distance)
+            return code._replace(claimed_d=v.distance)
     raise SearchFailureError(
         f"no proper [{n},{k},>{d}] code found in {max_tries} tries (seed {seed})"
     )
@@ -221,11 +218,10 @@ def delete_row(c: LinearCode, row: int) -> LinearCode:
         raise InternalCheckError("row deletion broke properness")
     if v.distance < c.claimed_d - 1:
         raise InternalCheckError("row deletion lost more than 1 of the distance")
-    return replace(out, claimed_d=v.distance)
+    return out._replace(claimed_d=v.distance)
 
 
-@dataclass(frozen=True)
-class CodeChain:
+class CodeChain(NamedTuple):
     """Codes of lengths n, n-1, ..., n-d+1, all dimension k, distances >= d, d-1, ..., 1."""
 
     codes: tuple[LinearCode, ...]
@@ -248,7 +244,7 @@ def build_chain(c: LinearCode, d: int) -> CodeChain:
         raise ParameterError("chain root must be a verified proper code of full rank")
     if v.distance < d:
         raise ParameterError(f"chain root distance {v.distance} below required {d}")
-    cur = replace(c, claimed_d=v.distance)
+    cur = c._replace(claimed_d=v.distance)
     chain = [cur]
     for step in range(d - 1):
         cur = delete_row(cur, cur.n - 1)
@@ -307,4 +303,4 @@ def read_generator(path: str) -> LinearCode:
     )
     code = LinearCode(n, k, cols)
     v = verify_code(code)
-    return replace(code, claimed_d=v.distance)
+    return code._replace(claimed_d=v.distance)

@@ -18,8 +18,8 @@ away the denominators (6 for mu, 24 for mu/4); no floats ever decide an edge.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,22 +35,21 @@ from .lattice import lattice_points, vertex_coords
 _CHUNK_BYTES = 1 << 22
 
 
-@dataclass(frozen=True)
-class GeomParams:
+class GeomParams(NamedTuple("GeomParams", [("C", int), ("n", int)])):
     """Lattice side C >= 2 and dimension n.
 
     Odd n is accepted (n_even flags it); the shell-coverage guarantee is only
     asserted when n >= 2C.
     """
 
-    C: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.C < 2:
-            raise ParameterError(f"need C >= 2, got {self.C}")
-        if self.n < 0:
-            raise ParameterError(f"need n >= 0, got {self.n}")
+    def __new__(cls, C: int, n: int):
+        if C < 2:
+            raise ParameterError(f"need C >= 2, got {C}")
+        if n < 0:
+            raise ParameterError(f"need n >= 0, got {n}")
+        return super().__new__(cls, C, n)
 
     @property
     def mu(self) -> Fraction:
@@ -108,8 +107,7 @@ def missing_edge_bound(p: GeomParams) -> float:
     return math.comb(N, 2) * 2.0 * math.exp(-p.n / (2.0 * p.C**4))
 
 
-@dataclass(frozen=True)
-class BalanceVector:
+class BalanceVector(NamedTuple):
     """Sign vector with entries in {-1/2, 0, +1/2}, stored doubled as ints."""
 
     halves: tuple[int, ...]
@@ -356,8 +354,7 @@ def decompose_geometric(p: GeomParams, g: Graph | None = None) -> MatchingCover:
     return cover
 
 
-@dataclass
-class ShellGapScan:
+class ShellGapScan(NamedTuple):
     shells_checked: int
     pairs_checked: int
     max_gap: int

@@ -1,13 +1,11 @@
 """Structural limits on induced-matching covers.
 
-Contains the triangle-graph reduction (every edge in exactly one triangle),
-the complement-minimum-degree obstruction C(d_v, 2) >= (r-1)(N-1-d_v), and
-the heuristic lower-bound formulas for the number of missing edges.  The
-lower-bound constants are leading-order only and are for reporting, never for
-pass/fail decisions.
+Contains the triangle-graph reduction (every edge in exactly one triangle)
+with its triangle census, and the complement-minimum-degree obstruction
+C(d_v, 2) >= (r-1)(N-1-d_v).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,25 +14,6 @@ from .graphs import Graph, MatchingCover, adjacency_matrix, verify_cover, write_
 
 # Wedges that edge_triangles checks at once.
 _WEDGES = 1 << 15
-
-
-def uniformize(c: MatchingCover, r: int) -> tuple[MatchingCover, list[tuple[int, int]]]:
-    """Split every matching into blocks of exactly r edges, dropping remainders.
-
-    Edges are taken in ascending order within each matching; the dropped
-    leftovers are returned alongside the new cover.
-    """
-    if r < 1:
-        raise ParameterError(f"need r >= 1, got {r}")
-    blocks: list[list[tuple[int, int]]] = []
-    dropped: list[tuple[int, int]] = []
-    for m in c.matchings:
-        edges = sorted(m)
-        nblocks = len(edges) // r
-        for b in range(nblocks):
-            blocks.append(edges[b * r : (b + 1) * r])
-        dropped.extend(edges[nblocks * r :])
-    return MatchingCover.from_matchings(blocks), dropped
 
 
 def greedy_bipartition(g: Graph) -> np.ndarray:
@@ -52,17 +31,20 @@ def greedy_bipartition(g: Graph) -> np.ndarray:
     return right
 
 
-@dataclass(eq=False)
 class TriangleGraph:
     """Tripartite graph H on U + V + apexes; every H-edge is in exactly one
-    triangle.  == is identity: triangles is an array."""
+    triangle.  == is identity: triangles is an array.
 
-    graph: Graph
-    left: tuple[int, ...]  # original vertex ids placed left
-    right: tuple[int, ...]
-    apexes: tuple[int, ...]  # one new vertex per surviving matching
-    triangles: np.ndarray  # (T, 3) int64: rows (u, v, apex)
-    crossing_edges: int
+    left and right are the original vertex ids placed on each side, apexes
+    one new vertex per surviving matching, and triangles a (T, 3) int64
+    array of rows (u, v, apex)."""
+
+    __slots__ = ("graph", "left", "right", "apexes", "triangles", "crossing_edges")
+
+    def __init__(self, graph: Graph, left: tuple[int, ...], right: tuple[int, ...],
+                 apexes: tuple[int, ...], triangles: np.ndarray, crossing_edges: int):
+        self.graph, self.left, self.right, self.apexes = graph, left, right, apexes
+        self.triangles, self.crossing_edges = triangles, crossing_edges
 
 
 def triangle_graph(g: Graph, c: MatchingCover) -> TriangleGraph:
@@ -78,7 +60,8 @@ def triangle_graph(g: Graph, c: MatchingCover) -> TriangleGraph:
         raise VerificationError(f"cover is invalid ({len(rep.violations)} violations)")
     if rep.t and rep.r_min != rep.r_max:
         raise ParameterError(
-            f"cover is not uniform (sizes {rep.r_min}..{rep.r_max}); uniformize first"
+            f"cover is not uniform (sizes {rep.r_min}..{rep.r_max}); the reduction "
+            "needs matchings of one size"
         )
     right = greedy_bipartition(g)
     pairs, sizes = c.pairs, np.diff(c.offsets)
@@ -146,8 +129,7 @@ def edge_triangles(g: Graph) -> np.ndarray:
     return np.bincount(np.concatenate(found), minlength=m)
 
 
-@dataclass
-class MinDegreeReport:
+class MinDegreeReport(NamedTuple):
     r: int
     margins: list[int]  # C(d_v, 2) - (r-1)(N-1-d_v) per vertex
     violations: list[int]  # vertices with negative margin
@@ -181,30 +163,6 @@ def check_min_degree_bound(g: Graph, r: int, cover: MatchingCover | None = None)
                 "although a verified uniform cover exists"
             )
     return report
-
-
-def missing_lower_bounds(N: int, r: int):
-    """Heuristic lower bounds on the number of missing edges, constants set to 1.
-
-    Returns (general, bipartite_fn): the general bound
-    r^(1/2) N^(3/2) / (2 sqrt 2), and a callable (|U|, |V|) ->
-    r^(2/3) |U|^(2/3) |V|^(2/3) that requires r >= 3.  Leading-order
-    reporting only; never a pass/fail criterion.
-    """
-    if r < 2:
-        raise ParameterError(f"the general bound needs r >= 2, got {r}")
-    if N < 1:
-        raise ParameterError(f"need N >= 1, got {N}")
-    general = (r**0.5) * (N**1.5) / (2.0 * 2.0**0.5)
-
-    def bipartite(u_count: int, v_count: int) -> float:
-        if r < 3:
-            raise ParameterError(f"the bipartite bound needs r >= 3, got {r}")
-        if u_count < 1 or v_count < 1:
-            raise ParameterError("part sizes must be >= 1")
-        return (r ** (2.0 / 3.0)) * (u_count ** (2.0 / 3.0)) * (v_count ** (2.0 / 3.0))
-
-    return general, bipartite
 
 
 def write_triangle_graph(tg: TriangleGraph, path: str) -> None:

@@ -9,9 +9,8 @@ exp(-r t / 8) + d(f)^(r/4).
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,22 +23,20 @@ MAX_TRANSFORM_DIM = 24
 _CHUNK_CELLS = 1 << 17
 
 
-@dataclass(frozen=True)
-class BooleanFunction:
+class BooleanFunction(NamedTuple("BooleanFunction", [("m", int), ("table", np.ndarray)])):
     """Truth table over F_2^m; table[x] is f at the point with bit i = x_i."""
 
-    m: int
-    table: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ParameterError(f"need m >= 1, got {self.m}")
-        t = np.asarray(self.table, dtype=np.uint8)
-        if t.shape != (1 << self.m,):
-            raise ParameterError(f"table must have 2^{self.m} entries")
+    def __new__(cls, m: int, table):
+        if m < 1:
+            raise ParameterError(f"need m >= 1, got {m}")
+        t = np.asarray(table, dtype=np.uint8)
+        if t.shape != (1 << m,):
+            raise ParameterError(f"table must have 2^{m} entries")
         if not np.isin(t, (0, 1)).all():
             raise ParameterError("table entries must be 0 or 1")
-        object.__setattr__(self, "table", t)
+        return super().__new__(cls, m, t)
 
     def __call__(self, x: int) -> int:
         return int(self.table[x])
@@ -109,15 +106,13 @@ def estimate_soundness(
     table = f.table
     fx = table[x]
     acc = np.ones(trials, dtype=bool)
-    edges = g.edges()
     per_chunk = max(1, _CHUNK_CELLS // trials)
     xu, xv = (np.empty((per_chunk, trials), dtype=x.dtype) for _ in range(2))
     fu, fv = (np.empty((per_chunk, trials), dtype=fx.dtype) for _ in range(2))
-    while acc.any():
-        uv = np.fromiter(chain.from_iterable(islice(edges, per_chunk)), dtype=np.int64)
-        if not uv.size:
+    for a in range(0, g.edge_count, per_chunk):
+        if not acc.any():
             break
-        u, v = uv[0::2], uv[1::2]
+        u, v = g.pairs[a : a + per_chunk].T
         k = len(u)
         # mode="clip" skips the bounds checks: u, v < n, and x[u] ^ x[v] < 2^m
         # indexes the table

@@ -18,8 +18,8 @@ EdgePartition's pairs, array to array.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,15 +141,16 @@ def conjecture_threshold(N: int, k: int) -> float:
     return N * k / math.log(N)
 
 
-@dataclass(eq=False)
 class CounterexampleParts:
     """Duplication graph H as its bool (N, N) station matrix, its
     matching-derived parts, and singleton fill.  == is identity."""
 
-    partition: EdgePartition
-    h: np.ndarray
-    matching_parts: int
-    missing_pairs: int
+    __slots__ = ("partition", "h", "matching_parts", "missing_pairs")
+
+    def __init__(self, partition: EdgePartition, h: np.ndarray, matching_parts: int,
+                 missing_pairs: int):
+        self.partition, self.h = partition, h
+        self.matching_parts, self.missing_pairs = matching_parts, missing_pairs
 
 
 def counterexample_partition(p: CodeGraphParams) -> CounterexampleParts:
@@ -189,8 +190,7 @@ def per_part_identity(ep: EdgePartition, h: np.ndarray, parts: int | None = None
     return [fractions[r] for r in ratios]
 
 
-@dataclass
-class ConjectureVerdict:
+class ConjectureVerdict(NamedTuple):
     total: Fraction
     threshold: float
     refutes: bool  # total < threshold: the partition beats the conjectured bound

@@ -20,21 +20,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rsgraphs import graphs
-from rsgraphs.channels import _SCHEDULE_TEMPLATE, Schedule, read_schedule, write_schedule
+from rsgraphs import graphs, readers
+from rsgraphs.channels import _SCHEDULE_TEMPLATE, Schedule, write_schedule
 from rsgraphs.codes import LinearCode, read_generator, write_generator
 from rsgraphs.errors import InternalCheckError, ParameterError, numbered_lines, parse_int
-from rsgraphs.graphs import (
-    Graph,
-    MatchingCover,
-    offsets_of,
-    parse_pairs,
-    read_cover,
-    read_edge_list,
-    write_cover,
-    write_edge_list,
-)
+from rsgraphs.graphs import Graph, MatchingCover, offsets_of, write_cover, write_edge_list
 from rsgraphs.lintest import load_table
+from rsgraphs.readers import parse_pairs, read_cover, read_edge_list, read_schedule
 from rsgraphs.vempala import EdgePartition, write_partition
 from test_graph_oracle import BitGraph
 
@@ -143,7 +135,7 @@ def outcome(read, path):
 def canonical_only():
     """Within it, a file that is not canonical fails the read: the line
     grammar's reader is not called."""
-    return mock.patch.object(graphs, "_grammar_rows",
+    return mock.patch.object(readers, "_grammar_rows",
                              side_effect=AssertionError("read through the line grammar"))
 
 
@@ -275,7 +267,7 @@ def test_written_files_are_read_without_the_line_grammar(tmp_path, fmt, data):
     objects, write, read, oracle = FORMATS[fmt]
     path = tmp_path / "file.txt"
     write(data.draw(objects), path)
-    with mock.patch.object(graphs, "_READ_CHARS", data.draw(st.sampled_from([1, 5, 1 << 18]))):
+    with mock.patch.object(readers, "_READ_CHARS", data.draw(st.sampled_from([1, 5, 1 << 18]))):
         with canonical_only():
             got = outcome(read, path)
     assert got[0] != "raises"
@@ -362,7 +354,7 @@ def test_canonical_files_that_fail_a_check_read_as_the_oracle_reads_them(
     path.write_bytes(text.encode("ascii"))
     template = {"edges": graphs._EDGE_TEMPLATE, "cover": graphs._COVER_TEMPLATE,
                 "schedule": _SCHEDULE_TEMPLATE}[fmt]
-    rows = graphs._canonical_rows(path, template, int(fmt == "edges"))
+    rows = readers._canonical_rows(path, template, int(fmt == "edges"))
     assert (rows is not None) == canonical
     assert outcome(read, path) == outcome(oracle, path)
 
@@ -406,7 +398,7 @@ def test_chunk_edges_do_not_change_what_is_read(tmp_path, read_chars):
     path.write_text(text + "\n\n  \n")
     bad = tmp_path / "bad.txt"
     bad.write_text(text.replace("round 33", "round 34"))
-    with mock.patch.object(graphs, "_READ_CHARS", read_chars):
+    with mock.patch.object(readers, "_READ_CHARS", read_chars):
         assert key(read_schedule(path, 41)) == key(oracle_read_schedule(path, 41))
         assert outcome(read_schedule, bad) == outcome(oracle_read_schedule, bad)
         assert "bad.txt:34: round indices must be sequential" in outcome(read_schedule, bad)[2]
@@ -414,7 +406,7 @@ def test_chunk_edges_do_not_change_what_is_read(tmp_path, read_chars):
     # files, read without the line grammar
     write_schedule(s, path)
     bad.write_text(path.read_text().replace("round 33", "round 34"))
-    with mock.patch.object(graphs, "_READ_CHARS", read_chars), canonical_only():
+    with mock.patch.object(readers, "_READ_CHARS", read_chars), canonical_only():
         assert key(read_schedule(path, 41)) == key(oracle_read_schedule(path, 41))
         assert outcome(read_schedule, bad) == outcome(oracle_read_schedule, bad)
         assert "bad.txt:34: round indices must be sequential" in outcome(read_schedule, bad)[2]
@@ -453,27 +445,27 @@ def test_a_file_that_changes_while_it_is_read(tmp_path):
     # path reads the file as it then is
     path = tmp_path / "s.txt"
     path.write_text("round 0 chan 0: 0>1\n")
-    fill = graphs._canonical_chunks
+    fill = readers._canonical_chunks
 
     def grown(fh, *args):
         with open(path, "a") as out:
             out.write("round 1 chan 1: 2>3 4>0\n" * 3)
         return fill(fh, *args)
 
-    with mock.patch.object(graphs, "_canonical_chunks", grown):
+    with mock.patch.object(readers, "_canonical_chunks", grown):
         got = outcome(read_schedule, path)
     assert got == outcome(oracle_read_schedule, path)
     assert "s.txt:3: round indices must be sequential" in got[2]
     # a failing line gone when the file is read again for its message
     path.write_text("round 0 chan 0: 0>1\nround 2 chan 0: 1>0\n")
-    rows = graphs._canonical_rows
+    rows = readers._canonical_rows
 
     def emptied(*args):
         got = rows(*args)
         path.write_text("")
         return got
 
-    with mock.patch.object(graphs, "_canonical_rows", emptied):
+    with mock.patch.object(readers, "_canonical_rows", emptied):
         with pytest.raises(ParameterError, match="s.txt: the file changed while it was read"):
             read_schedule(path)
 
@@ -482,7 +474,7 @@ def test_a_line_the_bulk_check_wrongly_fails_is_an_internal_error(tmp_path):
     # two spaces after the colon: not canonical, so the line grammar reads it
     path = tmp_path / "cover.txt"
     path.write_text("0:  0-1\n")
-    with mock.patch.object(graphs, "_COVER_LINE", graphs.line_grammar("[1-9]+", "-")):
+    with mock.patch.object(readers, "_COVER_LINE", readers.line_grammar("[1-9]+", "-")):
         with pytest.raises(InternalCheckError, match="cover.txt:1: line passes"):
             read_cover(path)
 

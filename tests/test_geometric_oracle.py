@@ -6,7 +6,8 @@ endpoint, to the lowest shell holding both; each group, in ascending id, is
 covered by first-fit in edge order.  decompose_geometric must return exactly
 its matchings, in the same order.  reference_cover is the earlier rule (every
 shell covered in full, each edge kept at its first shell), kept as a second
-valid cover to compare against.
+valid cover to compare against; its first-fit, bitset_first_fit, gives
+greedy_cover_within's cover from a bool matrix of blocked matchings.
 """
 
 import json
@@ -27,7 +28,7 @@ from rsgraphs.geometric import (
     max_shell_degree,
     shell,
 )
-from rsgraphs.graphs import Graph, MatchingCover, verify_cover
+from rsgraphs.graphs import Graph, MatchingCover, adjacency_matrix, verify_cover
 from rsgraphs.lattice import vertex_coords
 from test_graph_oracle import bit_graph, bits_of, first_fit, greedy_cover_within
 
@@ -74,12 +75,31 @@ def center_cover(p: GeomParams, g: Graph) -> list[list[tuple[int, int]]]:
     return [m for z in sorted(groups) for m in first_fit(g, groups[z])]
 
 
+def bitset_first_fit(closed: np.ndarray, members: list[int]) -> list[list[tuple[int, int]]]:
+    """greedy_cover_within on the vertices `members`, ascending, of the graph
+    whose closed neighbourhoods N[x] are the rows of the bool matrix closed.
+    Matching i is blocked at x once it holds a vertex of N[x], and each edge
+    uv, in ascending order, joins the first matching blocked at neither end:
+    the first whose vertices avoid N[u] | N[v], as in first_fit."""
+    ids = np.array(members, dtype=np.int64)
+    us, vs = np.nonzero(np.triu(closed[np.ix_(ids, ids)], 1))
+    blocked = np.zeros((len(closed), len(us) + 1), dtype=bool)
+    matchings: list[list[tuple[int, int]]] = []
+    for u, v in zip(ids[us].tolist(), ids[vs].tolist()):
+        i = int((blocked[u] | blocked[v]).argmin())
+        if i == len(matchings):
+            matchings.append([])
+        matchings[i].append((u, v))
+        blocked[closed[u] | closed[v], i] = True
+    return matchings
+
+
 def reference_cover(p: GeomParams, g: Graph) -> list[list[tuple[int, int]]]:
     """Cover every shell in full, then keep each edge at its first occurrence."""
-    g = bit_graph(g)
+    closed = adjacency_matrix(g) | np.eye(g.n, dtype=bool)
     collected: list[list[tuple[int, int]]] = []
     for members in shell_masks(p):
-        collected.extend(greedy_cover_within(g, members))
+        collected.extend(bitset_first_fit(closed, list(bits_of(members))))
     seen: set[tuple[int, int]] = set()
     deduped: list[list[tuple[int, int]]] = []
     for m in collected:
@@ -145,6 +165,16 @@ def test_center_and_first_shell_covers_are_both_valid(C, n):
         assert verify_cover(g, MatchingCover(ms)).valid
     if C == 2:  # the band graph is complete, so every matching is one edge
         assert sorted(center) == sorted(first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 24), data=st.data())
+def test_bitset_first_fit_equals_greedy_cover_within(n, data):
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    g = Graph.from_edges(n, data.draw(st.lists(pairs, max_size=3 * n)))
+    members = data.draw(st.integers(0, (1 << n) - 1))
+    closed = adjacency_matrix(g) | np.eye(n, dtype=bool)
+    assert bitset_first_fit(closed, list(bits_of(members))) == greedy_cover_within(g, members)
 
 
 @settings(max_examples=200, deadline=None)

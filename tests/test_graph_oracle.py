@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from rsgraphs import graphs, limits
 from rsgraphs.errors import InternalCheckError, ParameterError
 from rsgraphs.graphs import Graph, MatchingCover, adjacency_matrix
-from rsgraphs.limits import greedy_bipartition, triangle_census, triangle_graph, uniformize
+from rsgraphs.limits import greedy_bipartition, triangle_census, triangle_graph
 
 
 def bits_of(mask: int):
@@ -27,6 +27,26 @@ def bits_of(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def uniformize(c: MatchingCover, r: int) -> tuple[MatchingCover, list[tuple[int, int]]]:
+    """Split every matching into blocks of exactly r edges, dropping remainders.
+
+    Edges are taken in ascending order within each matching; the dropped
+    leftovers are returned alongside the new cover.  It makes the uniform
+    covers that the triangle reduction takes.
+    """
+    if r < 1:
+        raise ParameterError(f"need r >= 1, got {r}")
+    blocks: list[list[tuple[int, int]]] = []
+    dropped: list[tuple[int, int]] = []
+    for m in c.matchings:
+        edges = sorted(m)
+        nblocks = len(edges) // r
+        for b in range(nblocks):
+            blocks.append(edges[b * r : (b + 1) * r])
+        dropped.extend(edges[nblocks * r :])
+    return MatchingCover.from_matchings(blocks), dropped
 
 
 def unpack_rows(masks: list[int], width: int) -> np.ndarray:

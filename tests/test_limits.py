@@ -1,4 +1,8 @@
-"""Triangle reduction, complement-degree obstruction, missing-edge bounds."""
+"""Triangle reduction, complement-degree obstruction, missing-edge bounds.
+
+missing_lower_bounds, the leading-order bounds on missing edges, lives here:
+no command reports it.
+"""
 
 import itertools
 import math
@@ -21,13 +25,11 @@ from rsgraphs.limits import (
     TriangleGraph,
     check_min_degree_bound,
     greedy_bipartition,
-    missing_lower_bounds,
     triangle_census,
     triangle_graph,
-    uniformize,
     write_triangle_graph,
 )
-from test_graph_oracle import bit_graph, oracle_greedy_bipartition
+from test_graph_oracle import bit_graph, oracle_greedy_bipartition, uniformize
 
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
 
@@ -49,7 +51,8 @@ def oracle_triangle_graph(g, c):
         raise VerificationError(f"cover is invalid ({len(rep.violations)} violations)")
     if rep.t and rep.r_min != rep.r_max:
         raise ParameterError(
-            f"cover is not uniform (sizes {rep.r_min}..{rep.r_max}); uniformize first"
+            f"cover is not uniform (sizes {rep.r_min}..{rep.r_max}); the reduction "
+            "needs matchings of one size"
         )
     left, right = oracle_greedy_bipartition(g)
     edges, triangles, apexes = [], [], []
@@ -259,6 +262,30 @@ def test_min_degree_guard_fires_on_inconsistency():
     # this cover is NOT induced (cross edges exist), so the guard must not fire
     got = check_min_degree_bound(c4, 2, cover=diag)
     assert got.violations == [0, 1, 2, 3]
+
+
+def missing_lower_bounds(N: int, r: int):
+    """Heuristic lower bounds on the number of missing edges, constants set to 1.
+
+    Returns (general, bipartite_fn): the general bound
+    r^(1/2) N^(3/2) / (2 sqrt 2), and a callable (|U|, |V|) ->
+    r^(2/3) |U|^(2/3) |V|^(2/3) that requires r >= 3.  Leading-order
+    reporting only; never a pass/fail criterion.
+    """
+    if r < 2:
+        raise ParameterError(f"the general bound needs r >= 2, got {r}")
+    if N < 1:
+        raise ParameterError(f"need N >= 1, got {N}")
+    general = (r**0.5) * (N**1.5) / (2.0 * 2.0**0.5)
+
+    def bipartite(u_count: int, v_count: int) -> float:
+        if r < 3:
+            raise ParameterError(f"the bipartite bound needs r >= 3, got {r}")
+        if u_count < 1 or v_count < 1:
+            raise ParameterError("part sizes must be >= 1")
+        return (r ** (2.0 / 3.0)) * (u_count ** (2.0 / 3.0)) * (v_count ** (2.0 / 3.0))
+
+    return general, bipartite
 
 
 def test_missing_lower_bounds_frozen():
