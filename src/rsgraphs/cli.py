@@ -17,6 +17,7 @@ only the leaf that argv names.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import random
@@ -663,7 +664,20 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run one command as the whole process, with no cyclic collection.
+
+    A command makes a fixed handful of cyclic garbage, the same at any
+    instance size, so the collector's passes during numpy's import and the
+    command, and the shutdown collections over every object the process
+    made, cost time and free nothing that matters.  Frozen objects are
+    skipped at shutdown; atexit handlers and the flush of stdio still run.
+    run() leaves gc alone: tests and in-process runners call it many times.
+    """
+    gc.disable()
+    try:
+        sys.exit(run(sys.argv[1:]))
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

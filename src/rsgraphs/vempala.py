@@ -25,13 +25,7 @@ import numpy as np
 
 from .codegraph import CodeGraphParams, two_channel_split
 from .errors import InternalCheckError, ParameterError
-from .graphs import (
-    group_arrays,
-    offsets_of,
-    pair_groups,
-    verify_cover_bipartite,
-    write_groups,
-)
+from .graphs import offsets_of, verify_cover_bipartite, write_groups
 
 # Pairs of whole parts whose left x right blocks are expanded at a time.
 _CHUNK_PAIRS = 1 << 12
@@ -39,25 +33,11 @@ _CHUNK_PAIRS = 1 << 12
 
 class EdgePartition:
     """Partition of the complete bipartite edge set [N] x [k] into parts,
-    held flattened: the part sizes, and the (i, j) pairs part after part.
-
-    EdgePartition(n, k, parts) takes a list of parts, each a list of (i, j)
-    pairs; .parts gives them back as such.
-    """
+    held flattened: the part sizes, and the (i, j) pairs part after part."""
 
     __slots__ = ("left_n", "right_n", "_sizes", "_pairs")
 
-    def __init__(self, left_n: int, right_n: int, parts: list[list[tuple[int, int]]]):
-        offsets, pairs = group_arrays(parts)
-        self._set(left_n, right_n, np.diff(offsets), pairs)
-
-    @classmethod
-    def from_arrays(cls, left_n: int, right_n: int, sizes, pairs) -> "EdgePartition":
-        ep = cls.__new__(cls)
-        ep._set(left_n, right_n, sizes, pairs)
-        return ep
-
-    def _set(self, n: int, k: int, sizes: np.ndarray, pairs: np.ndarray) -> None:
+    def __init__(self, n: int, k: int, sizes: np.ndarray, pairs: np.ndarray):
         i, j = pairs[:, 0], pairs[:, 1]
         outside = (i < 0) | (i >= n) | (j < 0) | (j >= k)
         if len(pairs) == n * k and sizes.all() and not outside.any():
@@ -83,10 +63,6 @@ class EdgePartition:
                 raise ParameterError(f"pair ({a},{b}) outside {n}x{k}")
             raise ParameterError(f"pair ({a},{b}) appears in two parts")
         raise ParameterError(f"parts cover {len(pairs)} of {n * k} pairs")
-
-    @property
-    def parts(self) -> list[list[tuple[int, int]]]:
-        return pair_groups(self._pairs, offsets_of(self._sizes))
 
 
 def _block_terms(ep: EdgePartition, parts: int | None = None):
@@ -164,7 +140,7 @@ def counterexample_partition(p: CodeGraphParams) -> CounterexampleParts:
     pairs = np.concatenate([c.pairs for c in covers])
     sizes = np.concatenate([np.diff(c.offsets) for c in covers])
     return CounterexampleParts(
-        partition=EdgePartition.from_arrays(n, n, sizes, pairs),
+        partition=EdgePartition(n, n, sizes, pairs),
         h=h,
         matching_parts=split.cover.t,
         missing_pairs=split.singles.t,

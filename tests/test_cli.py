@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, reports, artifacts, determinism."""
 
 import argparse
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -534,15 +536,26 @@ COMMAND_MODULES = {
 }
 
 
-@pytest.fixture(scope="module")
-def desk_artifacts(tmp_path_factory):
-    d = tmp_path_factory.mktemp("desk")
-    (d / "gen.txt").write_text(PINNED_TEXT)
-    inst = ["--c", "3", "--n", "4", "--d", "2", "--gen", str(d / "gen.txt")]
+def write_artifacts(d: Path, n: int, generator: str) -> Path:
+    """The generator, edge list, cover and schedule of code graph C=3 n d=2 in d."""
+    (d / "gen.txt").write_text(generator)
+    inst = ["--c", "3", "--n", str(n), "--d", "2", "--gen", str(d / "gen.txt")]
     assert run(["construct", "code", *inst, "--out", str(d / "e.txt"),
                 "--cover", str(d / "c.txt")]) == 0
     assert run(["channel", "two", *inst, "--out-schedule", str(d / "s.txt")]) == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def desk_artifacts(tmp_path_factory):
+    return write_artifacts(tmp_path_factory.mktemp("desk"), 4, PINNED_TEXT)
+
+
+@pytest.fixture(scope="module")
+def sized_artifacts(desk_artifacts, tmp_path_factory):
+    """By n: the desk artifacts (N = 81) and those of C=3 n=5 (N = 243)."""
+    big = write_artifacts(tmp_path_factory.mktemp("n5"), 5, "5 2\n11\n11\n10\n10\n10\n")
+    return {4: desk_artifacts, 5: big}
 
 
 # The numpy subpackages a command may load beyond those `import numpy` loads:
@@ -610,6 +623,71 @@ def test_command_loads_no_numpy(desk_artifacts, command):
     assert rc == NO_NUMPY[command], proc.stderr
     assert not numpy_loaded
     assert heavy == []
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_cyclic_garbage_does_not_grow_with_the_instance(sized_artifacts, capsys, monkeypatch,
+                                                         command):
+    """main() runs a command with the cyclic collector off, which is sound
+    only while the garbage a command leaves in cycles does not grow with the
+    instance.  If this fails, break the cycles in the command that makes them."""
+    found = {}
+    for n, d in sized_artifacts.items():
+        # codes gv needs n >= 5 for k=2 d=1, so it runs one size up
+        argv = re.sub(r"--n \d+", f"--n {n + command.startswith('codes gv')}", command).split()
+        monkeypatch.chdir(d)
+        assert run(argv) == 0  # imports, caches and lazy set-up happen here
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(argv) == 0
+            found[n] = gc.collect()
+        finally:
+            gc.enable()
+    capsys.readouterr()
+    assert found[4] == found[5], found
+
+
+# One command for each exit code.  Paths are relative to the directory the
+# command runs in, so both runs print the same messages.
+EXIT_CASES = {
+    0: "construct code --c 3 --n 4 --d 2 --gen gen.txt --out e.txt --cover c.txt --report r.json",
+    1: "construct code --c 3 --n 4 --d 2 --gen gen.txt --no-such-flag",
+    2: "limits triangle --edges path.txt --cover bad.txt",
+    3: "channel two --c 3 --n 9 --d 2",
+}
+
+
+@pytest.mark.parametrize("exit_code", sorted(EXIT_CASES))
+def test_the_process_entry_point_matches_run(tmp_path, capsys, monkeypatch, exit_code):
+    """main() in a process of its own, with the collector off and frozen
+    before exit, writes what run() writes in-process; run() leaves gc alone."""
+    argv = EXIT_CASES[exit_code].split()
+    dirs = {"process": tmp_path / "process", "run": tmp_path / "run"}
+    for d in dirs.values():
+        d.mkdir()
+        (d / "gen.txt").write_text(PINNED_TEXT)
+        # the path 0-1-2-3: edge 1-2 joins the matching {0-1, 2-3}, which is not induced
+        (d / "path.txt").write_text("4 3\n0 1\n1 2\n2 3\n")
+        (d / "bad.txt").write_text("0: 0-1 2-3\n1: 1-2\n")
+    proc = subprocess.run([sys.executable, "-m", "rsgraphs.cli", *argv], capture_output=True,
+                          env=child_env(), cwd=dirs["process"], timeout=120)
+    monkeypatch.chdir(dirs["run"])
+    capsys.readouterr()
+    frozen = gc.get_freeze_count()
+    assert gc.isenabled()
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+    assert code == proc.returncode == exit_code, proc.stderr
+    assert proc.stdout == out.encode()
+    assert proc.stderr == err.encode()
+    files = {side: {f.name: f.read_bytes() for f in d.iterdir()} for side, d in dirs.items()}
+    assert files["process"] == files["run"]
+    if exit_code == 0:
+        assert files["run"]["r.json"] == proc.stdout
+        assert {"e.txt", "c.txt"} <= set(files["run"])
 
 
 def test_only_the_commands_that_read_an_artifact_load_its_readers():

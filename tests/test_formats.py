@@ -27,8 +27,9 @@ from rsgraphs.errors import InternalCheckError, ParameterError, numbered_lines, 
 from rsgraphs.graphs import Graph, MatchingCover, offsets_of, write_cover, write_edge_list
 from rsgraphs.lintest import load_table
 from rsgraphs.readers import parse_pairs, read_cover, read_edge_list, read_schedule
-from rsgraphs.vempala import EdgePartition, write_partition
+from rsgraphs.vempala import write_partition
 from test_graph_oracle import BitGraph
+from test_vempala import partition
 
 # ---------------------------------------------------------------------------
 # oracles: the per-token readers
@@ -524,7 +525,7 @@ def test_writers_match_one_format_per_pair(tmp_path, write_ids, groups, chans, o
         write_edge_list(g, tmp_path / "e.txt")
         write_cover(MatchingCover(groups), tmp_path / "c.txt")
         write_schedule(Schedule(41, 10, list(zip(chans, groups))), tmp_path / "s.txt")
-        write_partition(EdgePartition(3, 4, parts), tmp_path / "p.txt")
+        write_partition(partition(3, 4, parts), tmp_path / "p.txt")
 
     def lines(groups, head, sep):
         return "".join(head(i) + "".join(f" {u}{sep}{v}" for u, v in g) + "\n"

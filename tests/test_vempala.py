@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from rsgraphs.codegraph import CodeGraphParams
 from rsgraphs.codes import LinearCode, build_chain
 from rsgraphs.errors import ParameterError
+from rsgraphs.graphs import group_arrays, offsets_of, pair_groups
 from rsgraphs import vempala
 from rsgraphs.vempala import (
     EdgePartition,
@@ -28,13 +29,24 @@ from rsgraphs.vempala import (
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
 
 
+def partition(n, k, parts):
+    """The EdgePartition of [n] x [k] into parts, each a list of (i, j) pairs."""
+    offsets, pairs = group_arrays(parts)
+    return EdgePartition(n, k, np.diff(offsets), pairs)
+
+
+def parts_of(ep):
+    """The parts of ep, each a list of (i, j) pairs."""
+    return pair_groups(ep._pairs, offsets_of(ep._sizes))
+
+
 def brute_vempala_sum(ep):
     """Oracle: literal double sum with per-part degree recounts."""
     total = Fraction(0)
     for i in range(ep.left_n):
         for j in range(ep.right_n):
             s = Fraction(0)
-            for part in ep.parts:
+            for part in parts_of(ep):
                 di = sum(1 for a, _ in part if a == i)
                 dj = sum(1 for _, b in part if b == j)
                 s += Fraction(di * dj, len(part))
@@ -45,7 +57,7 @@ def brute_vempala_sum(ep):
 def degree_tables(ep):
     """Per-part sparse degree tables: (left: {i: deg}, right: {j: deg})."""
     tables = []
-    for part in ep.parts:
+    for part in parts_of(ep):
         ld: dict[int, int] = {}
         rd: dict[int, int] = {}
         for i, j in part:
@@ -59,7 +71,7 @@ def oracle_per_part_identity(ep, h):
     """Oracle: sum_{(i,j) in H} deg_p(i) deg_p(j) / |p| per part, one
     Fraction term at a time over the part's degree tables."""
     out = []
-    for part, (ld, rd) in zip(ep.parts, degree_tables(ep)):
+    for part, (ld, rd) in zip(parts_of(ep), degree_tables(ep)):
         s = Fraction(0)
         for i, deg_i in ld.items():
             for j, deg_j in rd.items():
@@ -80,9 +92,9 @@ def pair_terms(part):
 def oracle_vempala_sum(ep):
     """Oracle: L * S_ij summed part by part in Python ints, L the lcm of the
     part sizes."""
-    L = math.lcm(*(len(part) for part in ep.parts))
+    L = math.lcm(*(len(part) for part in parts_of(ep)))
     scaled = [0] * (ep.left_n * ep.right_n)
-    for part in ep.parts:
+    for part in parts_of(ep):
         w = L // len(part)
         for i, j, d in pair_terms(part):
             scaled[i * ep.right_n + j] += d * w
@@ -93,7 +105,7 @@ def pair_terms_per_part_identity(ep, h):
     """Oracle: per part, the sum of its pair terms on H edges over |p|."""
     return [
         Fraction(sum(d for i, j, d in pair_terms(part) if h[i, j]), len(part))
-        for part in ep.parts
+        for part in parts_of(ep)
     ]
 
 
@@ -113,7 +125,7 @@ def partitions_with_h(draw):
     parts = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
     in_h = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     h = np.array(in_h, dtype=bool).reshape(n, k)
-    return EdgePartition(n, k, parts), h
+    return partition(n, k, parts), h
 
 
 @settings(max_examples=300, deadline=None)
@@ -144,7 +156,7 @@ def test_vempala_sum_past_int64_matches_oracle(n, primes, data):
     pairs = data.draw(st.permutations(all_pairs(n, k)))
     sizes = data.draw(st.permutations(primes * n))
     bounds = [0, *itertools.accumulate(sizes)]
-    ep = EdgePartition(n, k, [pairs[a:b] for a, b in zip(bounds, bounds[1:])])
+    ep = partition(n, k, [pairs[a:b] for a, b in zip(bounds, bounds[1:])])
     assert vempala_sum(ep) == oracle_vempala_sum(ep)
     in_h = data.draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))
     h = np.array(in_h, dtype=bool).reshape(n, k)
@@ -154,7 +166,7 @@ def test_vempala_sum_past_int64_matches_oracle(n, primes, data):
 def test_vempala_sum_past_int64_brute_force():
     k = sum(PRIMES)
     bounds = [0, *itertools.accumulate(PRIMES)]
-    ep = EdgePartition(1, k, [all_pairs(1, k)[a:b] for a, b in zip(bounds, bounds[1:])])
+    ep = partition(1, k, [all_pairs(1, k)[a:b] for a, b in zip(bounds, bounds[1:])])
     # a part of q cells in the one row has deg(0) = q, so each cell gets S = 1
     assert vempala_sum(ep) == brute_vempala_sum(ep) == k
 
@@ -185,34 +197,34 @@ def test_partition_validation_matches_oracle(n, k, data):
     parts = data.draw(st.lists(st.lists(cell, max_size=4), max_size=8))
     want = oracle_validation_error(n, k, parts)
     if want is None:
-        EdgePartition(n, k, parts)
+        partition(n, k, parts)
     else:
         with pytest.raises(ParameterError) as exc:
-            EdgePartition(n, k, parts)
+            partition(n, k, parts)
         assert str(exc.value) == want
 
 
 def test_partition_validation():
-    EdgePartition(2, 2, [[(0, 0), (0, 1)], [(1, 0), (1, 1)]])
-    with pytest.raises(ParameterError):
-        EdgePartition(2, 2, [[(0, 0)], [(0, 0), (0, 1), (1, 0), (1, 1)]])
-    with pytest.raises(ParameterError):
-        EdgePartition(2, 2, [[(0, 0), (0, 1), (1, 1)]])  # (1,0) missing
-    with pytest.raises(ParameterError):
-        EdgePartition(2, 2, [[(0, 0), (0, 1), (1, 0), (1, 1)], []])
-    with pytest.raises(ParameterError):
-        EdgePartition(2, 2, [[(0, 0), (0, 1), (1, 0), (2, 1)]])
+    partition(2, 2, [[(0, 0), (0, 1)], [(1, 0), (1, 1)]])
+    with pytest.raises(ParameterError, match=r"^pair \(0,0\) appears in two parts$"):
+        partition(2, 2, [[(0, 0)], [(0, 0), (0, 1), (1, 0), (1, 1)]])
+    with pytest.raises(ParameterError, match=r"^parts cover 3 of 4 pairs$"):
+        partition(2, 2, [[(0, 0), (0, 1), (1, 1)]])  # (1,0) missing
+    with pytest.raises(ParameterError, match=r"^empty parts are not allowed$"):
+        partition(2, 2, [[(0, 0), (0, 1), (1, 0), (1, 1)], []])
+    with pytest.raises(ParameterError, match=r"^pair \(2,1\) outside 2x2$"):
+        partition(2, 2, [[(0, 0), (0, 1), (1, 0), (2, 1)]])
 
 
 def test_singleton_partition_sum_is_nk():
     for n, k in ((2, 3), (3, 3), (4, 2)):
-        ep = EdgePartition(n, k, [[e] for e in all_pairs(n, k)])
+        ep = partition(n, k, [[e] for e in all_pairs(n, k)])
         assert vempala_sum(ep) == n * k
 
 
 def test_one_part_partition_sum_is_nk():
     for n, k in ((2, 3), (3, 3), (4, 2)):
-        ep = EdgePartition(n, k, [all_pairs(n, k)])
+        ep = partition(n, k, [all_pairs(n, k)])
         assert vempala_sum(ep) == n * k
 
 
@@ -230,7 +242,7 @@ def test_vempala_sum_matches_brute_force():
             take = rng.randrange(1, len(pairs) + 1)
             parts.append(pairs[:take])
             pairs = pairs[take:]
-        ep = EdgePartition(n, k, parts)
+        ep = partition(n, k, parts)
         assert vempala_sum(ep) == brute_vempala_sum(ep)
 
 
@@ -251,7 +263,7 @@ def test_counterexample_small_instance():
     assert ep.left_n == ep.right_n == 4
     assert parts.matching_parts == 2
     assert parts.missing_pairs == 12
-    assert len(ep.parts) == parts.matching_parts + parts.missing_pairs
+    assert len(parts_of(ep)) == parts.matching_parts + parts.missing_pairs
     idents = per_part_identity(ep, parts.h)
     assert idents == oracle_per_part_identity(ep, parts.h)
     assert all(v == 1 for v in idents[: parts.matching_parts])
@@ -273,7 +285,7 @@ def test_counterexample_desk_counts():
 
 
 def test_verdict_definitions():
-    ep = EdgePartition(3, 3, [[e] for e in all_pairs(3, 3)])
+    ep = partition(3, 3, [[e] for e in all_pairs(3, 3)])
     v = conjecture_verdict(ep)
     assert v.total == 9
     assert v.refutes is (v.total < v.threshold)
@@ -281,13 +293,13 @@ def test_verdict_definitions():
 
 
 def test_verdict_requires_square():
-    ep = EdgePartition(2, 3, [[e] for e in all_pairs(2, 3)])
+    ep = partition(2, 3, [[e] for e in all_pairs(2, 3)])
     with pytest.raises(ParameterError):
         conjecture_verdict(ep)
 
 
 def test_write_partition(tmp_path):
-    ep = EdgePartition(2, 2, [[(0, 0), (1, 1)], [(0, 1)], [(1, 0)]])
+    ep = partition(2, 2, [[(0, 0), (1, 1)], [(0, 1)], [(1, 0)]])
     path = tmp_path / "parts.txt"
     write_partition(ep, path)
     assert path.read_text().splitlines() == [
