@@ -452,6 +452,8 @@ def _cmd_lintest(args) -> int:
         )
     if rep.r_min != rep.r_max:
         raise ParameterError("the soundness bound needs a cover whose matchings all have one size")
+    if args.m > lintest.MAX_TRANSFORM_DIM:  # before the 2^m table is built
+        raise ResourceLimitError(f"m={args.m} exceeds the transform gate {lintest.MAX_TRANSFORM_DIM}")
     f = _make_function(args.f, args.m, args.seed)
     d_f = lintest.walsh_correlation(f)
     p_hat, stderr = lintest.estimate_soundness(g, f, args.trials, args.seed)

@@ -176,31 +176,6 @@ def center_for_edge(x, y, p: GeomParams, require_edge: bool = True) -> tuple[int
     return tuple(z)
 
 
-def shell(z, p: GeomParams) -> list[int]:
-    """Vertex ids x with | ||x-z||^2 - mu/4 | <= 3n/4, ascending."""
-    z = tuple(z)
-    if len(z) != p.n:
-        raise ParameterError("coordinate length mismatch")
-    pts = lattice_points(p.C, p.n)
-    d2 = ((pts - np.asarray(z, dtype=np.int64)) ** 2).sum(axis=1)
-    return [int(i) for i in np.flatnonzero(in_shell_band(d2, p))]
-
-
-def antipodal_gap(x, y, z) -> int:
-    """||y - x'||^2 for the antipode x' = 2z - x of x through z.
-
-    Equals 2||x-z||^2 + 2||y-z||^2 - ||x-y||^2 by the parallelogram law; for
-    adjacent x, y in a shell V_z this is at most 4n.
-    """
-    direct = sum((yi - (2 * zi - xi)) ** 2 for xi, yi, zi in zip(x, y, z))
-    dx = sum((xi - zi) ** 2 for xi, zi in zip(x, z))
-    dy = sum((yi - zi) ** 2 for yi, zi in zip(y, z))
-    dxy = sum((xi - yi) ** 2 for xi, yi in zip(x, y))
-    if direct != 2 * dx + 2 * dy - dxy:
-        raise InternalCheckError("parallelogram identity failed")
-    return direct
-
-
 def _shell_membership(p: GeomParams) -> np.ndarray:
     """Bool (N, N) matrix: entry [z, x] says x lies in the shell V_z.
 
@@ -362,7 +337,8 @@ class ShellGapScan(NamedTuple):
 
 
 def scan_shell_antipodal_gaps(p: GeomParams, z_ids) -> ShellGapScan:
-    """For each center, check antipodal_gap <= 4n over all adjacent shell pairs.
+    """For each center z, check the antipodal gap ||y - x'||^2 <= 4n, x' = 2z - x
+    the antipode of x through z, over all adjacent shell pairs x, y.
 
     Uses the parallelogram form 2||x-z||^2 + 2||y-z||^2 - ||x-y||^2, computed
     in exact integers (vectorized), so large shells stay tractable.

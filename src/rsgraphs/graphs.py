@@ -164,13 +164,6 @@ class MatchingCover:
         c.pairs, c.offsets = pairs, offsets
         return c
 
-    @classmethod
-    def from_matchings(cls, matchings) -> "MatchingCover":
-        """The cover of the given matchings with each pair written (u, v), u <= v."""
-        c = cls(list(matchings))
-        c.pairs.sort(axis=1)
-        return c
-
     @property
     def matchings(self) -> list[Matching]:
         return pair_groups(self.pairs, self.offsets)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -448,6 +449,21 @@ def test_lintest_command(tmp_path, capsys):
         ["lintest", "--edges", str(edges), "--cover", str(cover),
          "--m", "8", "--f", "sine", "--trials", "10"]
     ) == 1  # unknown function descriptor
+
+
+@pytest.mark.parametrize("f", ["linear", "random:1", "table:{table}"])
+def test_lintest_refuses_m_above_the_transform_gate_before_building_f(tmp_path, capsys, f):
+    # m=40 asks for a 2^40 table: refused before it is built or read
+    edges, cover, table = tmp_path / "edges.txt", tmp_path / "cover.txt", tmp_path / "f.txt"
+    edges.write_text("2 1\n0 1\n")
+    cover.write_text("0: 0-1\n")
+    table.write_text("0110\n")
+    start = time.perf_counter()
+    code = run(["lintest", "--edges", str(edges), "--cover", str(cover), "--m", "40",
+                "--f", f.format(table=table), "--trials", "1"])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert "m=40 exceeds the transform gate 24" in capsys.readouterr().err
 
 
 def test_vempala_command(tmp_path, capsys):

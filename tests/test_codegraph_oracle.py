@@ -17,7 +17,7 @@ from rsgraphs.errors import InternalCheckError, ParameterError, SearchFailureErr
 from rsgraphs.graphs import Graph, MatchingCover
 from rsgraphs.lattice import lattice_points
 from test_cover_oracle import is_induced_matching
-from test_graph_oracle import bit_graph, bits_of
+from test_graph_oracle import bit_graph, bits_of, cover_from_matchings
 
 Coords = tuple[int, ...]
 OrderedPair = tuple[Coords, Coords]
@@ -107,7 +107,7 @@ def oracle_enumerate_cover(p: CodeGraphParams, g: Graph) -> MatchingCover:
             if not is_induced_matching(g, edges):
                 raise InternalCheckError(f"flip class at {(a_id, b_id)} is not induced")
             matchings.append(edges)
-    return MatchingCover.from_matchings(matchings)
+    return cover_from_matchings(matchings)
 
 
 def assert_same_cover(p: CodeGraphParams) -> None:

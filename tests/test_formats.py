@@ -4,8 +4,9 @@ truth-table readers against a line-by-line reading of their grammar.
 
 Round trips write an object and read it back.  Mutations edit a written
 file (whitespace, newlines, blank lines, digits, long ids, repeated,
-swapped and truncated lines) and require the bulk reader to return the
-oracle's object or raise the oracle's exact error.
+swapped and truncated lines) and require the reader to return the
+oracle's object or raise the oracle's exact error.  canonical_only and
+lines_only hold a reader to one of its two paths.
 """
 
 import os
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from rsgraphs import graphs, readers
 from rsgraphs.channels import _SCHEDULE_TEMPLATE, Schedule, write_schedule
 from rsgraphs.codes import LinearCode, read_generator, write_generator
-from rsgraphs.errors import InternalCheckError, ParameterError, numbered_lines, parse_int
+from rsgraphs.errors import ParameterError, numbered_lines, parse_int
 from rsgraphs.graphs import Graph, MatchingCover, offsets_of, write_cover, write_edge_list
 from rsgraphs.lintest import load_table
 from rsgraphs.readers import parse_pairs, read_cover, read_edge_list, read_schedule
@@ -135,9 +136,15 @@ def outcome(read, path):
 
 def canonical_only():
     """Within it, a file that is not canonical fails the read: the line
-    grammar's reader is not called."""
-    return mock.patch.object(readers, "_grammar_rows",
-                             side_effect=AssertionError("read through the line grammar"))
+    parse is not called."""
+    fail = AssertionError("read by the line parse")
+    return mock.patch.multiple(readers, _edge_lines=mock.Mock(side_effect=fail),
+                               _group_lines=mock.Mock(side_effect=fail))
+
+
+def lines_only():
+    """Within it, every file is read by the format's line parse."""
+    return mock.patch.object(readers, "_canonical_rows", return_value=None)
 
 
 small_pairs = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=4)
@@ -276,6 +283,21 @@ def test_written_files_are_read_without_the_line_grammar(tmp_path, fmt, data):
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_written_files_read_by_the_line_parse_as_the_oracle_reads_them(tmp_path, fmt, data):
+    # the mirror of the property above: the line parse alone reads what the
+    # writers emit as the oracle reads it
+    objects, write, read, oracle = FORMATS[fmt]
+    path = tmp_path / "file.txt"
+    write(data.draw(objects), path)
+    with lines_only():
+        got = outcome(read, path)
+    assert got[0] != "raises"
+    assert got == outcome(oracle, path)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_file_reads_as_the_oracle_reads_it(tmp_path, fmt, data):
@@ -289,7 +311,7 @@ def test_mutated_file_reads_as_the_oracle_reads_it(tmp_path, fmt, data):
     assert outcome(read, path) == outcome(oracle, path)
 
 
-# Files at the edges of each grammar, read by the bulk reader and the oracle.
+# Files at the edges of each format, read by the reader and the oracle.
 LISTED = {
     "edges": [
         "3 2\r\n0 1\r\n1 2\r\n", "3 2\r0 1\r1 2", "3 2\n\t0\t1 \n\n  1   2\n",
@@ -326,7 +348,7 @@ def test_listed_files_read_as_the_oracle_reads_them(tmp_path, fmt, text):
 
 # Canonical files that break one check across or within lines, and files
 # that differ from canonical ones only in an id's length or a final
-# newline: (format, text, whether it is read without the line grammar).
+# newline: (format, text, whether its bytes are canonical).
 SEMANTIC = [
     ("edges", "3 2\n0 1\n0 1\n", True), ("edges", "3 1\n1 0\n", True),
     ("edges", "3 1\n1 1\n", True), ("edges", "3 1\n0 3\n", True),
@@ -375,9 +397,9 @@ LONG_RUNS = {
 @pytest.mark.parametrize("fmt,prefix,tail", [(f, p, t) for f, cs in LONG_RUNS.items() for p, t in cs],
                          ids=[f"{f}-{i}" for f, cs in LONG_RUNS.items() for i in range(len(cs))])
 def test_a_long_whitespace_run_fails_in_linear_time(tmp_path, fmt, prefix, tail):
-    # No two whitespace repeats of a line grammar meet, so the grammar check
-    # of a line does not try every split of its whitespace runs; that would
-    # take about 10^10 / 2 steps here, minutes instead of milliseconds.
+    # The line parse splits a line on whitespace once, so a long run costs
+    # time linear in its length; a search that tried every split of the
+    # run would take about 10^10 / 2 steps here, minutes, not milliseconds.
     _, _, read, oracle = FORMATS[fmt]
     path = tmp_path / "file.txt"
     path.write_text(prefix + (" \t" * 50000) + tail + "\n")
@@ -403,12 +425,15 @@ def test_chunk_edges_do_not_change_what_is_read(tmp_path, read_chars):
         assert key(read_schedule(path, 41)) == key(oracle_read_schedule(path, 41))
         assert outcome(read_schedule, bad) == outcome(oracle_read_schedule, bad)
         assert "bad.txt:34: round indices must be sequential" in outcome(read_schedule, bad)[2]
-    # the same schedule as written, and with one round index off: canonical
-    # files, read without the line grammar
+    # the same schedule as written, read without the line parse, and with
+    # one round index off: a canonical file that fails a check, read again
+    # by the line parse for its message
     write_schedule(s, path)
     bad.write_text(path.read_text().replace("round 33", "round 34"))
-    with mock.patch.object(readers, "_READ_CHARS", read_chars), canonical_only():
-        assert key(read_schedule(path, 41)) == key(oracle_read_schedule(path, 41))
+    with mock.patch.object(readers, "_READ_CHARS", read_chars):
+        with canonical_only():
+            assert key(read_schedule(path, 41)) == key(oracle_read_schedule(path, 41))
+        assert readers._canonical_rows(bad, _SCHEDULE_TEMPLATE) is not None
         assert outcome(read_schedule, bad) == outcome(oracle_read_schedule, bad)
         assert "bad.txt:34: round indices must be sequential" in outcome(read_schedule, bad)[2]
 
@@ -423,8 +448,8 @@ PIPED_SCHEDULES = {
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("case", PIPED_SCHEDULES)
 def test_a_pipe_is_read_once_as_a_file_is(tmp_path, case):
-    # a named pipe carrying a schedule: it is opened once, by the grammar
-    # path, and reads as the file it copies, a failing line's message too
+    # a named pipe carrying a schedule: it is opened once, by the line
+    # parse, and reads as the file it copies, a failing line's message too
     path, fifo = tmp_path / "s.txt", tmp_path / "fifo"
     path.write_text(PIPED_SCHEDULES[case])
     os.mkfifo(fifo)
@@ -442,8 +467,8 @@ def test_a_pipe_is_read_once_as_a_file_is(tmp_path, case):
 
 
 def test_a_file_that_changes_while_it_is_read(tmp_path):
-    # lines added between the counting and the filling pass: the grammar
-    # path reads the file as it then is
+    # lines added between the counting and the filling pass: the line
+    # parse reads the file as it then is
     path = tmp_path / "s.txt"
     path.write_text("round 0 chan 0: 0>1\n")
     fill = readers._canonical_chunks
@@ -457,7 +482,8 @@ def test_a_file_that_changes_while_it_is_read(tmp_path):
         got = outcome(read_schedule, path)
     assert got == outcome(oracle_read_schedule, path)
     assert "s.txt:3: round indices must be sequential" in got[2]
-    # a failing line gone when the file is read again for its message
+    # a canonical file that fails a check, emptied before the line parse
+    # reads it again: the read is the file as it last was
     path.write_text("round 0 chan 0: 0>1\nround 2 chan 0: 1>0\n")
     rows = readers._canonical_rows
 
@@ -467,17 +493,9 @@ def test_a_file_that_changes_while_it_is_read(tmp_path):
         return got
 
     with mock.patch.object(readers, "_canonical_rows", emptied):
-        with pytest.raises(ParameterError, match="s.txt: the file changed while it was read"):
-            read_schedule(path)
-
-
-def test_a_line_the_bulk_check_wrongly_fails_is_an_internal_error(tmp_path):
-    # two spaces after the colon: not canonical, so the line grammar reads it
-    path = tmp_path / "cover.txt"
-    path.write_text("0:  0-1\n")
-    with mock.patch.object(readers, "_COVER_LINE", readers.line_grammar("[1-9]+", "-")):
-        with pytest.raises(InternalCheckError, match="cover.txt:1: line passes"):
-            read_cover(path)
+        got = outcome(read_schedule, path)
+    assert got == outcome(oracle_read_schedule, path)
+    assert got[0] == "schedule"
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

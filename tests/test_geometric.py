@@ -10,7 +10,6 @@ import pytest
 from rsgraphs.errors import ParameterError
 from rsgraphs.geometric import (
     GeomParams,
-    antipodal_gap,
     balance_vector,
     build_geometric_graph,
     center_for_edge,
@@ -22,11 +21,11 @@ from rsgraphs.geometric import (
     mean_sq_distance,
     missing_edge_bound,
     scan_shell_antipodal_gaps,
-    shell,
 )
 from rsgraphs.graphs import verify_cover
 from rsgraphs.lattice import lattice_points, vertex_coords
 from test_codegraph_oracle import vertex_id
+from test_geometric_oracle import shell
 
 
 def brute_band_graph(C, n):
@@ -180,6 +179,18 @@ def test_shell_matches_fraction_oracle():
             <= Fraction(3 * p.n, 4)
         ]
         assert got == want
+
+
+def antipodal_gap(x, y, z) -> int:
+    """||y - x'||^2 for the antipode x' = 2z - x of x through z, checked
+    against 2||x-z||^2 + 2||y-z||^2 - ||x-y||^2 (the parallelogram law),
+    the form scan_shell_antipodal_gaps computes."""
+    direct = sum((yi - (2 * zi - xi)) ** 2 for xi, yi, zi in zip(x, y, z))
+    dx = sum((xi - zi) ** 2 for xi, zi in zip(x, z))
+    dy = sum((yi - zi) ** 2 for yi, zi in zip(y, z))
+    dxy = sum((xi - yi) ** 2 for xi, yi in zip(x, y))
+    assert direct == 2 * dx + 2 * dy - dxy
+    return direct
 
 
 def test_antipodal_gap_parallelogram():

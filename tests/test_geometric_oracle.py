@@ -25,12 +25,19 @@ from rsgraphs.geometric import (
     build_geometric_graph,
     center_for_edge,
     decompose_geometric,
+    in_shell_band,
     max_shell_degree,
-    shell,
 )
 from rsgraphs.graphs import Graph, MatchingCover, adjacency_matrix, verify_cover
-from rsgraphs.lattice import vertex_coords
+from rsgraphs.lattice import lattice_points, vertex_coords
 from test_graph_oracle import bit_graph, bits_of, first_fit, greedy_cover_within
+
+
+def shell(z, p: GeomParams) -> list[int]:
+    """Vertex ids x with | ||x-z||^2 - mu/4 | <= 3n/4, ascending."""
+    pts = lattice_points(p.C, p.n)
+    d2 = ((pts - np.asarray(z, dtype=np.int64)) ** 2).sum(axis=1)
+    return [int(i) for i in np.flatnonzero(in_shell_band(d2, p))]
 
 
 def shell_masks(p: GeomParams):

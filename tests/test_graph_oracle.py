@@ -29,6 +29,13 @@ def bits_of(mask: int):
         mask ^= low
 
 
+def cover_from_matchings(matchings) -> MatchingCover:
+    """The cover of the given matchings with each pair written (u, v), u <= v."""
+    c = MatchingCover(list(matchings))
+    c.pairs.sort(axis=1)
+    return c
+
+
 def uniformize(c: MatchingCover, r: int) -> tuple[MatchingCover, list[tuple[int, int]]]:
     """Split every matching into blocks of exactly r edges, dropping remainders.
 
@@ -46,7 +53,7 @@ def uniformize(c: MatchingCover, r: int) -> tuple[MatchingCover, list[tuple[int,
         for b in range(nblocks):
             blocks.append(edges[b * r : (b + 1) * r])
         dropped.extend(edges[nblocks * r :])
-    return MatchingCover.from_matchings(blocks), dropped
+    return cover_from_matchings(blocks), dropped
 
 
 def unpack_rows(masks: list[int], width: int) -> np.ndarray:
@@ -239,7 +246,7 @@ def test_triangle_census_equals_the_bitmask_census(g, wedges):
 def test_triangle_census_of_triangle_graphs(g, r, wedges):
     # an r-uniform cover: a first-fit cover cut into blocks of r, on the
     # subgraph of the edges it keeps
-    cover, _ = uniformize(MatchingCover.from_matchings(greedy_cover_within(g, (1 << g.n) - 1)), r)
+    cover, _ = uniformize(cover_from_matchings(greedy_cover_within(g, (1 << g.n) - 1)), r)
     kept = Graph.from_edges(g.n, cover.pairs)
     tg = triangle_graph(kept, cover)
     with mock.patch.object(limits, "_WEDGES", wedges):

@@ -23,7 +23,7 @@ from rsgraphs.graphs import (
     write_edge_list,
 )
 from test_cover_oracle import doubled_matchings, is_induced_matching, station_matrix, two_sided
-from test_graph_oracle import greedy_cover_within
+from test_graph_oracle import cover_from_matchings, greedy_cover_within
 
 
 def naive_is_induced_matching(edges, m):
@@ -44,7 +44,7 @@ def greedy_cover(g):
     ms = greedy_cover_within(g, (1 << g.n) - 1)
     d = g.max_degree()
     assert len(ms) <= 2 * d * d
-    return MatchingCover.from_matchings(ms)
+    return cover_from_matchings(ms)
 
 
 def random_graph(n, p, rng):
@@ -114,19 +114,19 @@ def test_induced_matching_matches_oracle():
 
 def test_verify_cover_valid_and_kinds():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    ok = MatchingCover.from_matchings([[(0, 1), (2, 3)]])
+    ok = cover_from_matchings([[(0, 1), (2, 3)]])
     rep = verify_cover(g, ok)
     assert rep.valid and rep.t == 1 and rep.r_min == rep.r_max == 2
 
     # multiply covered + uncovered
-    bad = MatchingCover.from_matchings([[(0, 1)], [(0, 1)]])
+    bad = cover_from_matchings([[(0, 1)], [(0, 1)]])
     rep = verify_cover(g, bad)
     kinds = {k for k, _ in rep.violations}
     assert not rep.valid
     assert kinds == {"multiply-covered", "uncovered-edge"}
 
     # edge not in graph
-    rep = verify_cover(g, MatchingCover.from_matchings([[(0, 1), (2, 3)], [(0, 2)]]))
+    rep = verify_cover(g, cover_from_matchings([[(0, 1), (2, 3)], [(0, 2)]]))
     assert ("edge-not-in-graph", (1, (0, 2))) in rep.violations
 
     # ids outside the graph, negative or past the last vertex, beside an edge
@@ -136,18 +136,18 @@ def test_verify_cover_valid_and_kinds():
 
     # shared endpoint
     path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    rep = verify_cover(path3, MatchingCover.from_matchings([[(0, 1), (1, 2)]]))
+    rep = verify_cover(path3, cover_from_matchings([[(0, 1), (1, 2)]]))
     assert any(k == "shared-endpoint" for k, _ in rep.violations)
 
     # cross edge
     path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    rep = verify_cover(path4, MatchingCover.from_matchings([[(0, 1), (2, 3)], [(1, 2)]]))
+    rep = verify_cover(path4, cover_from_matchings([[(0, 1), (2, 3)], [(1, 2)]]))
     assert any(k == "cross-edge" for k, _ in rep.violations)
 
 
 def test_verify_cover_empty():
     g = Graph.from_edges(3, [])
-    rep = verify_cover(g, MatchingCover.from_matchings([]))
+    rep = verify_cover(g, cover_from_matchings([]))
     assert rep.valid and rep.t == 0 and rep.r_min == 0 and rep.r_max == 0
 
 
@@ -203,7 +203,7 @@ def test_bipartite_graph_and_double():
 def test_doubled_matchings_are_bipartite_induced():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5), (1, 2)])
     d = adjacency_matrix(g)
-    c = MatchingCover.from_matchings([[(0, 1), (4, 5)]])
+    c = cover_from_matchings([[(0, 1), (4, 5)]])
     dg, dms = two_sided(d, doubled_matchings(c))
     for dm in dms:
         assert is_induced_matching(dg, dm)
@@ -259,7 +259,7 @@ def test_verify_cover_bipartite_kinds():
 
 
 def test_cover_normalization_and_sizes():
-    c = MatchingCover.from_matchings([[(3, 1)], [(0, 2), (4, 5)]])
+    c = cover_from_matchings([[(3, 1)], [(0, 2), (4, 5)]])
     assert c.matchings[0] == [(1, 3)]
     assert c.sizes() == [1, 2]
     assert c.t == 2
@@ -285,7 +285,7 @@ def test_edge_list_rejects_malformed(tmp_path):
 
 
 def test_cover_roundtrip(tmp_path):
-    c = MatchingCover.from_matchings([[(0, 1), (2, 3)], [(4, 5)]])
+    c = cover_from_matchings([[(0, 1), (2, 3)], [(4, 5)]])
     path = tmp_path / "cover.txt"
     write_cover(c, path)
     back = read_cover(path)

@@ -29,7 +29,12 @@ from rsgraphs.limits import (
     triangle_graph,
     write_triangle_graph,
 )
-from test_graph_oracle import bit_graph, oracle_greedy_bipartition, uniformize
+from test_graph_oracle import (
+    bit_graph,
+    cover_from_matchings,
+    oracle_greedy_bipartition,
+    uniformize,
+)
 
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
 
@@ -88,7 +93,7 @@ def fields(tg: TriangleGraph):
 
 
 def test_uniformize():
-    c = MatchingCover.from_matchings([[(0, 1), (2, 3), (4, 5)], [(6, 7)]])
+    c = cover_from_matchings([[(0, 1), (2, 3), (4, 5)], [(6, 7)]])
     u, dropped = uniformize(c, 2)
     assert [len(m) for m in u.matchings] == [2]
     assert u.matchings[0] == [(0, 1), (2, 3)]
@@ -129,7 +134,7 @@ def test_greedy_bipartition_frozen_path():
 
 def test_triangle_graph_small_hand_instance():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    c = MatchingCover.from_matchings([[(0, 1), (2, 3)]])
+    c = cover_from_matchings([[(0, 1), (2, 3)]])
     tg = triangle_graph(g, c)
     assert tg.crossing_edges == 2
     assert len(tg.apexes) == 1
@@ -176,9 +181,9 @@ def test_triangle_graph_desk_instance():
 def test_triangle_graph_rejects_bad_covers():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(VerificationError):
-        triangle_graph(g, MatchingCover.from_matchings([[(0, 1)]]))  # uncovered
+        triangle_graph(g, cover_from_matchings([[(0, 1)]]))  # uncovered
     gd = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
-    nonuniform = MatchingCover.from_matchings([[(0, 1), (2, 3)], [(4, 5)]])
+    nonuniform = cover_from_matchings([[(0, 1), (2, 3)], [(4, 5)]])
     with pytest.raises(ParameterError):
         triangle_graph(gd, nonuniform)
 
@@ -236,7 +241,7 @@ def test_min_degree_contradiction_raises():
     # a fake "verified" situation cannot arise from real data; force the
     # guard with a complete graph plus its (valid, size-1) cover re-labeled
     k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-    singles = MatchingCover.from_matchings([[e] for e in k4.edges()])
+    singles = cover_from_matchings([[e] for e in k4.edges()])
     rep = verify_cover(k4, singles)
     assert rep.valid and rep.r_min == rep.r_max == 1
     # r=1 margins are all >= 0, so no contradiction there
@@ -256,7 +261,7 @@ def test_min_degree_guard_fires_on_inconsistency():
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     rep = check_min_degree_bound(c4, 2)
     assert rep.min_margin < 0 and rep.violations == [0, 1, 2, 3]
-    diag = MatchingCover.from_matchings(
+    diag = cover_from_matchings(
         [[(0, 1), (2, 3)], [(1, 2), (0, 3)]]
     )
     # this cover is NOT induced (cross edges exist), so the guard must not fire
@@ -309,7 +314,7 @@ def test_missing_lower_bounds_monotone():
 
 def test_write_triangle_graph(tmp_path):
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    c = MatchingCover.from_matchings([[(0, 1), (2, 3)]])
+    c = cover_from_matchings([[(0, 1), (2, 3)]])
     tg = triangle_graph(g, c)
     path = tmp_path / "tri.txt"
     write_triangle_graph(tg, path)
