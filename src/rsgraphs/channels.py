@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, VerificationError
 from .graphs import (
     MatchingCover,
     adjacency_matrix,
@@ -58,25 +58,26 @@ class ChannelPartition:
 
 
 def validate_partition(cp: ChannelPartition) -> None:
-    """Each subchannel cover must be valid and the pair sets must tile K_{N,N}."""
+    """Each subchannel cover must be valid and the pair sets must tile K_{N,N};
+    a defect raises VerificationError."""
     n = cp.n_stations
     acc = np.zeros((n, n), dtype=bool)
     for idx, (mat, cover) in enumerate(cp.subchannels):
         if mat.shape != (n, n):
-            raise ParameterError(f"subchannel {idx} is not on {n}x{n} stations")
+            raise VerificationError(f"subchannel {idx} is not on {n}x{n} stations")
         rep = verify_cover_bipartite(mat, cover)
         if not rep.valid:
-            raise ParameterError(
+            raise VerificationError(
                 f"subchannel {idx} cover invalid ({len(rep.violations)} violations)"
             )
         clash = (acc & mat).any(axis=1)
         if clash.any():
             left = clash.argmax()
-            raise ParameterError(f"subchannel {idx} overlaps an earlier one at left {left}")
+            raise VerificationError(f"subchannel {idx} overlaps an earlier one at left {left}")
         acc |= mat
     gap = ~acc.all(axis=1)
     if gap.any():
-        raise ParameterError(f"left station {gap.argmax()} is missing pairs; not a partition")
+        raise VerificationError(f"left station {gap.argmax()} is missing pairs; not a partition")
 
 
 def partition_two(p: "CodeGraphParams") -> ChannelPartition:

@@ -12,6 +12,12 @@ loads neither numpy nor fractions, and neither do --help, --version, an
 argument error, `codes gv`, `codes verify`, or a station-cap refusal of
 `channel two`, `channel shifts` or `vempala`.  The parser is built with
 only the leaf that argv names.
+
+The command tree is one table, _LEAVES: each leaf's command words, its
+function, the shared options it takes (--seed, --max-vertices, --format;
+only those its command reads) and its own options.  Every report carries
+seed, format and max_vertices, at their defaults where a leaf has no such
+option.  --help shows the docstring without this paragraph.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from . import codegraph, codes, lintest
+    from . import channels, codegraph, codes, lintest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,17 +76,18 @@ def _emit(report: dict, args) -> None:
             lines.append(f"{key} = {json.dumps(_jsonable(report[key]), sort_keys=True)}")
         text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    path = getattr(args, "report", None)
-    if path:
-        with open(path, "w") as fh:
+    if args.report:
+        with open(args.report, "w") as fh:
             fh.write(text)
 
 
 def _base_report(args, command: str, **params) -> dict:
+    """The report's head; a leaf without --seed or --max-vertices reports
+    their defaults, so every report carries the same parameter keys."""
     resolved = {
-        "seed": args.seed,
+        "seed": getattr(args, "seed", 0),
         "format": args.format,
-        "max_vertices": args.max_vertices,
+        "max_vertices": getattr(args, "max_vertices", None),
     }
     resolved.update(params)
     return {"version": __version__, "command": command, "params": resolved}
@@ -138,12 +145,12 @@ def _cover_quality(cover) -> dict:
 
 
 def _chain_from_args(args, n: int, d: int) -> codes.CodeChain:
-    """Code chain for the flip-class cover: from --gen, or GV search at max k."""
+    """Code chain for the flip-class cover: from --gen, or GV search at max
+    k seeded by --gv-seed (construct code) or --seed."""
     from . import codes
 
-    gen = getattr(args, "gen", None)
-    if gen:
-        root = codes.read_generator(gen)
+    if args.gen:
+        root = codes.read_generator(args.gen)
         if root.n != n:
             raise ParameterError(f"generator length {root.n} does not match n={n}")
         if root.claimed_d < d:
@@ -151,11 +158,8 @@ def _chain_from_args(args, n: int, d: int) -> codes.CodeChain:
                 f"generator distance {root.claimed_d} is below the required {d}"
             )
     else:
-        seed = getattr(args, "gv_seed", None)
-        if seed is None:
-            seed = args.seed
         k = _max_gv_dimension(n, d - 1)
-        root = codes.gv_search(n, k, d - 1, seed)
+        root = codes.gv_search(n, k, d - 1, args.gv_seed if "gv_seed" in args else args.seed)
     return codes.build_chain(root, d)
 
 
@@ -213,7 +217,7 @@ def _cmd_construct_code(args) -> int:
     e_formula, f_formula = codegraph.cover_exponents(args.c, args.n, args.d)
     report = _base_report(
         args, "construct code", c=args.c, n=args.n, d=args.d,
-        gen=getattr(args, "gen", None), gv_seed=getattr(args, "gv_seed", None), k=p.k,
+        gen=args.gen, gv_seed=args.gv_seed, k=p.k,
     )
     report.update(
         N=g.n,
@@ -236,7 +240,7 @@ def _cmd_construct_code(args) -> int:
 def _cmd_codes_gv(args) -> int:
     from . import codes
 
-    code = codes.gv_search(args.n, args.k, args.d, args.seed if args.gv_seed is None else args.gv_seed)
+    code = codes.gv_search(args.n, args.k, args.d, args.seed)
     if args.out:
         codes.write_generator(code, args.out)
     report = _base_report(args, "codes gv", n=args.n, k=args.k, d=args.d, out=args.out)
@@ -312,6 +316,26 @@ def _cmd_limits_mindeg(args) -> int:
     return 0
 
 
+def _delivery_report(args, schedule: channels.Schedule, kind: str, **params) -> dict:
+    """The report of a channel command that built `schedule`: the schedule
+    is written if asked, simulated, and must deliver all N^2 messages with
+    no garbling."""
+    from . import channels
+
+    if args.out_schedule:
+        channels.write_schedule(schedule, args.out_schedule)
+    sim = channels.simulate(schedule)
+    n = schedule.n_stations
+    if sim.delivered != n * n or sim.garbled_events:
+        raise InternalCheckError(f"{kind} schedule failed to deliver cleanly")
+    report = _base_report(args, "channel " + args.variant, **params)
+    report.update(N=n, naive_rounds=n * n, rounds_sequential=sim.rounds_used,
+                  rounds_parallel=schedule.parallel_round_count(),
+                  per_subchannel_rounds=sim.per_subchannel_rounds, delivered=sim.delivered,
+                  garbled=len(sim.garbled_events))
+    return report
+
+
 def _cmd_channel_two(args) -> int:
     _check_stations(args.c**args.n, args.max_vertices)
     import numpy as np
@@ -327,62 +351,30 @@ def _cmd_channel_two(args) -> int:
     _check_counts(p, counts)
     schedule = channels.build_schedule(cp)
     del cp, cover, singles  # the schedule holds a copy of every pair
-    if args.out_schedule:
-        channels.write_schedule(schedule, args.out_schedule)
-    sim = channels.simulate(schedule)
-    n = schedule.n_stations
-    if sim.delivered != n * n or sim.garbled_events:
-        raise InternalCheckError("two-channel schedule failed to deliver cleanly")
-    report = _base_report(args, "channel two", c=args.c, n=args.n, d=args.d,
-                          gen=getattr(args, "gen", None))
-    report.update(
-        N=n,
-        naive_rounds=n * n,
-        rounds_sequential=sim.rounds_used,
-        rounds_parallel=schedule.parallel_round_count(),
-        per_subchannel_rounds=sim.per_subchannel_rounds,
-        covered_pairs=counts["covered_pairs"],
-        remainder_pairs=counts["remainder_pairs"],
-        delivered=sim.delivered,
-        garbled=len(sim.garbled_events),
-    )
+    report = _delivery_report(args, schedule, "two-channel", c=args.c, n=args.n, d=args.d,
+                              gen=args.gen)
+    report.update(covered_pairs=counts["covered_pairs"], remainder_pairs=counts["remainder_pairs"])
     _emit(report, args)
     return 0
 
 
 def _cmd_channel_shifts(args) -> int:
-    check_caps(args.c**args.n, args.max_vertices)
+    _check_stations(args.c**args.n, args.max_vertices, args.channels)
     import numpy as np
 
     from . import channels, geometric
 
     p = geometric.GeomParams(args.c, args.n)
-    cp = channels.partition_shifts(
-        p, args.channels, args.seed, max_attempts=args.attempts
-    )
-    schedule = channels.build_schedule(cp)
-    if args.out_schedule:
-        channels.write_schedule(schedule, args.out_schedule)
-    sim = channels.simulate(schedule)
-    n = cp.n_stations
-    if sim.delivered != n * n or sim.garbled_events:
-        raise InternalCheckError("shift schedule failed to deliver cleanly")
+    cp = channels.partition_shifts(p, args.channels, args.seed, max_attempts=args.attempts)
+    report = _delivery_report(args, channels.build_schedule(cp), "shift", c=args.c, n=args.n,
+                              channels=args.channels, attempts=args.attempts)
     overflow = 0
     if cp.overflow_index is not None:
         overflow = int(np.count_nonzero(cp.subchannels[cp.overflow_index][0]))
-    report = _base_report(args, "channel shifts", c=args.c, n=args.n,
-                          channels=args.channels, attempts=args.attempts)
     report.update(
-        N=n,
-        naive_rounds=n * n,
-        rounds_sequential=sim.rounds_used,
-        rounds_parallel=schedule.parallel_round_count(),
-        per_subchannel_rounds=sim.per_subchannel_rounds,
         attempts_used=cp.attempts_used,
         overflow_pairs=overflow,
-        delivered=sim.delivered,
-        garbled=len(sim.garbled_events),
-        meshulam_bound=channels.meshulam_lower_bound(n, args.channels),
+        meshulam_bound=channels.meshulam_lower_bound(cp.n_stations, args.channels),
         **_cover_quality(cp.graph_cover),
     )
     _emit(report, args)
@@ -489,7 +481,7 @@ def _cmd_vempala(args) -> int:
         vempala.write_partition(parts.partition, args.out_partition)
     e_formula, f_formula = codegraph.cover_exponents(args.c, args.n, args.d)
     report = _base_report(args, "vempala", c=args.c, n=args.n, d=args.d,
-                          gen=getattr(args, "gen", None))
+                          gen=args.gen)
     report.update(
         N=parts.partition.left_n,
         k=parts.partition.right_n,
@@ -509,11 +501,56 @@ def _cmd_vempala(args) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
-# The command words of each leaf of the parser.
-_LEAVES = (("construct", "geometric"), ("construct", "code"), ("codes", "gv"),
-           ("codes", "verify"), ("limits", "triangle"), ("limits", "mindeg"),
-           ("channel", "two"), ("channel", "shifts"), ("channel", "simulate"),
-           ("lintest",), ("vempala",))
+# The help of each top-level command.
+_HELP = {"construct": "build graphs with their covers",
+         "codes": "linear-code search and verification", "limits": "structural-limit checks",
+         "channel": "shared-channel scheduling", "lintest": "graph-based linearity testing",
+         "vempala": "local-density sum for the duplication partition"}
+
+# The options that several leaves share, in the order a leaf takes them.
+_COMMON = {"--seed": {"type": int, "default": 0, "help": "master seed (default 0)"},
+           "--max-vertices": {"type": int, "help": "vertex cap for all-pairs construction work"},
+           "--format": {"choices": ("json", "text"), "default": "json"}}
+_ALL = tuple(_COMMON)
+_CAPPED = ("--max-vertices", "--format")  # for a leaf that reads the vertex cap but no seed
+
+_INT, _REQ = {"type": int, "required": True}, {"required": True}
+_CN = [("--c", _INT), ("--n", _INT)]
+_CND = [*_CN, ("--d", _INT)]
+_GEN = ("--gen", {"help": "generator matrix file for the chain root"})
+_ARTIFACTS = [("--out", {"help": "edge-list output path"}),
+              ("--cover", {"help": "cover output path"})]
+_SCHEDULE = ("--out-schedule", {"help": "schedule output path"})
+
+# The command words of each leaf: its function, the common options it takes
+# and its own options, each (name, add_argument keywords); a list stands for
+# a required group of mutually exclusive options.  Every leaf takes --report
+# last.
+_LEAVES = {
+    ("construct", "geometric"): (_cmd_construct_geometric, _CAPPED, [*_CN, *_ARTIFACTS]),
+    ("construct", "code"): (_cmd_construct_code, _CAPPED, [
+        *_CND, [_GEN, ("--gv-seed", {"type": int, "help": "search seed for a GV chain root"})],
+        *_ARTIFACTS]),
+    ("codes", "gv"): (_cmd_codes_gv, ("--seed", "--format"), [
+        ("--n", _INT), ("--k", _INT), ("--d", _INT), ("--out", {"help": "generator output path"})]),
+    ("codes", "verify"): (_cmd_codes_verify, ("--format",),
+                          [("generator", {"help": "generator matrix file"})]),
+    ("limits", "triangle"): (_cmd_limits_triangle, _CAPPED, [
+        ("--edges", _REQ), ("--cover", _REQ), ("--out", {"help": "triangle-graph output path"})]),
+    ("limits", "mindeg"): (_cmd_limits_mindeg, _CAPPED, [("--edges", _REQ), ("--r", _INT)]),
+    ("channel", "two"): (_cmd_channel_two, _ALL, [*_CND, _GEN, _SCHEDULE]),
+    ("channel", "shifts"): (_cmd_channel_shifts, _ALL, [
+        *_CN, ("--channels", _INT), ("--attempts", {"type": int, "default": 1}), _SCHEDULE]),
+    ("channel", "simulate"): (_cmd_channel_simulate, _CAPPED, [
+        ("--schedule", _REQ),
+        ("--stations",
+         {"type": int, "help": "station count (default: inferred from the schedule)"})]),
+    ("lintest",): (_cmd_lintest, _ALL, [
+        ("--edges", _REQ), ("--cover", _REQ), ("--m", _INT),
+        ("--f", {**_REQ, "help": "linear | and | random:SEED | table:FILE"}), ("--trials", _INT)]),
+    ("vempala",): (_cmd_vempala, _ALL,
+                   [*_CND, _GEN, ("--out-partition", {"help": "partition output path"})]),
+}
 
 
 def _build_parser(argv=None) -> _Parser:
@@ -525,128 +562,32 @@ def _build_parser(argv=None) -> _Parser:
     if argv is not None and "-h" not in argv and "--help" not in argv:
         named = next((w for w in _LEAVES if tuple(argv[: len(w)]) == w), ())
 
-    def branch(subs, *words, **kw):
-        """The parser of the group or leaf that the command words name under
-        subs, a leaf with the common options; None if argv names a leaf
-        outside it."""
-        if named[: len(words)] != words[: len(named)]:
-            return None
-        return subs.add_parser(words[-1], parents=[common] if words in _LEAVES else [], **kw)
-
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument("--max-vertices", type=int, default=None,
-                        help="vertex cap for all-pairs construction work")
-    common.add_argument("--format", choices=("json", "text"), default="json")
-
-    top = _Parser(prog="rsgraphs", description=__doc__)
+    top = _Parser(prog="rsgraphs", description=__doc__.rsplit("\n\n", 1)[0])
     top.add_argument("--version", action="version", version=__version__)
-    sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    subs = {(): top.add_subparsers(dest="command", required=True, parser_class=_Parser)}
 
-    if construct := branch(sub, "construct", help="build graphs with their covers"):
-        csub = construct.add_subparsers(dest="variant", required=True, parser_class=_Parser)
+    def add(words):  # a top-level command lists its help, a leaf in a group none
+        kw = {"help": _HELP[words[0]]} if len(words) == 1 else {}
+        return subs[words[:-1]].add_parser(words[-1], **kw)
 
-        if geo := branch(csub, "construct", "geometric"):
-            geo.add_argument("--c", type=int, required=True)
-            geo.add_argument("--n", type=int, required=True)
-            geo.add_argument("--out", help="edge-list output path")
-            geo.add_argument("--cover", help="cover output path")
-            geo.add_argument("--report", help="report output path")
-            geo.set_defaults(func=_cmd_construct_geometric)
-
-        if cod := branch(csub, "construct", "code"):
-            cod.add_argument("--c", type=int, required=True)
-            cod.add_argument("--n", type=int, required=True)
-            cod.add_argument("--d", type=int, required=True)
-            src = cod.add_mutually_exclusive_group(required=True)
-            src.add_argument("--gen", help="generator matrix file for the chain root")
-            src.add_argument("--gv-seed", type=int, help="search seed for a GV chain root")
-            cod.add_argument("--out", help="edge-list output path")
-            cod.add_argument("--cover", help="cover output path")
-            cod.add_argument("--report", help="report output path")
-            cod.set_defaults(func=_cmd_construct_code)
-
-    if codes_p := branch(sub, "codes", help="linear-code search and verification"):
-        codes_sub = codes_p.add_subparsers(dest="variant", required=True, parser_class=_Parser)
-
-        if gv := branch(codes_sub, "codes", "gv"):
-            gv.add_argument("--n", type=int, required=True)
-            gv.add_argument("--k", type=int, required=True)
-            gv.add_argument("--d", type=int, required=True)
-            gv.add_argument("--gv-seed", type=int, default=None,
-                            help="search seed (defaults to --seed)")
-            gv.add_argument("--out", help="generator output path")
-            gv.add_argument("--report", help="report output path")
-            gv.set_defaults(func=_cmd_codes_gv)
-
-        if cv := branch(codes_sub, "codes", "verify"):
-            cv.add_argument("generator", help="generator matrix file")
-            cv.add_argument("--report", help="report output path")
-            cv.set_defaults(func=_cmd_codes_verify)
-
-    if lim := branch(sub, "limits", help="structural-limit checks"):
-        lim_sub = lim.add_subparsers(dest="variant", required=True, parser_class=_Parser)
-
-        if tri := branch(lim_sub, "limits", "triangle"):
-            tri.add_argument("--edges", required=True)
-            tri.add_argument("--cover", required=True)
-            tri.add_argument("--out", help="triangle-graph output path")
-            tri.add_argument("--report", help="report output path")
-            tri.set_defaults(func=_cmd_limits_triangle)
-
-        if mindeg := branch(lim_sub, "limits", "mindeg"):
-            mindeg.add_argument("--edges", required=True)
-            mindeg.add_argument("--r", type=int, required=True)
-            mindeg.add_argument("--report", help="report output path")
-            mindeg.set_defaults(func=_cmd_limits_mindeg)
-
-    if chan := branch(sub, "channel", help="shared-channel scheduling"):
-        chan_sub = chan.add_subparsers(dest="variant", required=True, parser_class=_Parser)
-
-        if two := branch(chan_sub, "channel", "two"):
-            two.add_argument("--c", type=int, required=True)
-            two.add_argument("--n", type=int, required=True)
-            two.add_argument("--d", type=int, required=True)
-            two.add_argument("--gen", help="generator matrix file for the chain root")
-            two.add_argument("--out-schedule", help="schedule output path")
-            two.add_argument("--report", help="report output path")
-            two.set_defaults(func=_cmd_channel_two)
-
-        if shifts := branch(chan_sub, "channel", "shifts"):
-            shifts.add_argument("--c", type=int, required=True)
-            shifts.add_argument("--n", type=int, required=True)
-            shifts.add_argument("--channels", type=int, required=True)
-            shifts.add_argument("--attempts", type=int, default=1)
-            shifts.add_argument("--out-schedule", help="schedule output path")
-            shifts.add_argument("--report", help="report output path")
-            shifts.set_defaults(func=_cmd_channel_shifts)
-
-        if simu := branch(chan_sub, "channel", "simulate"):
-            simu.add_argument("--schedule", required=True)
-            simu.add_argument("--stations", type=int, default=None,
-                              help="station count (default: inferred from the schedule)")
-            simu.add_argument("--report", help="report output path")
-            simu.set_defaults(func=_cmd_channel_simulate)
-
-    if lt := branch(sub, "lintest", help="graph-based linearity testing"):
-        lt.add_argument("--edges", required=True)
-        lt.add_argument("--cover", required=True)
-        lt.add_argument("--m", type=int, required=True)
-        lt.add_argument("--f", required=True,
-                        help="linear | and | random:SEED | table:FILE")
-        lt.add_argument("--trials", type=int, required=True)
-        lt.add_argument("--report", help="report output path")
-        lt.set_defaults(func=_cmd_lintest)
-
-    if vem := branch(sub, "vempala", help="local-density sum for the duplication partition"):
-        vem.add_argument("--c", type=int, required=True)
-        vem.add_argument("--n", type=int, required=True)
-        vem.add_argument("--d", type=int, required=True)
-        vem.add_argument("--gen", help="generator matrix file for the chain root")
-        vem.add_argument("--out-partition", help="partition output path")
-        vem.add_argument("--report", help="report output path")
-        vem.set_defaults(func=_cmd_vempala)
-
+    for words, (func, common, own) in _LEAVES.items():
+        if named[: len(words)] != words[: len(named)]:
+            continue  # argv names another leaf
+        if words[:-1] not in subs:
+            subs[words[:-1]] = add(words[:1]).add_subparsers(dest="variant", required=True,
+                                                             parser_class=_Parser)
+        leaf = add(words)
+        for flag in common:
+            leaf.add_argument(flag, **_COMMON[flag])
+        for option in own:
+            if isinstance(option, list):
+                group = leaf.add_mutually_exclusive_group(required=True)
+                for flag, kw in option:
+                    group.add_argument(flag, **kw)
+            else:
+                leaf.add_argument(option[0], **option[1])
+        leaf.add_argument("--report", help="report output path")
+        leaf.set_defaults(func=func)
     return top
 
 

@@ -7,8 +7,6 @@ ResourceLimitError -> 3.  This module is pure Python, so a command that
 reads a text file without array work loads no numpy.
 """
 
-import io
-
 
 class ParameterError(ValueError):
     """Invalid or out-of-range input parameters."""
@@ -64,8 +62,16 @@ def read_text(path) -> str:
 
 def numbered_lines(path):
     """(line number, line) over the text file at `path`, counting from 1;
-    every line but a last unterminated one ends in a newline."""
-    return enumerate(io.StringIO(read_text(path)), start=1)
+    every line but a last unterminated one ends in a newline.  Lines end at
+    a newline only, as io.StringIO splits them: str.splitlines also splits
+    at form feeds, U+0085, U+2028 and other breaks, which would renumber
+    the path:line messages."""
+    lines = read_text(path).split("\n")
+    last = lines.pop()  # the text after the last newline
+    for lineno, line in enumerate(lines, start=1):
+        yield lineno, line + "\n"
+    if last:
+        yield len(lines) + 1, last
 
 
 def parse_int(token: str, path, lineno: int) -> int:

@@ -190,9 +190,9 @@ def test_validate_partition_rejects_overlap_and_gap():
     validate_partition(ok)
 
     half = station_matrix([0b01, 0b10])
-    with pytest.raises(ParameterError):
+    with pytest.raises(VerificationError):
         validate_partition(ChannelPartition(2, [(half, singles(half))]))  # gap
-    with pytest.raises(ParameterError):
+    with pytest.raises(VerificationError):
         validate_partition(
             ChannelPartition(2, [(full, singles(full)), (half, singles(half))])
         )  # overlap

@@ -80,6 +80,23 @@ def test_a_parser_of_one_leaf_answers_as_the_full_tree(argv, capsys, monkeypatch
     assert answer() == got
 
 
+# The options of each leaf beside -h, --help, --format and --report, which
+# every leaf takes: only those its command reads.
+LEAF_OPTIONS = {
+    ("construct", "geometric"): "--max-vertices --c --n --out --cover",
+    ("construct", "code"): "--max-vertices --c --n --d --gen --gv-seed --out --cover",
+    ("codes", "gv"): "--seed --n --k --d --out",
+    ("codes", "verify"): "",
+    ("limits", "triangle"): "--max-vertices --edges --cover --out",
+    ("limits", "mindeg"): "--max-vertices --edges --r",
+    ("channel", "two"): "--seed --max-vertices --c --n --d --gen --out-schedule",
+    ("channel", "shifts"): "--seed --max-vertices --c --n --channels --attempts --out-schedule",
+    ("channel", "simulate"): "--max-vertices --schedule --stations",
+    ("lintest",): "--seed --max-vertices --edges --cover --m --f --trials",
+    ("vempala",): "--seed --max-vertices --c --n --d --gen --out-partition",
+}
+
+
 def test_a_parser_of_one_leaf_gives_no_other_leaf_arguments():
     def leaves(parser):
         """(words, option strings) of each leaf below parser."""
@@ -90,13 +107,46 @@ def test_a_parser_of_one_leaf_gives_no_other_leaf_arguments():
                 for words, opts in leaves(p)]
 
     full = dict(leaves(cli._build_parser()))
-    assert len(full) == 11 and all("--seed" in opts for opts in full.values())
+    assert full == {words: sorted(["-h", "--help", "--format", "--report", *opts.split()])
+                    for words, opts in LEAF_OPTIONS.items()}
     for words in full:  # no other leaf or group is even registered
         assert dict(leaves(cli._build_parser([*words, "--seed", "1"]))) == {words: full[words]}
 
 
 def test_unknown_flag_is_parameter_error(capsys):
     assert run(["construct", "geometric", "--c", "3", "--n", "2", "--frob"]) == 1
+
+
+# A leaf takes no option its command would not read.
+REMOVED = [
+    ("construct geometric --c 3 --n 2", "--seed 1"),
+    ("construct code --c 3 --n 4 --d 2 --gv-seed 1", "--seed 1"),
+    ("codes verify gen.txt", "--seed 1"),
+    ("limits triangle --edges e.txt --cover c.txt", "--seed 1"),
+    ("limits mindeg --edges e.txt --r 2", "--seed 1"),
+    ("channel simulate --schedule s.txt", "--seed 1"),
+    ("codes gv --n 5 --k 2 --d 1", "--max-vertices 10"),
+    ("codes verify gen.txt", "--max-vertices 10"),
+    ("codes gv --n 5 --k 2 --d 1", "--gv-seed 5"),
+]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED, ids=[f"{c.split(' --')[0]} {f.split()[0]}"
+                                                         for c, f in REMOVED])
+def test_a_leaf_refuses_an_option_it_would_not_read(capsys, command, flag):
+    assert run([*command.split(), *flag.split()]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["construct geometric --c 3 --n 2", "codes verify gen.txt"])
+def test_a_report_carries_the_defaults_of_options_its_leaf_does_not_take(tmp_path, capsys,
+                                                                          monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gen.txt").write_text(PINNED_TEXT)
+    code, out = run_out(command.split(), capsys)
+    assert code == 0
+    params = json.loads(out)["params"]
+    assert (params["seed"], params["max_vertices"], params["format"]) == (0, None, "json")
 
 
 def test_construct_geometric_report(tmp_path, capsys):
@@ -426,6 +476,24 @@ def test_channel_shifts(capsys):
     assert again == out
 
 
+def test_channel_shifts_is_capped_by_the_shift_matrices_it_holds(capsys, monkeypatch):
+    # one N x N shift matrix per channel: 189 x 729^2 station pairs pass 10^8
+    def partition_shifts(*args, **kwargs):
+        raise AssertionError("partition_shifts ran before the cap")
+
+    monkeypatch.setattr(channels, "partition_shifts", partition_shifts)
+    assert run(["channel", "shifts", "--c", "3", "--n", "6", "--channels", "189"]) == 3
+    assert ("189 subchannels x 531441 station pairs exceed the cap of 100000000"
+            in capsys.readouterr().err)
+    start = time.perf_counter()
+    assert run(["channel", "shifts", "--c", "2", "--n", "2", "--channels", "1000000000"]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert "resource refusal" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert run(["channel", "shifts", "--c", "2", "--n", "2", "--channels", "0"]) == 1
+    assert "need num_channels >= 1, got 0" in capsys.readouterr().err
+
+
 def test_lintest_command(tmp_path, capsys):
     edges = tmp_path / "edges.txt"
     cover = tmp_path / "cover.txt"
@@ -499,7 +567,7 @@ def tampered_split(*args, **kwargs):
     return split
 
 
-@pytest.mark.parametrize("command,exit_code", [("channel two", 1), ("vempala", 2)])
+@pytest.mark.parametrize("command,exit_code", [("channel two", 2), ("vempala", 2)])
 def test_tampered_subchannel_cover_trips_the_gate(tmp_path, capsys, monkeypatch, command, exit_code):
     # two_channel_split does not check its matchings; each artifact's gate must.
     monkeypatch.setattr(codegraph, "two_channel_split", tampered_split)

@@ -9,6 +9,7 @@ oracle's object or raise the oracle's exact error.  canonical_only and
 lines_only hold a reader to one of its two paths.
 """
 
+import io
 import os
 import re
 import threading
@@ -18,10 +19,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rsgraphs import graphs, readers
+from rsgraphs import errors, graphs, readers
 from rsgraphs.channels import _SCHEDULE_TEMPLATE, Schedule, write_schedule
 from rsgraphs.codes import LinearCode, read_generator, write_generator
 from rsgraphs.errors import ParameterError, numbered_lines, parse_int
@@ -714,3 +715,20 @@ def test_listed_generator_and_table_files(tmp_path, fmt, text):
         assert read_outcome(read_generator, path) == grammar_generator(path)
     else:
         assert read_outcome(lambda p: load_table(p, 2), path) == grammar_table(path, 2)
+
+
+# Every character str.splitlines takes for a line break, beside ordinary text.
+BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(st.sampled_from(BREAKS + "ab 7")) | st.text())
+@example(text="")
+@example(text="a\x0bb\x0cc\x1cd\x85e\u2028f\u2029g")
+@example(text="a\n\u2028\n")
+def test_numbered_lines_splits_as_a_string_stream(text):
+    # lines end at "\n" only, numbered as io.StringIO numbers them, with or
+    # without a final newline
+    with mock.patch.object(errors, "read_text", lambda path: text):
+        got = list(numbered_lines("f.txt"))
+    assert got == list(enumerate(io.StringIO(text), start=1))
