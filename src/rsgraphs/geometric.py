@@ -107,75 +107,6 @@ def missing_edge_bound(p: GeomParams) -> float:
     return math.comb(N, 2) * 2.0 * math.exp(-p.n / (2.0 * p.C**4))
 
 
-class BalanceVector(NamedTuple):
-    """Sign vector with entries in {-1/2, 0, +1/2}, stored doubled as ints."""
-
-    halves: tuple[int, ...]
-
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(h, 2) for h in self.halves)
-
-
-def balance_vector(a, C: int) -> BalanceVector:
-    """Signs w_i in {+-1/2} on the support of a with |<a, w>| <= C/2.
-
-    Inductively, each w_i opposes the running partial sum of a_j w_j; on a
-    tie the sign is +1/2.  Entries are |a_i| <= C, and w_i = 0 exactly where
-    a_i = 0.
-    """
-    halves = []
-    twice_sum = 0  # 2 * sum(a_j w_j), always an integer
-    for ai in a:
-        if abs(ai) > C:
-            raise ParameterError(f"entry {ai} exceeds the bound {C}")
-        if ai == 0:
-            halves.append(0)
-            continue
-        if twice_sum > 0:
-            h = -1 if ai > 0 else 1
-        elif twice_sum < 0:
-            h = 1 if ai > 0 else -1
-        else:
-            h = 1
-        halves.append(h)
-        twice_sum += ai * h
-        if abs(twice_sum) > C:
-            raise InternalCheckError("balance invariant |2 sum| <= C broken")
-    return BalanceVector(tuple(halves))
-
-
-def center_for_edge(x, y, p: GeomParams, require_edge: bool = True) -> tuple[int, ...]:
-    """Lattice center z = (x+y)/2 + w for the edge xy.
-
-    w balances the odd-difference coordinates, so z is integral and stays in
-    [1..C]^n.  For n >= 2C both endpoints then lie in the shell V_z.
-    require_edge=False skips the adjacency gate and just builds the center.
-    """
-    x, y = tuple(x), tuple(y)
-    if len(x) != p.n or len(y) != p.n:
-        raise ParameterError("coordinate length mismatch")
-    for coords in (x, y):
-        for c in coords:
-            if not 1 <= c <= p.C:
-                raise ParameterError(f"coordinate {c} outside [1..{p.C}]")
-    d2 = sum((xi - yi) ** 2 for xi, yi in zip(x, y))
-    if x == y or (require_edge and not in_edge_band(d2, p)):
-        raise ParameterError("x and y are not adjacent in the band graph")
-    a = [yi - xi if (yi - xi) % 2 else 0 for xi, yi in zip(x, y)]
-    w = balance_vector(a, p.C)
-    z = []
-    for xi, yi, h in zip(x, y, w.halves):
-        num = xi + yi + h
-        if num % 2:
-            raise InternalCheckError("center coordinate is not integral")
-        zi = num // 2
-        if not 1 <= zi <= p.C:
-            raise InternalCheckError("center left the lattice")
-        z.append(zi)
-    return tuple(z)
-
-
 def _shell_membership(p: GeomParams) -> np.ndarray:
     """Bool (N, N) matrix: entry [z, x] says x lies in the shell V_z.
 
@@ -217,9 +148,10 @@ def _first_shells(member: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndar
 
 
 def _edge_centers(p: GeomParams, eu: np.ndarray, ev: np.ndarray):
-    """Center id of each edge xy, the z = (x+y)/2 + w of center_for_edge, and
-    whether both endpoints lie in its shell V_z; one pass per coordinate,
-    choosing w_i as balance_vector does."""
+    """Center id of each edge xy, z = (x+y)/2 + w, and whether both
+    endpoints lie in its shell V_z; one pass per coordinate.  w_i is 0 where
+    a_i = y_i - x_i is even, else +-1/2 opposing the running sum of a_j w_j
+    (+1/2 on a tie), which keeps |<a, w>| <= C/2 and z integral in [1..C]^n."""
     pts = lattice_points(p.C, p.n)
     # 2 * sum(a_j w_j), the center id, ||x - z||^2 and ||y - z||^2 so far
     twice, zid, dx, dy = np.zeros((4, len(eu)), dtype=np.int64)
@@ -277,7 +209,7 @@ def _lockstep_first_fit(seqs, eu, ev, closed: np.ndarray, match: np.ndarray) -> 
 def decompose_geometric(p: GeomParams, g: Graph | None = None) -> MatchingCover:
     """Cover E(g) by induced matchings, one first-fit cover per center group.
 
-    Each edge goes to the shell of its center z(e) (see center_for_edge), or,
+    Each edge goes to the shell of its center z(e) (see _edge_centers), or,
     if that shell misses an endpoint (which needs n < 2C), to the lowest
     shell holding both.  Each group's first-fit places its edges in
     ascending (u, v) order, each in the lowest-index matching of the group
@@ -327,52 +259,6 @@ def decompose_geometric(p: GeomParams, g: Graph | None = None) -> MatchingCover:
     if cover.t > g.n * 2 * d * d:
         raise InternalCheckError("cover size exceeded the N * 2 d^2 bound")
     return cover
-
-
-class ShellGapScan(NamedTuple):
-    shells_checked: int
-    pairs_checked: int
-    max_gap: int
-    violations: list[tuple[int, int, int]]  # (z_id, x_id, y_id) with gap > 4n
-
-
-def scan_shell_antipodal_gaps(p: GeomParams, z_ids) -> ShellGapScan:
-    """For each center z, check the antipodal gap ||y - x'||^2 <= 4n, x' = 2z - x
-    the antipode of x through z, over all adjacent shell pairs x, y.
-
-    Uses the parallelogram form 2||x-z||^2 + 2||y-z||^2 - ||x-y||^2, computed
-    in exact integers (vectorized), so large shells stay tractable.
-    """
-    z_ids = list(z_ids)
-    pts = lattice_points(p.C, p.n)
-    sq = (pts * pts).sum(axis=1)
-    pairs = 0
-    max_gap = -1
-    violations: list[tuple[int, int, int]] = []
-    for z_id in z_ids:
-        dz = _pair_sq_dists(pts[z_id : z_id + 1], pts, sq, sq[z_id : z_id + 1])[0]
-        member_ids = np.flatnonzero(in_shell_band(dz, p))
-        spts = pts[member_ids]
-        ssq = sq[member_ids]
-        sdz = dz[member_ids]
-        block = max(1, 2**21 // max(len(member_ids), 1))
-        for start in range(0, len(member_ids), block):
-            stop = min(start + block, len(member_ids))
-            d2 = _pair_sq_dists(spts[start:stop], spts, ssq, ssq[start:stop])
-            adj = in_edge_band(d2, p)
-            idx = np.arange(start, stop)
-            adj[idx - start, idx] = False
-            gap = 2 * sdz[start:stop, None] + 2 * sdz[None, :] - d2
-            pairs += int(adj.sum())  # ordered pairs; each edge seen twice per shell
-            gmax = gap[adj].max(initial=-1)
-            if gmax > max_gap:
-                max_gap = int(gmax)
-            bad = adj & (gap > 4 * p.n)
-            for bi, bj in zip(*np.nonzero(bad)):
-                violations.append(
-                    (z_id, int(member_ids[start + bi]), int(member_ids[bj]))
-                )
-    return ShellGapScan(len(z_ids), pairs, max_gap, violations)
 
 
 def exponent_report(p: GeomParams) -> dict:

@@ -353,13 +353,6 @@ def verify_cover_bipartite(mat: np.ndarray, c: MatchingCover) -> CoverReport:
     return verify_cover(g, MatchingCover.from_arrays(two, c.offsets))
 
 
-def complement_degree(g: Graph, v: int) -> int:
-    """Degree of v in the complement graph: n - 1 - deg(v)."""
-    if not 0 <= v < g.n:
-        raise ParameterError(f"vertex {v} out of range")
-    return g.n - 1 - int(g.degrees()[v])
-
-
 def singles_cover(mat: np.ndarray) -> MatchingCover:
     """The cover of the station matrix mat by one-pair matchings: (u, v)
     for each set mat[u, v], in ascending order."""

@@ -7,14 +7,18 @@ degree of vertex i inside part p, the quantity
 
 is conjectured to be Omega(N k / log N).  Duplicating the code-based graph
 into a bipartite graph H and taking its induced-matching cover plus singleton
-parts for all non-H pairs keeps the sum near t + |non-H pairs|, far below the
-threshold for good parameters: every induced-matching part contributes
-exactly 1 to the H-restricted sum.
+parts for all non-H pairs makes the sum exactly t + |non-H pairs|, far below
+the threshold for good parameters: every induced-matching part contributes
+exactly 1 and every singleton part 1 (see CounterexampleParts.total).
 
 H is the bool (N, N) station matrix of the bipartite double, entry [i, j]
 set iff ij is a code-graph edge.  counterexample_partition takes the (i, j)
 station pairs of the split's doubled cover and singleton remainder as the
 EdgePartition's pairs, array to array.
+
+_block_terms, vempala_sum and per_part_identity evaluate the sum and the
+per-part identity cell by cell for any partition.  No command calls them;
+they are the tests' oracle for the total.
 """
 
 import math
@@ -69,7 +73,7 @@ def _block_terms(ep: EdgePartition, parts: int | None = None):
     """Yield arrays (p, i, j, deg_p(i), deg_p(j)) over each of the first
     `parts` parts p (all by default), left vertex i of p and right vertex j
     of p, parts ascending, for chunks of whole parts that hold up to
-    _CHUNK_PAIRS pairs (or one larger part)."""
+    _CHUNK_PAIRS pairs (or one larger part).  Oracle only, like vempala_sum."""
     sizes, pairs = ep._sizes[:parts], ep._pairs
     ends = np.cumsum(sizes)
     a = 0
@@ -98,6 +102,10 @@ def vempala_sum(ep: EdgePartition) -> Fraction:
     sum_p deg_p(i) deg_p(j) (L / |p|), so the sum is sum min(L, L S_ij) / L.
     S_ij <= min(N, k), so every term and entry is below L max(N, k): they
     add up in int64 when that is below 2^63, and in Python ints otherwise.
+
+    The tests' oracle for CounterexampleParts.total; no command calls it.
+    It stays in src/ while perfbench/spans.py LAYERS names it, and moves
+    into tests/ with per_part_identity once the benchmark drops those names.
     """
     n, k = ep.left_n, ep.right_n
     L = math.lcm(*ep._sizes.tolist())
@@ -128,22 +136,49 @@ class CounterexampleParts:
         self.partition, self.h = partition, h
         self.matching_parts, self.missing_pairs = matching_parts, missing_pairs
 
+    @property
+    def total(self) -> Fraction:
+        """The partition's local-density sum, matching_parts + missing_pairs.
+
+        counterexample_partition has checked that the matching parts are
+        induced matchings of H holding each H pair once (the K_{N,N} gate),
+        that each fill part holds one pair, and that all parts tile the
+        N x N cells (EdgePartition).  Then:
+        - a cell outside H is its own singleton part, so its term is 1;
+        - a cell (i, j) of H lies in the left x right block of its own
+          matching part p only: another part with i on its left and j on its
+          right would hold ij as a cross pair, which inducedness forbids.
+          Its term is 1/|p|, and the |p| cells of p add up to 1.
+        """
+        return Fraction(self.matching_parts + self.missing_pairs)
+
 
 def counterexample_partition(p: CodeGraphParams) -> CounterexampleParts:
-    """Parts = doubled flip-class matchings of the code graph + singleton non-H pairs."""
+    """Parts = doubled flip-class matchings of the code graph + singleton non-H pairs.
+
+    Every check that CounterexampleParts.total rests on runs here; a failed
+    one is a verification failure (InternalCheckError), not a bad input.
+    """
     split = two_channel_split(p)
     h = split.covered
     if not verify_cover_bipartite(h, split.cover).valid:
         raise InternalCheckError("matching part lost inducedness in H")
+    fill = split.singles
+    if fill.t != len(fill.pairs):
+        raise InternalCheckError(f"fill parts hold {len(fill.pairs)} pairs in {fill.t} parts")
     n = len(h)
-    covers = (split.cover, split.singles)
+    covers = (split.cover, fill)
     pairs = np.concatenate([c.pairs for c in covers])
     sizes = np.concatenate([np.diff(c.offsets) for c in covers])
+    try:
+        partition = EdgePartition(n, n, sizes, pairs)
+    except ParameterError as exc:
+        raise InternalCheckError(str(exc)) from None
     return CounterexampleParts(
-        partition=EdgePartition(n, n, sizes, pairs),
+        partition=partition,
         h=h,
         matching_parts=split.cover.t,
-        missing_pairs=split.singles.t,
+        missing_pairs=fill.t,
     )
 
 
@@ -154,7 +189,7 @@ def per_part_identity(ep: EdgePartition, h: np.ndarray, parts: int | None = None
     H is a bool (left_n, right_n) matrix, entry [i, j] set iff (i, j) is in H.
     For a part that is an induced matching of H this is exactly 1.  A part's
     sum is at most |p|^2, so int64 holds it; one Fraction is made per
-    distinct (sum, |p|) pair.
+    distinct (sum, |p|) pair.  An oracle only, kept with vempala_sum.
     """
     sizes = ep._sizes[:parts]
     sums = np.zeros(len(sizes), dtype=np.int64)
@@ -172,12 +207,11 @@ class ConjectureVerdict(NamedTuple):
     refutes: bool  # total < threshold: the partition beats the conjectured bound
 
 
-def conjecture_verdict(ep: EdgePartition) -> ConjectureVerdict:
-    """Compare the exact sum against N k / ln N; requires square instances."""
-    if ep.left_n != ep.right_n:
+def conjecture_verdict(total: Fraction, n: int, k: int) -> ConjectureVerdict:
+    """Compare an exact sum over [n] x [k] against n k / ln n; requires n = k."""
+    if n != k:
         raise ParameterError("the verdict is defined for N = k instances")
-    thr = conjecture_threshold(ep.left_n, ep.right_n)
-    total = vempala_sum(ep)
+    thr = conjecture_threshold(n, k)
     return ConjectureVerdict(total=total, threshold=thr, refutes=total < thr)
 
 

@@ -21,15 +21,8 @@ from rsgraphs.codegraph import (
     enumerate_cover,
 )
 from rsgraphs.codes import LinearCode, build_chain, gv_search, sample_parity_check, verify_code
-from rsgraphs.geometric import (
-    GeomParams,
-    build_geometric_graph,
-    center_for_edge,
-    decompose_geometric,
-    in_shell_band,
-    scan_shell_antipodal_gaps,
-)
-from rsgraphs.graphs import complement_degree, verify_cover
+from rsgraphs.geometric import GeomParams, build_geometric_graph, decompose_geometric, in_shell_band
+from rsgraphs.graphs import verify_cover
 from rsgraphs.lattice import lattice_points
 from rsgraphs.limits import check_min_degree_bound, triangle_census, triangle_graph
 from rsgraphs.lintest import (
@@ -39,7 +32,15 @@ from rsgraphs.lintest import (
     linear_function,
     walsh_correlation,
 )
-from rsgraphs.vempala import conjecture_verdict, counterexample_partition, per_part_identity
+from rsgraphs.vempala import (
+    conjecture_verdict,
+    counterexample_partition,
+    per_part_identity,
+    vempala_sum,
+)
+from test_geometric import scan_shell_antipodal_gaps
+from test_geometric_oracle import center_for_edge
+from test_graph_oracle import complement_degree
 
 SEED = 0
 PARITY_SEED = 20260814
@@ -321,7 +322,9 @@ def _criterion_10() -> dict:
     parts = counterexample_partition(p)
     idents = per_part_identity(parts.partition, parts.h)
     matching = idents[: parts.matching_parts]
-    verdict = conjecture_verdict(parts.partition)
+    total = vempala_sum(parts.partition)  # the cell-by-cell sum, independent of the count
+    assert total == parts.total
+    verdict = conjecture_verdict(total, parts.partition.left_n, parts.partition.right_n)
     return {
         "matching_parts": parts.matching_parts,
         "missing_pairs": parts.missing_pairs,

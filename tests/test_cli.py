@@ -583,6 +583,38 @@ def test_tampered_subchannel_cover_trips_the_gate(tmp_path, capsys, monkeypatch,
         assert "lost inducedness" in err
 
 
+def split_with_singles(edit):
+    """The real split, with its one-pair remainder cover replaced by edit(singles)."""
+    def split(*args, **kwargs):
+        s = REAL_SPLIT(*args, **kwargs)
+        s.singles = edit(s.singles)
+        return s
+    return split
+
+
+# vempala's sum is t + missing only once the partition passes every check;
+# each defect below fails one of them (the desk instance has N^2 = 6561).
+BROKEN_PARTITIONS = {
+    "gate": (tampered_split, "matching part lost inducedness in H"),
+    "tiling": (split_with_singles(lambda c: MatchingCover.from_arrays(c.pairs[:-1], c.offsets[:-1])),
+               "parts cover 6560 of 6561 pairs"),
+    "fill": (split_with_singles(lambda c: MatchingCover.from_arrays(c.pairs, np.delete(c.offsets, 1))),
+             "fill parts hold 2673 pairs in 2672 parts"),
+}
+
+
+@pytest.mark.parametrize("defect", BROKEN_PARTITIONS)
+def test_a_broken_vempala_partition_is_a_verification_failure(tmp_path, capsys, monkeypatch, defect):
+    broken, message = BROKEN_PARTITIONS[defect]
+    monkeypatch.setattr(vempala, "two_channel_split", broken)
+    gen = tmp_path / "gen.txt"
+    gen.write_text(PINNED_TEXT)
+    assert run(["vempala", "--c", "3", "--n", "4", "--d", "2", "--gen", str(gen)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"verification failure: {message}\n"
+
+
 @pytest.mark.parametrize("command,field", [("construct code", "edges"),
                                            ("channel two", "remainder")])
 def test_tampered_exact_count_trips_the_gate(tmp_path, capsys, monkeypatch, command, field):

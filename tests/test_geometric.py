@@ -4,15 +4,16 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from rsgraphs.errors import ParameterError
 from rsgraphs.geometric import (
     GeomParams,
-    balance_vector,
+    _pair_sq_dists,
     build_geometric_graph,
-    center_for_edge,
     decompose_geometric,
     exponent_report,
     in_edge_band,
@@ -20,12 +21,57 @@ from rsgraphs.geometric import (
     max_shell_degree,
     mean_sq_distance,
     missing_edge_bound,
-    scan_shell_antipodal_gaps,
 )
 from rsgraphs.graphs import verify_cover
 from rsgraphs.lattice import lattice_points, vertex_coords
 from test_codegraph_oracle import vertex_id
-from test_geometric_oracle import shell
+from test_geometric_oracle import balance_vector, center_for_edge, shell
+
+
+class ShellGapScan(NamedTuple):
+    shells_checked: int
+    pairs_checked: int
+    max_gap: int
+    violations: list[tuple[int, int, int]]  # (z_id, x_id, y_id) with gap > 4n
+
+
+def scan_shell_antipodal_gaps(p: GeomParams, z_ids) -> ShellGapScan:
+    """For each center z, check the antipodal gap ||y - x'||^2 <= 4n, x' = 2z - x
+    the antipode of x through z, over all adjacent shell pairs x, y.
+
+    Uses the parallelogram form 2||x-z||^2 + 2||y-z||^2 - ||x-y||^2, computed
+    in exact integers (vectorized), so large shells stay tractable.
+    """
+    z_ids = list(z_ids)
+    pts = lattice_points(p.C, p.n)
+    sq = (pts * pts).sum(axis=1)
+    pairs = 0
+    max_gap = -1
+    violations: list[tuple[int, int, int]] = []
+    for z_id in z_ids:
+        dz = _pair_sq_dists(pts[z_id : z_id + 1], pts, sq, sq[z_id : z_id + 1])[0]
+        member_ids = np.flatnonzero(in_shell_band(dz, p))
+        spts = pts[member_ids]
+        ssq = sq[member_ids]
+        sdz = dz[member_ids]
+        block = max(1, 2**21 // max(len(member_ids), 1))
+        for start in range(0, len(member_ids), block):
+            stop = min(start + block, len(member_ids))
+            d2 = _pair_sq_dists(spts[start:stop], spts, ssq, ssq[start:stop])
+            adj = in_edge_band(d2, p)
+            idx = np.arange(start, stop)
+            adj[idx - start, idx] = False
+            gap = 2 * sdz[start:stop, None] + 2 * sdz[None, :] - d2
+            pairs += int(adj.sum())  # ordered pairs; each edge seen twice per shell
+            gmax = gap[adj].max(initial=-1)
+            if gmax > max_gap:
+                max_gap = int(gmax)
+            bad = adj & (gap > 4 * p.n)
+            for bi, bj in zip(*np.nonzero(bad)):
+                violations.append(
+                    (z_id, int(member_ids[start + bi]), int(member_ids[bj]))
+                )
+    return ShellGapScan(len(z_ids), pairs, max_gap, violations)
 
 
 def brute_band_graph(C, n):

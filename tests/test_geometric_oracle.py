@@ -11,6 +11,8 @@ greedy_cover_within's cover from a bool matrix of blocked matchings.
 """
 
 import json
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,18 +21,87 @@ from hypothesis import strategies as st
 
 from rsgraphs import geometric
 from rsgraphs.cli import run
-from rsgraphs.errors import VerificationError
+from rsgraphs.errors import InternalCheckError, ParameterError, VerificationError
 from rsgraphs.geometric import (
     GeomParams,
     build_geometric_graph,
-    center_for_edge,
     decompose_geometric,
+    in_edge_band,
     in_shell_band,
     max_shell_degree,
 )
 from rsgraphs.graphs import Graph, MatchingCover, adjacency_matrix, verify_cover
 from rsgraphs.lattice import lattice_points, vertex_coords
 from test_graph_oracle import bit_graph, bits_of, first_fit, greedy_cover_within
+
+
+class BalanceVector(NamedTuple):
+    """Sign vector with entries in {-1/2, 0, +1/2}, stored doubled as ints."""
+
+    halves: tuple[int, ...]
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(h, 2) for h in self.halves)
+
+
+def balance_vector(a, C: int) -> BalanceVector:
+    """Signs w_i in {+-1/2} on the support of a with |<a, w>| <= C/2.
+
+    Inductively, each w_i opposes the running partial sum of a_j w_j; on a
+    tie the sign is +1/2.  Entries are |a_i| <= C, and w_i = 0 exactly where
+    a_i = 0.
+    """
+    halves = []
+    twice_sum = 0  # 2 * sum(a_j w_j), always an integer
+    for ai in a:
+        if abs(ai) > C:
+            raise ParameterError(f"entry {ai} exceeds the bound {C}")
+        if ai == 0:
+            halves.append(0)
+            continue
+        if twice_sum > 0:
+            h = -1 if ai > 0 else 1
+        elif twice_sum < 0:
+            h = 1 if ai > 0 else -1
+        else:
+            h = 1
+        halves.append(h)
+        twice_sum += ai * h
+        if abs(twice_sum) > C:
+            raise InternalCheckError("balance invariant |2 sum| <= C broken")
+    return BalanceVector(tuple(halves))
+
+
+def center_for_edge(x, y, p: GeomParams, require_edge: bool = True) -> tuple[int, ...]:
+    """Lattice center z = (x+y)/2 + w for the edge xy.
+
+    w balances the odd-difference coordinates, so z is integral and stays in
+    [1..C]^n.  For n >= 2C both endpoints then lie in the shell V_z.
+    require_edge=False skips the adjacency gate and just builds the center.
+    """
+    x, y = tuple(x), tuple(y)
+    if len(x) != p.n or len(y) != p.n:
+        raise ParameterError("coordinate length mismatch")
+    for coords in (x, y):
+        for c in coords:
+            if not 1 <= c <= p.C:
+                raise ParameterError(f"coordinate {c} outside [1..{p.C}]")
+    d2 = sum((xi - yi) ** 2 for xi, yi in zip(x, y))
+    if x == y or (require_edge and not in_edge_band(d2, p)):
+        raise ParameterError("x and y are not adjacent in the band graph")
+    a = [yi - xi if (yi - xi) % 2 else 0 for xi, yi in zip(x, y)]
+    w = balance_vector(a, p.C)
+    z = []
+    for xi, yi, h in zip(x, y, w.halves):
+        num = xi + yi + h
+        if num % 2:
+            raise InternalCheckError("center coordinate is not integral")
+        zi = num // 2
+        if not 1 <= zi <= p.C:
+            raise InternalCheckError("center left the lattice")
+        z.append(zi)
+    return tuple(z)
 
 
 def shell(z, p: GeomParams) -> list[int]:

@@ -36,6 +36,13 @@ def cover_from_matchings(matchings) -> MatchingCover:
     return c
 
 
+def complement_degree(g: Graph, v: int) -> int:
+    """Degree of v in the complement graph: n - 1 - deg(v)."""
+    if not 0 <= v < g.n:
+        raise ParameterError(f"vertex {v} out of range")
+    return g.n - 1 - int(g.degrees()[v])
+
+
 def uniformize(c: MatchingCover, r: int) -> tuple[MatchingCover, list[tuple[int, int]]]:
     """Split every matching into blocks of exactly r edges, dropping remainders.
 

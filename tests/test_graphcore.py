@@ -13,7 +13,6 @@ from rsgraphs.graphs import (
     Graph,
     MatchingCover,
     adjacency_matrix,
-    complement_degree,
     doubled_cover,
     read_cover,
     read_edge_list,
@@ -23,7 +22,7 @@ from rsgraphs.graphs import (
     write_edge_list,
 )
 from test_cover_oracle import doubled_matchings, is_induced_matching, station_matrix, two_sided
-from test_graph_oracle import cover_from_matchings, greedy_cover_within
+from test_graph_oracle import complement_degree, cover_from_matchings, greedy_cover_within
 
 
 def naive_is_induced_matching(edges, m):

@@ -1,6 +1,7 @@
 """Exact evaluation of the bipartite local-density sum and its counterexample."""
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -8,12 +9,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rsgraphs.cli import run
 from rsgraphs.codegraph import CodeGraphParams
-from rsgraphs.codes import LinearCode, build_chain
-from rsgraphs.errors import ParameterError
+from rsgraphs.codes import LinearCode, build_chain, gv_condition, gv_search
+from rsgraphs.errors import ParameterError, SearchFailureError
 from rsgraphs.graphs import group_arrays, offsets_of, pair_groups
 from rsgraphs import vempala
 from rsgraphs.vempala import (
@@ -269,8 +271,7 @@ def test_counterexample_small_instance():
     assert all(v == 1 for v in idents[: parts.matching_parts])
     # singleton non-H parts contribute 0 to the H-restricted sum
     assert all(v == 0 for v in idents[parts.matching_parts :])
-    total = vempala_sum(ep)
-    assert total <= parts.matching_parts + parts.missing_pairs
+    assert vempala_sum(ep) == parts.total == parts.matching_parts + parts.missing_pairs
 
 
 def test_counterexample_desk_counts():
@@ -282,11 +283,68 @@ def test_counterexample_desk_counts():
     assert parts.matching_parts == 972
     assert parts.missing_pairs == 2673
     assert parts.partition.left_n == parts.partition.right_n == 81
+    assert parts.total == vempala_sum(parts.partition) == 3645
+
+
+def unit_identity(parts):
+    """Whether per_part_identity is 1 on every matching part and 0 on every
+    singleton fill part."""
+    idents = per_part_identity(parts.partition, parts.h)
+    return (all(v == 1 for v in idents[: parts.matching_parts])
+            and all(v == 0 for v in idents[parts.matching_parts :]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 6)]
+                    + [(4, n) for n in range(2, 5)]),
+    st.data(),
+)
+def test_total_equals_the_cell_sum_on_gv_chains(cn, data):
+    C, n = cn
+    d = data.draw(st.integers(1, n - 1), label="d")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    try:
+        root = gv_search(n, k, d - 1, seed)
+    except (ParameterError, SearchFailureError):
+        assume(False)
+    parts = counterexample_partition(CodeGraphParams(C, n, d, build_chain(root, d)))
+    assert parts.total == vempala_sum(parts.partition)
+    assert unit_identity(parts)
+
+
+# (C, n, d) of the command's instances with N <= 729, each rooted by the GV
+# search at --seed 1 (the desk instance by PINNED).
+CLI_INSTANCES = [(3, 4, 2), (3, 5, 2), (4, 4, 2), (3, 6, 2), (3, 6, 3), (5, 4, 2)]
+
+
+@pytest.mark.parametrize("c,n,d", CLI_INSTANCES)
+def test_command_sum_equals_the_oracle(tmp_path, capsys, c, n, d):
+    argv = ["vempala", "--c", str(c), "--n", str(n), "--d", str(d)]
+    if (c, n, d) == (3, 4, 2):
+        root = PINNED
+        gen = tmp_path / "gen.txt"
+        gen.write_text("4 2\n11\n11\n10\n10\n")
+        argv += ["--gen", str(gen)]
+    else:
+        k = max(k for k in range(1, n) if gv_condition(n, k, d - 1))  # the command's k
+        root = gv_search(n, k, d - 1, 1)
+        argv += ["--seed", "1"]
+    assert run(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    parts = counterexample_partition(CodeGraphParams(c, n, d, build_chain(root, d)))
+    total = vempala_sum(parts.partition)
+    assert rep["sum"] == f"{total.numerator}/{total.denominator}"
+    assert (rep["matching_parts"], rep["missing_pairs"]) == (parts.matching_parts,
+                                                             parts.missing_pairs)
+    assert rep["per_part_identity_ok"] is True
+    assert unit_identity(parts)
 
 
 def test_verdict_definitions():
     ep = partition(3, 3, [[e] for e in all_pairs(3, 3)])
-    v = conjecture_verdict(ep)
+    v = conjecture_verdict(vempala_sum(ep), ep.left_n, ep.right_n)
     assert v.total == 9
     assert v.refutes is (v.total < v.threshold)
     assert v.refutes is False  # 9 >= 9/ln 3
@@ -295,7 +353,7 @@ def test_verdict_definitions():
 def test_verdict_requires_square():
     ep = partition(2, 3, [[e] for e in all_pairs(2, 3)])
     with pytest.raises(ParameterError):
-        conjecture_verdict(ep)
+        conjecture_verdict(vempala_sum(ep), ep.left_n, ep.right_n)
 
 
 def test_write_partition(tmp_path):
