@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import ParameterError, VerificationError
 from .graphs import (
+    Matching,
     MatchingCover,
     adjacency_matrix,
     doubled_cover,
-    group_arrays,
     induced_groups,
     offsets_of,
     pair_groups,
@@ -35,8 +35,6 @@ if TYPE_CHECKING:
     from .codegraph import CodeGraphParams
     from .geometric import GeomParams
 
-Matching = list[tuple[int, int]]
-
 
 class ChannelPartition:
     """Subchannels (bool (N, N) station matrix, cover) whose pairs
@@ -45,16 +43,14 @@ class ChannelPartition:
     overflow_index is the subchannel holding unassigned pairs, if any, and
     graph_cover the cover the shift channels are made from."""
 
-    __slots__ = ("n_stations", "subchannels", "overflow_index", "attempts_used",
-                 "right_permutations", "graph_cover")
+    __slots__ = ("n_stations", "subchannels", "overflow_index", "attempts_used", "graph_cover")
 
     def __init__(self, n_stations: int, subchannels: list[tuple[np.ndarray, MatchingCover]],
                  overflow_index: int | None = None, attempts_used: int | None = None,
-                 right_permutations: list[list[int]] | None = None,
                  graph_cover: MatchingCover | None = None):
         self.n_stations, self.subchannels = n_stations, subchannels
         self.overflow_index, self.attempts_used = overflow_index, attempts_used
-        self.right_permutations, self.graph_cover = right_permutations, graph_cover
+        self.graph_cover = graph_cover
 
 
 def validate_partition(cp: ChannelPartition) -> None:
@@ -155,7 +151,6 @@ def partition_shifts(
         subchannels=subchannels,
         overflow_index=overflow_index,
         attempts_used=attempt + 1,
-        right_permutations=perms,
         graph_cover=cover,
     )
     validate_partition(cp)
@@ -175,33 +170,21 @@ def _shifted_cover(base: MatchingCover, shift: np.ndarray, perm: np.ndarray) -> 
     order = np.lexsort((right, u, mid))
     pairs = np.stack((u[order], right[order]), axis=1)
     counts = np.bincount(mid, minlength=len(sizes))
-    return MatchingCover.from_arrays(pairs, offsets_of(counts[counts > 0]))
+    return MatchingCover(pairs, offsets_of(counts[counts > 0]))
 
 
 class Schedule:
     """Ordered rounds in columns: round r broadcasts on subchannel chans[r]
     the (transmitter, receiver) pairs pairs[offsets[r]:offsets[r + 1]].
-
-    Schedule(n, k, rounds) takes a list of (subchannel id, matching) rounds;
-    .rounds gives them back as such.
+    .rounds gives the rounds back as (subchannel id, matching) tuples.
     """
 
     __slots__ = ("n_stations", "num_subchannels", "chans", "offsets", "pairs")
 
-    def __init__(self, n_stations: int, num_subchannels: int, rounds: list[tuple[int, Matching]]):
-        self.n_stations = n_stations
-        self.num_subchannels = num_subchannels
-        self.chans = np.fromiter((i for i, _ in rounds), dtype=np.int64, count=len(rounds))
-        self.offsets, self.pairs = group_arrays([m for _, m in rounds])
-
-    @classmethod
-    def from_arrays(
-        cls, n_stations: int, num_subchannels: int, chans, offsets, pairs
-    ) -> "Schedule":
-        s = cls.__new__(cls)
-        s.n_stations, s.num_subchannels = n_stations, num_subchannels
-        s.chans, s.offsets, s.pairs = chans, offsets, pairs
-        return s
+    def __init__(self, n_stations: int, num_subchannels: int, chans: np.ndarray,
+                 offsets: np.ndarray, pairs: np.ndarray):
+        self.n_stations, self.num_subchannels = n_stations, num_subchannels
+        self.chans, self.offsets, self.pairs = chans, offsets, pairs
 
     @property
     def rounds(self) -> list[tuple[int, Matching]]:
@@ -222,7 +205,7 @@ def build_schedule(cp: ChannelPartition) -> Schedule:
     chans = np.repeat(np.arange(len(covers)), [c.t for c in covers])
     sizes = np.concatenate([np.diff(c.offsets) for c in covers])
     pairs = np.concatenate([c.pairs for c in covers])
-    return Schedule.from_arrays(cp.n_stations, len(covers), chans, offsets_of(sizes), pairs)
+    return Schedule(cp.n_stations, len(covers), chans, offsets_of(sizes), pairs)
 
 
 class SimReport(NamedTuple):
@@ -233,7 +216,7 @@ class SimReport(NamedTuple):
     double_deliveries: list[tuple]  # (round, u, v)
 
 
-def simulate(s: Schedule, n_stations: int | None = None) -> SimReport:
+def simulate(s: Schedule) -> SimReport:
     """Replay a schedule and count clean deliveries.
 
     Each subchannel's edge set is taken to be the union of its own rounds
@@ -245,7 +228,7 @@ def simulate(s: Schedule, n_stations: int | None = None) -> SimReport:
     delivers every pair; only the other rounds are replayed receiver by
     receiver.
     """
-    n = s.n_stations if n_stations is None else n_stations
+    n = s.n_stations
     offsets, pairs = s.offsets, s.pairs
     if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
         u, v = pairs[((pairs < 0) | (pairs >= n)).any(axis=1).argmax()].tolist()

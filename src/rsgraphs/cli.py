@@ -421,7 +421,11 @@ def _make_function(descriptor: str, m: int, seed: int) -> lintest.BooleanFunctio
     if descriptor == "and":
         return lintest.and_function(m)
     if descriptor.startswith("random:"):
-        return lintest.random_function(m, int(descriptor.split(":", 1)[1]))
+        try:
+            seed = int(descriptor.split(":", 1)[1])
+        except ValueError:
+            raise ParameterError(f"descriptor {descriptor!r} needs an integer seed") from None
+        return lintest.random_function(m, seed)
     if descriptor.startswith("table:"):
         return lintest.load_table(descriptor.split(":", 1)[1], m)
     raise ParameterError(f"unknown function descriptor {descriptor!r}")
@@ -430,6 +434,8 @@ def _make_function(descriptor: str, m: int, seed: int) -> lintest.BooleanFunctio
 def _cmd_lintest(args) -> int:
     from . import graphs, lintest
 
+    if args.m > lintest.MAX_TRANSFORM_DIM:  # before anything is read or built
+        raise ResourceLimitError(f"m={args.m} exceeds the transform gate {lintest.MAX_TRANSFORM_DIM}")
     g = graphs.read_edge_list(args.edges, lambda n: check_caps(n, args.max_vertices))
     if args.trials * g.n > DEFAULT_MAX_PAIR_CHECKS:
         raise ResourceLimitError(
@@ -444,8 +450,6 @@ def _cmd_lintest(args) -> int:
         )
     if rep.r_min != rep.r_max:
         raise ParameterError("the soundness bound needs a cover whose matchings all have one size")
-    if args.m > lintest.MAX_TRANSFORM_DIM:  # before the 2^m table is built
-        raise ResourceLimitError(f"m={args.m} exceeds the transform gate {lintest.MAX_TRANSFORM_DIM}")
     f = _make_function(args.f, args.m, args.seed)
     d_f = lintest.walsh_correlation(f)
     p_hat, stderr = lintest.estimate_soundness(g, f, args.trials, args.seed)

@@ -72,7 +72,7 @@ def build_code_graph(p: CodeGraphParams, max_vertices: int | None = None) -> Gra
                          lambda a, b: (pts[a:b, None, :] == pts[None, a:, :]).sum(axis=2) < p.d)
 
 
-def enumerate_cover(p: CodeGraphParams, g: Graph | None = None) -> MatchingCover:
+def enumerate_cover(p: CodeGraphParams, g: Graph) -> MatchingCover:
     """One induced matching per flip class, in ascending canonical order.
 
     Swapping coordinate i of an ordered pair (a, b) moves a's id by the step
@@ -87,8 +87,6 @@ def enumerate_cover(p: CodeGraphParams, g: Graph | None = None) -> MatchingCover
     classes are induced by the agreement argument, and the cover gates that
     use them (verify_cover, verify_cover_bipartite) check it.
     """
-    if g is None:
-        g = build_code_graph(p)
     N, n = g.n, p.n
     size = 1 << (p.k - 1)  # edges per class
     pts = lattice_points(p.C, n)
@@ -113,7 +111,7 @@ def enumerate_cover(p: CodeGraphParams, g: Graph | None = None) -> MatchingCover
     if (np.unique(key, return_counts=True)[1] != size).any():
         raise InternalCheckError("flip class has a wrong edge count")
     pairs = g.pairs[np.argsort(key, kind="stable")]
-    return MatchingCover.from_arrays(pairs, np.arange(0, len(pairs) + 1, size))
+    return MatchingCover(pairs, np.arange(0, len(pairs) + 1, size))
 
 
 class MissingEdgeBound(NamedTuple):
@@ -188,9 +186,7 @@ class TwoChannelSplit:
         self.covered, self.cover, self.remainder, self.singles = covered, cover, remainder, singles
 
 
-def two_channel_split(
-    p: CodeGraphParams, g: Graph | None = None, cover: MatchingCover | None = None
-) -> TwoChannelSplit:
+def two_channel_split(p: CodeGraphParams) -> TwoChannelSplit:
     """Split K_{N,N} into the doubled code graph plus everything else.
 
     Station pair (u, v) belongs to the covered part iff uv is a code-graph
@@ -199,10 +195,8 @@ def two_channel_split(
     matchings in ascending order.  The doubled cover is checked where it is
     used, by the K_{N,N} gate.
     """
-    if g is None:
-        g = build_code_graph(p)
-    if cover is None:
-        cover = enumerate_cover(p, g)
+    g = build_code_graph(p)
+    cover = enumerate_cover(p, g)
     adj = adjacency_matrix(g)
     rest = ~adj
     return TwoChannelSplit(adj, doubled_cover(cover, g.n), rest, singles_cover(rest))

@@ -20,6 +20,8 @@ from .errors import (
 )
 
 MAX_ENUM_DIM = 24
+# Parity-check draws gv_search makes before it gives up.
+GV_TRIES = 100
 
 
 class LinearCode(NamedTuple("LinearCode", [("n", int), ("k", int), ("cols", tuple[int, ...]),
@@ -62,17 +64,6 @@ class CodeVerification(NamedTuple):
     is_proper: bool
     distance: int
     rank: int
-
-
-def _rank(vectors) -> int:
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
 
 
 def rref(rows: list[int], width: int):
@@ -125,7 +116,7 @@ def verify_code(c: LinearCode) -> CodeVerification:
     return CodeVerification(
         is_proper=all_ones in words,
         distance=dist,
-        rank=_rank(c.cols),
+        rank=len(rref(c.cols, c.n)[1]),
     )
 
 
@@ -160,16 +151,17 @@ def _even_weight_row(n: int, rng: random.Random) -> int:
     return low | ((low.bit_count() & 1) << (n - 1))
 
 
-def gv_search(n: int, k: int, d: int, seed: int, max_tries: int = 100) -> LinearCode:
+def gv_search(n: int, k: int, d: int, seed: int) -> LinearCode:
     """Search for a verified proper [n, k] code of distance > d.
 
     Each try draws a parity-check matrix via sample_parity_check, pads it with
     further even-weight rows until the kernel has dimension exactly k (even
     weight keeps the all-ones word in the kernel), and verifies the kernel
-    code exhaustively.  claimed_d is set to the verified true distance.
+    code exhaustively.  claimed_d is set to the verified true distance.  The
+    rows all have even weight, so they span at most n - 1 dimensions: k >= 1.
     """
-    if n - k < 1:
-        raise ParameterError(f"need n - k >= 1, got n={n}, k={k}")
+    if not 1 <= k < n:
+        raise ParameterError(f"need 1 <= k < n, got n={n}, k={k}")
     if d < 0:
         raise ParameterError(f"need d >= 0, got d={d}")
     if not gv_condition(n, k, d):
@@ -177,15 +169,10 @@ def gv_search(n: int, k: int, d: int, seed: int, max_tries: int = 100) -> Linear
             f"Gilbert-Varshamov condition fails: sum_i<= {d} C({n},i) >= 2^({n}-{k})"
         )
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(GV_TRIES):
         rows = sample_parity_check(n, k, rng)
-        rank = _rank(rows)
-        while n - rank > k:
-            cand = _even_weight_row(n, rng)
-            new_rank = _rank(rows + [cand])
-            if new_rank > rank:
-                rows.append(cand)
-                rank = new_rank
+        while n - len(rref(rows, n)[1]) > k:  # a dependent row leaves the kernel as it is
+            rows.append(_even_weight_row(n, rng))
         basis = kernel_basis(rows, n)
         if len(basis) != k:
             raise InternalCheckError("kernel dimension drifted from k")
@@ -194,7 +181,7 @@ def gv_search(n: int, k: int, d: int, seed: int, max_tries: int = 100) -> Linear
         if v.is_proper and v.rank == k and v.distance > d:
             return code._replace(claimed_d=v.distance)
     raise SearchFailureError(
-        f"no proper [{n},{k},>{d}] code found in {max_tries} tries (seed {seed})"
+        f"no proper [{n},{k},>{d}] code found in {GV_TRIES} tries (seed {seed})"
     )
 
 

@@ -123,11 +123,9 @@ def _shell_membership(p: GeomParams) -> np.ndarray:
     return member
 
 
-def max_shell_degree(p: GeomParams, g: Graph | None = None) -> int:
+def max_shell_degree(p: GeomParams, g: Graph) -> int:
     """Largest degree of any shell-induced subgraph G_z (by the volume
     argument it is at most (10.5)^n)."""
-    if g is None:
-        g = build_geometric_graph(p)
     member = _shell_membership(p)
     # deg[z, x] = |N(x) & V_z|, the degree of x in G_z when x is a member.
     # The float matmul is exact: every entry is an integer count <= N << 2^53.
@@ -206,7 +204,7 @@ def _lockstep_first_fit(seqs, eu, ev, closed: np.ndarray, match: np.ndarray) -> 
         blocked[r, j] |= (closed[u] | closed[v]) * low[:, None]
 
 
-def decompose_geometric(p: GeomParams, g: Graph | None = None) -> MatchingCover:
+def decompose_geometric(p: GeomParams, g: Graph) -> MatchingCover:
     """Cover E(g) by induced matchings, one first-fit cover per center group.
 
     Each edge goes to the shell of its center z(e) (see _edge_centers), or,
@@ -220,8 +218,6 @@ def decompose_geometric(p: GeomParams, g: Graph | None = None) -> MatchingCover:
     one word per vertex; over MAX_COVER_WORK updates raise ResourceLimitError
     first.  An edge in no shell raises VerificationError.
     """
-    if g is None:
-        g = build_geometric_graph(p)
     eu, ev = g.pairs.T
     if len(eu) * g.n > MAX_COVER_WORK:
         raise ResourceLimitError(f"the shell cover needs {len(eu)} edges x {g.n} vertices "
@@ -254,7 +250,7 @@ def decompose_geometric(p: GeomParams, g: Graph | None = None) -> MatchingCover:
     key = group * len(eu) + match
     rank = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[rank], prepend=-1))
-    cover = MatchingCover.from_arrays(g.pairs[rank], np.append(starts, len(rank)))
+    cover = MatchingCover(g.pairs[rank], np.append(starts, len(rank)))
     d = g.max_degree()
     if cover.t > g.n * 2 * d * d:
         raise InternalCheckError("cover size exceeded the N * 2 d^2 bound")

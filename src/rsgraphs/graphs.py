@@ -18,7 +18,6 @@ induced_groups is the one induced-block kernel: verify_cover_bipartite
 decides on it, and so does verify_cover, through the bipartite double.
 """
 
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -129,15 +128,6 @@ def offsets_of(sizes) -> np.ndarray:
     return offsets
 
 
-def group_arrays(groups: list) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets and pairs of a list of groups of int pairs: group i is
-    pairs[offsets[i]:offsets[i + 1]] of the (M, 2) int64 pair array."""
-    offsets = offsets_of(np.fromiter(map(len, groups), dtype=np.int64, count=len(groups)))
-    flat = chain.from_iterable(chain.from_iterable(groups))
-    pairs = np.fromiter(flat, dtype=np.int64, count=2 * int(offsets[-1])).reshape(-1, 2)
-    return offsets, pairs
-
-
 def pair_groups(pairs: np.ndarray, offsets: np.ndarray) -> list[list[Edge]]:
     """The groups of (u, v) tuples that offsets cut pairs into."""
     flat = list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
@@ -148,21 +138,13 @@ def pair_groups(pairs: np.ndarray, offsets: np.ndarray) -> list[list[Edge]]:
 class MatchingCover:
     """Matchings in columns: pairs is an (M, 2) int64 array of edges,
     matching after matching, and matching i is pairs[offsets[i]:offsets[i+1]].
-
-    MatchingCover(matchings) takes a list of matchings, each a list of
-    (u, v) pairs; .matchings gives them back as such lists.
+    .matchings gives the matchings back as lists of (u, v) pairs.
     """
 
     __slots__ = ("pairs", "offsets")
 
-    def __init__(self, matchings: list[Matching]):
-        self.offsets, self.pairs = group_arrays(matchings)
-
-    @classmethod
-    def from_arrays(cls, pairs: np.ndarray, offsets: np.ndarray) -> "MatchingCover":
-        c = cls.__new__(cls)
-        c.pairs, c.offsets = pairs, offsets
-        return c
+    def __init__(self, pairs: np.ndarray, offsets: np.ndarray):
+        self.pairs, self.offsets = pairs, offsets
 
     @property
     def matchings(self) -> list[Matching]:
@@ -350,14 +332,14 @@ def verify_cover_bipartite(mat: np.ndarray, c: MatchingCover) -> CoverReport:
         return _report(c, [])
     g = Graph(2 * n, key_pairs(np.flatnonzero(mat), n) + (0, n))  # row-major: sorted
     two = np.column_stack([us + n * (us >= n), vs + n * (vs >= 0)])
-    return verify_cover(g, MatchingCover.from_arrays(two, c.offsets))
+    return verify_cover(g, MatchingCover(two, c.offsets))
 
 
 def singles_cover(mat: np.ndarray) -> MatchingCover:
     """The cover of the station matrix mat by one-pair matchings: (u, v)
     for each set mat[u, v], in ascending order."""
     pairs = key_pairs(np.flatnonzero(mat), len(mat))
-    return MatchingCover.from_arrays(pairs, np.arange(len(pairs) + 1))
+    return MatchingCover(pairs, np.arange(len(pairs) + 1))
 
 
 def doubled_cover(c: MatchingCover, n: int) -> MatchingCover:
@@ -373,7 +355,7 @@ def doubled_cover(c: MatchingCover, n: int) -> MatchingCover:
     for size in np.flatnonzero(np.bincount(sizes[sizes > 1])).tolist():
         pos = offsets[:-1][sizes == size, None] + np.arange(size)
         order[pos] = np.take_along_axis(pos, key[pos].argsort(axis=1), axis=1)
-    return MatchingCover.from_arrays(pairs[order], offsets)
+    return MatchingCover(pairs[order], offsets)
 
 
 # ---------------------------------------------------------------------------

@@ -52,13 +52,12 @@ def linear_function(m: int, coeffs: int) -> BooleanFunction:
     return BooleanFunction(m, table)
 
 
-def and_function(m: int, arity: int = 2) -> BooleanFunction:
-    """AND of the first `arity` coordinates, padded to m variables."""
-    if not 1 <= arity <= m:
-        raise ParameterError(f"need 1 <= arity <= m, got arity={arity}")
+def and_function(m: int) -> BooleanFunction:
+    """AND of the first two coordinates, padded to m variables."""
+    if m < 2:
+        raise ParameterError(f"the AND of two coordinates needs m >= 2, got m={m}")
     xs = np.arange(1 << m, dtype=np.int64)
-    mask = (1 << arity) - 1
-    return BooleanFunction(m, ((xs & mask) == mask).astype(np.uint8))
+    return BooleanFunction(m, ((xs & 3) == 3).astype(np.uint8))
 
 
 def random_function(m: int, seed: int) -> BooleanFunction:
@@ -102,6 +101,8 @@ def estimate_soundness(
     """
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
+    if seed < 0:
+        raise ParameterError(f"need a nonnegative seed, got {seed}")
     x = _points(g.n, f.m, trials, seed)
     table = f.table
     fx = table[x]

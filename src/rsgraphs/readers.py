@@ -305,7 +305,7 @@ def _groups(path, template: tuple[str, str], head, sep: str):
 
 def read_cover(path: str) -> MatchingCover:
     _, sizes, pairs = _groups(path, _COVER_TEMPLATE, _cover_head, "-")
-    return MatchingCover.from_arrays(pairs, offsets_of(sizes))
+    return MatchingCover(pairs, offsets_of(sizes))
 
 
 def _cover_head(path, lineno: int, text: str, index: int) -> int:
@@ -325,7 +325,7 @@ def read_schedule(path: str, n_stations: int | None = None) -> "Schedule":
     if n_stations is None:
         n_stations = int(pairs.max()) + 1 if len(pairs) else 0
     k = int(chans.max()) + 1 if len(chans) else 0
-    return Schedule.from_arrays(n_stations, k, chans.copy(), offsets_of(sizes), pairs)
+    return Schedule(n_stations, k, chans.copy(), offsets_of(sizes), pairs)
 
 
 def _schedule_head(path, lineno: int, text: str, index: int) -> int:

@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from rsgraphs.channels import Schedule, build_schedule, partition_two, simulate, validate_partition
+from rsgraphs.channels import build_schedule, partition_two, simulate, validate_partition
 from rsgraphs.cli import _jsonable
 from rsgraphs.codegraph import (
     CodeGraphParams,
@@ -40,7 +40,7 @@ from rsgraphs.vempala import (
 )
 from test_geometric import scan_shell_antipodal_gaps
 from test_geometric_oracle import center_for_edge
-from test_graph_oracle import complement_degree
+from test_graph_oracle import complement_degree, schedule_of as Schedule
 
 SEED = 0
 PARITY_SEED = 20260814

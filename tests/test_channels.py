@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from rsgraphs import graphs
 from rsgraphs.channels import (
     ChannelPartition,
-    Schedule,
     SimReport,
     build_schedule,
     meshulam_lower_bound,
@@ -34,11 +33,11 @@ from rsgraphs.codegraph import (
 from rsgraphs.codes import LinearCode, build_chain, gv_search
 from rsgraphs.errors import ParameterError, SearchFailureError, VerificationError
 from rsgraphs.geometric import GeomParams, build_geometric_graph, decompose_geometric
-from rsgraphs.graphs import MatchingCover, write_cover
+from rsgraphs.graphs import write_cover
 from rsgraphs.vempala import counterexample_partition
 from test_codegraph_oracle import oracle_enumerate_cover
 from test_cover_oracle import doubled_matchings, station_matrix
-from test_graph_oracle import bit_graph, bits_of
+from test_graph_oracle import bit_graph, bits_of, cover_of, schedule_of
 
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
 
@@ -49,17 +48,17 @@ def round_counts(cp):
 
 def singles(mat):
     """The one-pair matchings of the station pairs of mat, ascending."""
-    return MatchingCover([[(u, v)] for u, v in np.argwhere(mat).tolist()])
+    return cover_of([[(u, v)] for u, v in np.argwhere(mat).tolist()])
 
 
 def small_params():
     return CodeGraphParams(2, 2, 1, build_chain(LinearCode(2, 1, (0b11,), claimed_d=2), 1))
 
 
-def oracle_simulate(s, n_stations=None):
+def oracle_simulate(s):
     """Oracle: replay round by round with bitmask columns per channel and a
     delivered flag per station pair."""
-    n = s.n_stations if n_stations is None else n_stations
+    n = s.n_stations
     chan_cols = {}
     for i, m in s.rounds:
         cols = chan_cols.setdefault(i, [0] * n)
@@ -118,23 +117,22 @@ def schedules(draw):
     for _ in range(draw(st.integers(0, 4))):  # repeat earlier rounds
         if rounds:
             rounds.append(rounds[draw(st.integers(0, len(rounds) - 1))])
-    n_stations = draw(st.none() | st.integers(1, n))
-    return Schedule(n, max(chans) + 1, rounds), n_stations
+    n_stations = draw(st.integers(1, n))
+    return schedule_of(n_stations, max(chans) + 1, rounds)
 
 
 @settings(max_examples=400, deadline=None)
 @given(schedules(), st.integers(1, 64))
-def test_simulate_matches_oracle_on_random_schedules(case, block_cells):
-    s, n_stations = case
+def test_simulate_matches_oracle_on_random_schedules(s, block_cells):
     with mock.patch.object(graphs, "_BLOCK_CELLS", block_cells):
         try:
-            want = oracle_simulate(s, n_stations)
+            want = oracle_simulate(s)
         except ParameterError as exc:
             with pytest.raises(ParameterError) as got:
-                simulate(s, n_stations)
+                simulate(s)
             assert str(got.value) == str(exc)
             return
-        assert simulate(s, n_stations) == want
+        assert simulate(s) == want
 
 
 def naive_delivery(schedule):
@@ -245,7 +243,7 @@ def check_mutations(base):
     pair = rounds[a][1].pop(0)
     rounds[b][1].append(pair)
     rounds = [(i, m) for i, m in rounds if m]
-    mutated = Schedule(base.n_stations, base.num_subchannels, rounds)
+    mutated = schedule_of(base.n_stations, base.num_subchannels, rounds)
     rep = simulate(mutated)
     assert rep == oracle_simulate(mutated)
     _, want_garbles, want_doubles = naive_delivery(mutated)
@@ -255,7 +253,7 @@ def check_mutations(base):
     rounds2 = [(i, list(m)) for i, m in base.rounds]
     i0, m0 = rounds2[-1]
     rounds2.append((i0, list(m0)))
-    dup = Schedule(base.n_stations, base.num_subchannels, rounds2)
+    dup = schedule_of(base.n_stations, base.num_subchannels, rounds2)
     rep2 = simulate(dup)
     assert rep2 == oracle_simulate(dup)
     _, want_garbles2, want_doubles2 = naive_delivery(dup)
@@ -265,7 +263,7 @@ def check_mutations(base):
 
 
 def test_simulate_rejects_out_of_range():
-    s = Schedule(2, 1, [(0, [(0, 5)])])
+    s = schedule_of(2, 1, [(0, [(0, 5)])])
     with pytest.raises(ParameterError):
         simulate(s)
 
@@ -284,7 +282,9 @@ def test_partition_shifts_deterministic():
     p = GeomParams(2, 2)
     a = partition_shifts(p, 2, seed=9, max_attempts=5)
     b = partition_shifts(p, 2, seed=9, max_attempts=5)
-    assert a.right_permutations == b.right_permutations
+    # the subchannel matrices carry the drawn permutations
+    assert len(a.subchannels) == len(b.subchannels)
+    assert all(np.array_equal(x, y) for (x, _), (y, _) in zip(a.subchannels, b.subchannels))
     assert round_counts(a) == round_counts(b)
     sa = build_schedule(a)
     sb = build_schedule(b)
@@ -350,12 +350,12 @@ def oracle_partition_shifts(p, num_channels, seed, max_attempts=1):
             rest = [(u, perm[w]) for u, w in m if (rows[u] >> perm[w]) & 1]
             if rest:
                 matchings.append(sorted(rest))
-        subchannels.append((station_matrix(rows), MatchingCover(matchings)))
+        subchannels.append((station_matrix(rows), cover_of(matchings)))
     overflow_index = None
     if ov_size:
         overflow_index = len(subchannels)
         subchannels.append((station_matrix(overflow), singles(station_matrix(overflow))))
-    return ChannelPartition(n, subchannels, overflow_index, attempt + 1, perms)
+    return ChannelPartition(n, subchannels, overflow_index, attempt + 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -372,9 +372,10 @@ def test_partition_shifts_matches_oracle(cn, num_channels, seed, attempts):
     except VerificationError:
         assume(False)
     got = partition_shifts(p, num_channels, seed, max_attempts=attempts)
-    fields = ("n_stations", "overflow_index", "attempts_used", "right_permutations")
+    fields = ("n_stations", "overflow_index", "attempts_used")
     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
     assert len(got.subchannels) == len(want.subchannels)
+    # the subchannel matrices carry the drawn permutations
     for (mat, cover), (want_mat, want_cover) in zip(got.subchannels, want.subchannels):
         assert np.array_equal(mat, want_mat) and cover == want_cover
     a, b = build_schedule(got), build_schedule(want)

@@ -19,6 +19,7 @@ from rsgraphs import channels, cli, codegraph, geometric, graphs, vempala
 from rsgraphs.cli import _jsonable, run
 from rsgraphs.graphs import MatchingCover, read_cover, read_edge_list, verify_cover
 from test_cover_oracle import is_induced_matching, two_sided
+from test_graph_oracle import cover_of
 
 PINNED_TEXT = "4 2\n11\n11\n10\n10\n"
 
@@ -521,10 +522,9 @@ def test_lintest_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("f", ["linear", "random:1", "table:{table}"])
 def test_lintest_refuses_m_above_the_transform_gate_before_building_f(tmp_path, capsys, f):
-    # m=40 asks for a 2^40 table: refused before it is built or read
+    # m=40 asks for a 2^40 table: refused before it is built or read, and
+    # before the artifacts are read (neither file exists)
     edges, cover, table = tmp_path / "edges.txt", tmp_path / "cover.txt", tmp_path / "f.txt"
-    edges.write_text("2 1\n0 1\n")
-    cover.write_text("0: 0-1\n")
     table.write_text("0110\n")
     start = time.perf_counter()
     code = run(["lintest", "--edges", str(edges), "--cover", str(cover), "--m", "40",
@@ -532,6 +532,39 @@ def test_lintest_refuses_m_above_the_transform_gate_before_building_f(tmp_path, 
     assert time.perf_counter() - start < 1
     assert code == 3
     assert "m=40 exceeds the transform gate 24" in capsys.readouterr().err
+
+
+def cli_process(argv, cwd) -> subprocess.CompletedProcess:
+    """The CLI run in a Python of its own; a hang fails the test at 20 s."""
+    return subprocess.run([sys.executable, "-m", "rsgraphs.cli", *argv], capture_output=True,
+                          text=True, env=child_env(), cwd=cwd, timeout=20)
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_codes_gv_refuses_a_dimension_below_one(tmp_path, k):
+    # even-weight parity rows span at most n - 1 dimensions: k = 0 is never reached
+    proc = cli_process(["codes", "gv", "--n", "5", "--k", k, "--d", "1"], tmp_path)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert "need 1 <= k < n" in proc.stderr
+
+
+@pytest.mark.parametrize("extra", [["--f", "random:x"], ["--f", "random:"],
+                                   ["--f", "and", "--seed", "-1"]])
+def test_lintest_bad_seed_exits_1_without_a_traceback(tmp_path, extra):
+    (tmp_path / "e.txt").write_text("2 1\n0 1\n")
+    (tmp_path / "c.txt").write_text("0: 0-1\n")
+    argv = ["lintest", "--edges", "e.txt", "--cover", "c.txt", "--m", "4", "--trials", "1"]
+    proc = cli_process(argv + extra, tmp_path)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert ("nonnegative seed" if "--seed" in extra else "needs an integer seed") in proc.stderr
+
+
+def test_lintest_random_takes_a_negative_seed(tmp_path, capsys):
+    (tmp_path / "e.txt").write_text("2 1\n0 1\n")
+    (tmp_path / "c.txt").write_text("0: 0-1\n")
+    assert run(["lintest", "--edges", str(tmp_path / "e.txt"), "--cover", str(tmp_path / "c.txt"),
+                "--m", "4", "--f", "random:-1", "--trials", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["f"] == "random:-1"
 
 
 def test_vempala_command(tmp_path, capsys):
@@ -563,7 +596,7 @@ def tampered_split(*args, **kwargs):
     g, pairs = two_sided(split.covered, ms)
     j = next(j for j in range(1, len(ms)) if not is_induced_matching(g, pairs[0] + pairs[j]))
     ms[0] = sorted(ms[0] + ms.pop(j))
-    split.cover = MatchingCover(ms)
+    split.cover = cover_of(ms)
     return split
 
 
@@ -596,9 +629,9 @@ def split_with_singles(edit):
 # each defect below fails one of them (the desk instance has N^2 = 6561).
 BROKEN_PARTITIONS = {
     "gate": (tampered_split, "matching part lost inducedness in H"),
-    "tiling": (split_with_singles(lambda c: MatchingCover.from_arrays(c.pairs[:-1], c.offsets[:-1])),
+    "tiling": (split_with_singles(lambda c: MatchingCover(c.pairs[:-1], c.offsets[:-1])),
                "parts cover 6560 of 6561 pairs"),
-    "fill": (split_with_singles(lambda c: MatchingCover.from_arrays(c.pairs, np.delete(c.offsets, 1))),
+    "fill": (split_with_singles(lambda c: MatchingCover(c.pairs, np.delete(c.offsets, 1))),
              "fill parts hold 2673 pairs in 2672 parts"),
 }
 

@@ -170,8 +170,7 @@ def test_cover_exponents_headline_regime():
 def test_two_channel_split_desk():
     p = desk_params()
     g = build_code_graph(p)
-    cover = enumerate_cover(p, g)
-    split = two_channel_split(p, g, cover)
+    split = two_channel_split(p)
     assert np.count_nonzero(split.covered) == 2 * 1944
     assert np.count_nonzero(split.remainder) == 81 * 81 - 2 * 1944
     assert np.count_nonzero(split.remainder) == 2673
@@ -196,7 +195,7 @@ def test_cover_counts_equal_the_built_split(params, want):
     assert cover_counts(p.C, p.n, p.d, p.k) == want
     g = build_code_graph(p)
     cover = enumerate_cover(p, g)
-    split = two_channel_split(p, g, cover)
+    split = two_channel_split(p)
     remainder = np.count_nonzero(split.remainder)
     assert (g.edge_count, cover.t, remainder) == (want.edges, want.t, want.remainder)
     assert np.count_nonzero(split.covered) == 2 * want.edges

@@ -3,9 +3,11 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 
+from rsgraphs import codes
 from rsgraphs.codes import (
     CodeChain,
     LinearCode,
@@ -261,6 +263,6 @@ def test_read_generator_rejects_malformed(tmp_path):
 
 def test_search_failure_is_distinct():
     # forcing k to exceed what even-weight padding can reach is awkward;
-    # instead drive max_tries to zero through an impossible verify loop
-    with pytest.raises(SearchFailureError):
-        gv_search(8, 2, 2, 0, max_tries=0)
+    # instead allow zero tries
+    with mock.patch.object(codes, "GV_TRIES", 0), pytest.raises(SearchFailureError):
+        gv_search(8, 2, 2, 0)

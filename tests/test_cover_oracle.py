@@ -27,7 +27,7 @@ from rsgraphs.graphs import (
     verify_cover,
     verify_cover_bipartite,
 )
-from test_graph_oracle import bit_graph, bits_of, greedy_cover_within, unpack_rows
+from test_graph_oracle import bit_graph, bits_of, cover_of, greedy_cover_within, unpack_rows
 
 
 def station_matrix(rows: list[int]) -> np.ndarray:
@@ -246,7 +246,7 @@ def graphs_with_covers(draw):
     kinds = draw(st.sampled_from([range(8), SAME_PAIRS]))
     for _ in range(draw(st.integers(0, 6))):
         damage(rnd, ms, both, pairs, kinds)
-    return g, MatchingCover(ms)
+    return g, cover_of(ms)
 
 
 @st.composite
@@ -288,13 +288,13 @@ def test_bipartite_gate_agrees_with_oracle(rc, rnd, block_cells):
         g, two_sided_cover = two_sided(mat, cover)
         with mock.patch.object(graphs, "_BLOCK_CELLS", block_cells), \
                 mock.patch.object(graphs, "verify_cover", wraps=graphs.verify_cover) as search:
-            got = verify_cover_bipartite(mat, MatchingCover(cover))
+            got = verify_cover_bipartite(mat, cover_of(cover))
         # the report, witnesses included, of the graph on 2N vertices; only
         # an invalid cover is searched there
-        assert got == oracle_verify_cover(g, MatchingCover(two_sided_cover))
+        assert got == oracle_verify_cover(g, cover_of(two_sided_cover))
         assert search.called == (not got.valid)
         if all(0 <= x < n for m in cover for e in m for x in e):
-            want = oracle_verify_cover_bipartite(rows, MatchingCover(cover))
+            want = oracle_verify_cover_bipartite(rows, cover_of(cover))
             assert got.valid == want.valid
             assert Counter(k for k, _ in got.violations) == Counter(k for k, _ in want.violations)
             assert (got.t, got.r_min, got.r_max) == (want.t, want.r_min, want.r_max)

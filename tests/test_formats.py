@@ -30,7 +30,7 @@ from rsgraphs.graphs import Graph, MatchingCover, offsets_of, write_cover, write
 from rsgraphs.lintest import load_table
 from rsgraphs.readers import parse_pairs, read_cover, read_edge_list, read_schedule
 from rsgraphs.vempala import write_partition
-from test_graph_oracle import BitGraph
+from test_graph_oracle import BitGraph, cover_of, schedule_of
 from test_vempala import partition
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def oracle_read_cover(path) -> MatchingCover:
         flat.extend(ids)
         sizes.append(len(ids) // 2)
     pairs = np.array(flat, dtype=np.int64).reshape(-1, 2)
-    return MatchingCover.from_arrays(pairs, offsets_of(sizes))
+    return MatchingCover(pairs, offsets_of(sizes))
 
 
 def oracle_read_schedule(path, n_stations=None) -> Schedule:
@@ -111,7 +111,7 @@ def oracle_read_schedule(path, n_stations=None) -> Schedule:
         n_stations = int(pairs.max()) + 1 if len(pairs) else 0
     k = max(chans, default=-1) + 1
     chan_ids = np.array(chans, dtype=np.int64)
-    return Schedule.from_arrays(n_stations, k, chan_ids, offsets_of(sizes), pairs)
+    return Schedule(n_stations, k, chan_ids, offsets_of(sizes), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +161,13 @@ def graphs_(draw):
 
 @st.composite
 def covers(draw):
-    return MatchingCover(draw(st.lists(small_pairs, max_size=6)))
+    return cover_of(draw(st.lists(small_pairs, max_size=6)))
 
 
 @st.composite
 def schedules(draw):
     rounds = draw(st.lists(st.tuples(st.integers(0, 3), small_pairs), max_size=6))
-    return Schedule(41, 4, rounds)
+    return schedule_of(41, 4, rounds)
 
 
 FORMATS = {
@@ -415,7 +415,7 @@ def test_a_long_whitespace_run_fails_in_linear_time(tmp_path, fmt, prefix, tail)
 def test_chunk_edges_do_not_change_what_is_read(tmp_path, read_chars):
     # Chunks are cut after a newline; a line longer than a chunk makes its own.
     rounds = [(i % 2, [(i, j) for j in range(i % 5)]) for i in range(40)]
-    s = Schedule(41, 2, rounds)
+    s = schedule_of(41, 2, rounds)
     path = tmp_path / "s.txt"
     write_schedule(s, path)
     text = path.read_text().replace(": ", ":\t \t", 3)
@@ -542,8 +542,8 @@ def test_writers_match_one_format_per_pair(tmp_path, write_ids, groups, chans, o
     g = Graph.from_edges(41, [e for m in groups for e in m if e[0] != e[1]])
     with mock.patch.object(graphs, "_WRITE_IDS", write_ids):
         write_edge_list(g, tmp_path / "e.txt")
-        write_cover(MatchingCover(groups), tmp_path / "c.txt")
-        write_schedule(Schedule(41, 10, list(zip(chans, groups))), tmp_path / "s.txt")
+        write_cover(cover_of(groups), tmp_path / "c.txt")
+        write_schedule(schedule_of(41, 10, list(zip(chans, groups))), tmp_path / "s.txt")
         write_partition(partition(3, 4, parts), tmp_path / "p.txt")
 
     def lines(groups, head, sep):
@@ -571,8 +571,8 @@ def test_a_long_schedule_is_written_in_flat_memory(tmp_path):
     # 2^16 one-pair rounds, every station pair of 256 stations: the writer
     # holds one chunk of about _WRITE_IDS ids as Python objects at a time
     n = 256
-    s = Schedule.from_arrays(n, 2, np.arange(n * n) % 2, np.arange(n * n + 1),
-                             graphs.key_pairs(np.arange(n * n), n))
+    s = Schedule(n, 2, np.arange(n * n) % 2, np.arange(n * n + 1),
+                 graphs.key_pairs(np.arange(n * n), n))
     assert peak_of(write_schedule, s, tmp_path / "s.txt") < 2 << 20
     lines = (tmp_path / "s.txt").read_text().splitlines()
     assert len(lines) == n * n
@@ -583,7 +583,7 @@ def test_many_empty_matchings_are_written_in_flat_memory(tmp_path):
     # 2^18 matchings and no pairs: a column of every ordinal alone would
     # take the 2 MB the writer may use
     t = 1 << 18
-    c = MatchingCover.from_arrays(np.empty((0, 2), dtype=np.int64), np.zeros(t + 1, dtype=np.int64))
+    c = MatchingCover(np.empty((0, 2), dtype=np.int64), np.zeros(t + 1, dtype=np.int64))
     assert peak_of(write_cover, c, tmp_path / "c.txt") < 2 << 20
     text = (tmp_path / "c.txt").read_text()
     assert text.startswith("0:\n1:\n") and text.endswith(f"\n{t - 1}:\n") and text.count("\n") == t

@@ -265,7 +265,7 @@ def test_decompose_small_instances():
 def test_max_shell_degree_within_growth_cap():
     for C, n in ((2, 4), (3, 2)):
         p = GeomParams(C, n)
-        assert max_shell_degree(p) <= 10.5**n
+        assert max_shell_degree(p, build_geometric_graph(p)) <= 10.5**n
 
 
 def test_scan_gaps_zero_violations_small():

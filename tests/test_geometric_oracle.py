@@ -30,9 +30,9 @@ from rsgraphs.geometric import (
     in_shell_band,
     max_shell_degree,
 )
-from rsgraphs.graphs import Graph, MatchingCover, adjacency_matrix, verify_cover
+from rsgraphs.graphs import Graph, adjacency_matrix, verify_cover
 from rsgraphs.lattice import lattice_points, vertex_coords
-from test_graph_oracle import bit_graph, bits_of, first_fit, greedy_cover_within
+from test_graph_oracle import bit_graph, bits_of, cover_of, first_fit, greedy_cover_within
 
 
 class BalanceVector(NamedTuple):
@@ -240,7 +240,7 @@ def test_center_and_first_shell_covers_are_both_valid(C, n):
         assert center == first
         return
     for ms in (center, first):
-        assert verify_cover(g, MatchingCover(ms)).valid
+        assert verify_cover(g, cover_of(ms)).valid
     if C == 2:  # the band graph is complete, so every matching is one edge
         assert sorted(center) == sorted(first)
 
@@ -319,7 +319,8 @@ def test_cover_equals_reference_after_edge_deletions(cn, drop, rnd):
 
 
 def test_empty_lattice_dimension(capsys):
-    assert decompose_geometric(GeomParams(2, 0)).matchings == []
+    p = GeomParams(2, 0)
+    assert decompose_geometric(p, build_geometric_graph(p)).matchings == []
     assert run(["construct", "geometric", "--c", "2", "--n", "0"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert (rep["N"], rep["edges"], rep["t"]) == (1, 0, 0)
@@ -328,7 +329,7 @@ def test_empty_lattice_dimension(capsys):
 
 def test_uncovered_edge_is_reported(capsys):
     with pytest.raises(VerificationError) as exc:
-        decompose_geometric(GeomParams(2, 1))
+        decompose_geometric(GeomParams(2, 1), build_geometric_graph(GeomParams(2, 1)))
     assert "(0, 1)" in str(exc.value)
     assert "violated" in str(exc.value)
     assert run(["construct", "geometric", "--c", "2", "--n", "1"]) == 2

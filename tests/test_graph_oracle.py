@@ -6,8 +6,11 @@ that have edges, so that a huge vertex count costs nothing.  It is the
 oracle of the properties below (from_edges, triangle_census,
 greedy_bipartition) and of the other bitmask oracles in tests/, first_fit
 among them, which take an edge-array Graph and read it through bit_graph.
+It also builds the tests' covers and schedules from lists of pairs
+(cover_of, schedule_of): the package builds them only from their arrays.
 """
 
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -16,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsgraphs import graphs, limits
+from rsgraphs.channels import Schedule
 from rsgraphs.errors import InternalCheckError, ParameterError
-from rsgraphs.graphs import Graph, MatchingCover, adjacency_matrix
+from rsgraphs.graphs import Graph, MatchingCover, adjacency_matrix, offsets_of
 from rsgraphs.limits import greedy_bipartition, triangle_census, triangle_graph
 
 
@@ -29,9 +33,31 @@ def bits_of(mask: int):
         mask ^= low
 
 
+def group_arrays(groups: list) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and pairs of a list of groups of int pairs: group i is
+    pairs[offsets[i]:offsets[i + 1]] of the (M, 2) int64 pair array."""
+    offsets = offsets_of(np.fromiter(map(len, groups), dtype=np.int64, count=len(groups)))
+    flat = chain.from_iterable(chain.from_iterable(groups))
+    pairs = np.fromiter(flat, dtype=np.int64, count=2 * int(offsets[-1])).reshape(-1, 2)
+    return offsets, pairs
+
+
+def cover_of(matchings: list) -> MatchingCover:
+    """The cover of a list of matchings, each a list of (u, v) pairs."""
+    offsets, pairs = group_arrays(matchings)
+    return MatchingCover(pairs, offsets)
+
+
+def schedule_of(n_stations: int, num_subchannels: int, rounds: list) -> Schedule:
+    """The schedule of a list of (subchannel id, matching) rounds."""
+    chans = np.fromiter((i for i, _ in rounds), dtype=np.int64, count=len(rounds))
+    offsets, pairs = group_arrays([m for _, m in rounds])
+    return Schedule(n_stations, num_subchannels, chans, offsets, pairs)
+
+
 def cover_from_matchings(matchings) -> MatchingCover:
     """The cover of the given matchings with each pair written (u, v), u <= v."""
-    c = MatchingCover(list(matchings))
+    c = cover_of(list(matchings))
     c.pairs.sort(axis=1)
     return c
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from rsgraphs.errors import ParameterError
 from rsgraphs.graphs import (
     Graph,
-    MatchingCover,
     adjacency_matrix,
     doubled_cover,
     read_cover,
@@ -22,7 +21,7 @@ from rsgraphs.graphs import (
     write_edge_list,
 )
 from test_cover_oracle import doubled_matchings, is_induced_matching, station_matrix, two_sided
-from test_graph_oracle import complement_degree, cover_from_matchings, greedy_cover_within
+from test_graph_oracle import complement_degree, cover_from_matchings, cover_of, greedy_cover_within
 
 
 def naive_is_induced_matching(edges, m):
@@ -130,7 +129,7 @@ def test_verify_cover_valid_and_kinds():
 
     # ids outside the graph, negative or past the last vertex, beside an edge
     for e in ((-1, 2), (2, 4), (-2, -1)):
-        rep = verify_cover(g, MatchingCover([[(0, 1), e], [(2, 3)]]))
+        rep = verify_cover(g, cover_of([[(0, 1), e], [(2, 3)]]))
         assert rep.violations == [("edge-not-in-graph", (0, e))]
 
     # shared endpoint
@@ -222,7 +221,7 @@ def mixed_covers(draw):
     for size in draw(st.lists(sizes, max_size=12)):
         ends = draw(st.permutations(range(n)))[: 2 * size]
         matchings.append(list(zip(ends[0::2], ends[1::2])))
-    return MatchingCover(matchings), n
+    return cover_of(matchings), n
 
 
 @settings(max_examples=200, deadline=None)
@@ -236,24 +235,24 @@ def test_doubled_cover_equals_the_oracle(drawn):
 
 def test_verify_cover_bipartite_kinds():
     k22 = station_matrix([0b11, 0b11])
-    c = MatchingCover([[(0, 0), (1, 1)], [(0, 1), (1, 0)]])
+    c = cover_of([[(0, 0), (1, 1)], [(0, 1), (1, 0)]])
     rep = verify_cover_bipartite(k22, c)
     # (0,0) and (1,1) are joined by the pair (0,1); not induced
     assert not rep.valid
     assert any(k == "cross-edge" for k, _ in rep.violations)
 
     path = station_matrix([0b01, 0b11])
-    c = MatchingCover([[(0, 0)], [(1, 0)], [(1, 1)]])
+    c = cover_of([[(0, 0)], [(1, 0)], [(1, 1)]])
     assert verify_cover_bipartite(path, c).valid
     # (0, 2) and (2, 0) are no station pairs of N = 2, though the key
     # 0 * 2 + 2 of the first is that of (1, 0); on 2N vertices they are
     # (0, 4) and (2, 4), each with an id past the last vertex
     for pair, outside in (((0, 2), (0, 4)), ((2, 0), (2, 4))):
-        rep = verify_cover_bipartite(path, MatchingCover([[(0, 0)], [pair], [(1, 1)]]))
+        rep = verify_cover_bipartite(path, cover_of([[(0, 0)], [pair], [(1, 1)]]))
         assert rep.violations == [("edge-not-in-graph", (1, outside)), ("uncovered-edge", (1, 2))]
     # (1, -1) of N = 1 would be (1, 0) on 2N vertices, the edge of the pair
     # (0, 0), if its ids were not kept off the 2N vertices
-    rep = verify_cover_bipartite(station_matrix([0b1]), MatchingCover([[(1, -1)]]))
+    rep = verify_cover_bipartite(station_matrix([0b1]), cover_of([[(1, -1)]]))
     assert rep.violations == [("edge-not-in-graph", (0, (-1, 2))), ("uncovered-edge", (0, 1))]
 
 

@@ -20,7 +20,7 @@ from rsgraphs.errors import (
     SearchFailureError,
     VerificationError,
 )
-from rsgraphs.graphs import Graph, MatchingCover, verify_cover
+from rsgraphs.graphs import Graph, verify_cover
 from rsgraphs.limits import (
     TriangleGraph,
     check_min_degree_bound,
@@ -32,6 +32,7 @@ from rsgraphs.limits import (
 from test_graph_oracle import (
     bit_graph,
     cover_from_matchings,
+    cover_of,
     oracle_greedy_bipartition,
     uniformize,
 )
@@ -207,8 +208,8 @@ def test_triangle_graph_matches_oracle_on_gv_covers(cn, data, rnd):
     g = build_code_graph(p)
     cover = enumerate_cover(p, g)
     # the same cover with some pairs written larger end first
-    flipped = MatchingCover([[e[::-1] if rnd.random() < 0.3 else e for e in m]
-                             for m in cover.matchings])
+    flipped = cover_of([[e[::-1] if rnd.random() < 0.3 else e for e in m]
+                        for m in cover.matchings])
     for c in (cover, flipped):
         assert fields(triangle_graph(g, c)) == fields(oracle_triangle_graph(g, c))
 

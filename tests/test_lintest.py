@@ -67,8 +67,9 @@ def soundness_cases(draw):
         f = random_function(m, draw(st.integers(0, 2**16)))
     elif kind == "linear":
         f = linear_function(m, draw(st.integers(0, (1 << m) - 1)))
-    else:
-        f = and_function(m, draw(st.integers(1, m)))
+    else:  # the AND of the low `arity` coordinates
+        mask = (1 << draw(st.integers(1, m), label="arity")) - 1
+        f = BooleanFunction(m, [(x & mask) == mask for x in range(1 << m)])
     trials = draw(st.integers(1, 500))
     cells = draw(st.integers(1, 4 * trials))
     return Graph.from_edges(n, edges), f, trials, draw(st.integers(0, 2**32)), cells
@@ -140,6 +141,8 @@ def test_and_function_table():
     padded = and_function(4)
     for x in range(16):
         assert padded(x) == (1 if (x & 0b11) == 0b11 else 0)
+    with pytest.raises(ParameterError):
+        and_function(1)  # one coordinate has no AND of two
 
 
 def test_walsh_correlation_matches_brute_force():
@@ -183,6 +186,12 @@ def test_graph_test_linear_always_accepts():
 def test_graph_test_edgeless_vacuous():
     g = Graph.from_edges(3, [])
     assert estimate_soundness(g, random_function(3, 1), trials=1, seed=0) == (1.0, 0.0)
+
+
+def test_estimate_soundness_rejects_a_negative_seed():
+    g = Graph.from_edges(2, [(0, 1)])
+    with pytest.raises(ParameterError, match="nonnegative seed"):
+        estimate_soundness(g, and_function(2), trials=1, seed=-1)
 
 
 def test_estimate_soundness_matches_scalar_rate():

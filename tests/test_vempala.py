@@ -16,7 +16,7 @@ from rsgraphs.cli import run
 from rsgraphs.codegraph import CodeGraphParams
 from rsgraphs.codes import LinearCode, build_chain, gv_condition, gv_search
 from rsgraphs.errors import ParameterError, SearchFailureError
-from rsgraphs.graphs import group_arrays, offsets_of, pair_groups
+from rsgraphs.graphs import offsets_of, pair_groups
 from rsgraphs import vempala
 from rsgraphs.vempala import (
     EdgePartition,
@@ -27,6 +27,7 @@ from rsgraphs.vempala import (
     vempala_sum,
     write_partition,
 )
+from test_graph_oracle import group_arrays
 
 PINNED = LinearCode(4, 2, cols=(0b1111, 0b0011), claimed_d=2)
 
