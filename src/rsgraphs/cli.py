@@ -39,6 +39,7 @@ from .errors import (
     SearchFailureError,
     VerificationError,
     check_caps,
+    check_lattice,
 )
 
 if TYPE_CHECKING:
@@ -105,10 +106,10 @@ def _max_gv_dimension(n: int, d: int) -> int:
     return k
 
 
-def _check_stations(n: int, max_vertices, channels: int = 1) -> None:
-    """The caps for N stations: N vertices, and N^2 station pairs in each
-    of `channels` subchannels."""
-    check_caps(n, max_vertices)
+def _check_stations(C: int, length: int, max_vertices, channels: int = 1) -> None:
+    """The caps for the N = C^length stations: N vertices, and N^2 station
+    pairs in each of `channels` subchannels."""
+    n = check_lattice(C, length, max_vertices)
     if n * n > DEFAULT_MAX_PAIR_CHECKS:
         raise ResourceLimitError(
             f"{n * n} station pairs exceed the cap of {DEFAULT_MAX_PAIR_CHECKS} pair checks"
@@ -201,6 +202,7 @@ def _cmd_construct_geometric(args) -> int:
 def _cmd_construct_code(args) -> int:
     from . import codegraph, graphs
 
+    check_lattice(args.c, args.n, args.max_vertices)  # before the GV search, n bits wide
     chain = _chain_from_args(args, args.n, args.d)
     p = codegraph.CodeGraphParams(args.c, args.n, args.d, chain)
     g = codegraph.build_code_graph(p, max_vertices=args.max_vertices)
@@ -337,7 +339,7 @@ def _delivery_report(args, schedule: channels.Schedule, kind: str, **params) -> 
 
 
 def _cmd_channel_two(args) -> int:
-    _check_stations(args.c**args.n, args.max_vertices)
+    _check_stations(args.c, args.n, args.max_vertices)
     import numpy as np
 
     from . import channels, codegraph
@@ -359,7 +361,7 @@ def _cmd_channel_two(args) -> int:
 
 
 def _cmd_channel_shifts(args) -> int:
-    _check_stations(args.c**args.n, args.max_vertices, args.channels)
+    _check_stations(args.c, args.n, args.max_vertices, args.channels)
     import numpy as np
 
     from . import channels, geometric
@@ -391,7 +393,7 @@ def _cmd_channel_simulate(args) -> int:
     chans = schedule.num_subchannels
     if chans * schedule.n_stations**2 > DEFAULT_MAX_PAIR_CHECKS:
         chans = 1 + np.count_nonzero(np.diff(np.sort(schedule.chans)))  # ids run to 2^63
-    _check_stations(schedule.n_stations, args.max_vertices, chans)
+    _check_stations(schedule.n_stations, 1, args.max_vertices, chans)
     # the report counts the rounds of every subchannel id up to the largest
     if schedule.num_subchannels > DEFAULT_MAX_PAIR_CHECKS:
         raise ResourceLimitError(
@@ -470,7 +472,7 @@ def _cmd_lintest(args) -> int:
 
 
 def _cmd_vempala(args) -> int:
-    _check_stations(args.c**args.n, args.max_vertices)
+    _check_stations(args.c, args.n, args.max_vertices)
     from . import codegraph, vempala
 
     chain = _chain_from_args(args, args.n, args.d)
@@ -608,20 +610,36 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    """Run one command as the whole process, with no cyclic collection.
+    """Run one command as the whole process, and leave it without the
+    interpreter's teardown.
 
     A command makes a fixed handful of cyclic garbage, the same at any
-    instance size, so the collector's passes during numpy's import and the
-    command, and the shutdown collections over every object the process
-    made, cost time and free nothing that matters.  Frozen objects are
-    skipped at shutdown; atexit handlers and the flush of stdio still run.
-    run() leaves gc alone: tests and in-process runners call it many times.
+    instance size, so it runs with the cyclic collector off.  On the way
+    out, the registered atexit callbacks run and stdout and stderr are
+    flushed; os._exit then skips freeing every object the process made.
+    Every file a command writes is closed by its with block before run()
+    returns.  An exception that escapes run() prints its traceback and
+    exits 1, as the interpreter would.  run() leaves gc alone: tests and
+    in-process runners call it many times.
     """
+    import atexit
+    import os
+
     gc.disable()
     try:
-        sys.exit(run(sys.argv[1:]))
-    finally:
-        gc.freeze()
+        code = run(sys.argv[1:])
+    except SystemExit as exc:  # argparse leaves through sys.exit for --help and --version
+        code = exc.code or 0
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+        code = 1
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:  # a closed pipe: the interpreter's own exit status for it
+        code = 120
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import CodeChain, validate_chain
-from .errors import InternalCheckError, ParameterError, check_caps
+from .errors import InternalCheckError, ParameterError, check_lattice
 from .graphs import Graph, MatchingCover, adjacency_matrix, doubled_cover, graph_of_rows
 from .graphs import singles_cover
 from .lattice import lattice_points
@@ -65,8 +65,7 @@ class CodeGraphParams(NamedTuple("CodeGraphParams", [("C", int), ("n", int), ("d
 
 def build_code_graph(p: CodeGraphParams, max_vertices: int | None = None) -> Graph:
     """Materialize the agreement-threshold graph with mixed-radix vertex ids."""
-    N = p.vertex_count
-    check_caps(N, max_vertices)
+    N = check_lattice(p.C, p.n, max_vertices)
     pts = lattice_points(p.C, p.n)
     return graph_of_rows(N, max(1, 2**21 // max(N, 1)),
                          lambda a, b: (pts[a:b, None, :] == pts[None, a:, :]).sum(axis=2) < p.d)

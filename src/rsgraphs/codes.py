@@ -11,6 +11,7 @@ import random
 from typing import NamedTuple
 
 from .errors import (
+    DEFAULT_MAX_PAIR_CHECKS,
     InternalCheckError,
     ParameterError,
     ResourceLimitError,
@@ -164,6 +165,9 @@ def gv_search(n: int, k: int, d: int, seed: int) -> LinearCode:
         raise ParameterError(f"need 1 <= k < n, got n={n}, k={k}")
     if d < 0:
         raise ParameterError(f"need d >= 0, got d={d}")
+    if (n - k) * n > DEFAULT_MAX_PAIR_CHECKS:  # before the GV sum, which is n bits wide
+        raise ResourceLimitError(f"{n - k} parity-check rows x {n} bits exceed the cap of "
+                                 f"{DEFAULT_MAX_PAIR_CHECKS} pair checks")
     if not gv_condition(n, k, d):
         raise ParameterError(
             f"Gilbert-Varshamov condition fails: sum_i<= {d} C({n},i) >= 2^({n}-{k})"

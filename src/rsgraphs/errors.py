@@ -31,8 +31,12 @@ class ResourceLimitError(RuntimeError):
 # Caps for all-pairs work; max_vertices (--max-vertices) overrides the first.
 DEFAULT_MAX_VERTICES = 100_000
 DEFAULT_MAX_PAIR_CHECKS = 100_000_000
-# Word updates of the geometric cover's lockstep first-fit, |E| * N: C=4 n=5 is 2.8e8.
+# Word operations of the geometric shell cover (see decompose_geometric):
+# C=3 n=7 needs 1.8e8, C=4 n=5 2.3e8.
 MAX_COVER_WORK = 500_000_000
+# Counts from 10^4300 up are too long for int-to-str's default digit limit,
+# so refusals name them as powers.
+_PRINTABLE = 10**4300
 
 
 def check_caps(n_vertices, max_vertices=None):
@@ -48,6 +52,23 @@ def check_caps(n_vertices, max_vertices=None):
         raise ResourceLimitError(
             f"{pairs} vertex pairs exceed the cap of {DEFAULT_MAX_PAIR_CHECKS} pair checks"
         )
+
+
+def check_lattice(C: int, n: int, max_vertices=None) -> int:
+    """The vertex count C^n of [1..C]^n, once check_caps passes it.  A count
+    that the bit length of C shows to be past both the cap and 2^65536 is
+    refused without forming C^n, and one too long to print is named as the
+    power."""
+    mv = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
+    huge = ResourceLimitError(
+        f"{C}^{n} vertices exceed the cap of {mv}; raise max_vertices to proceed")
+    if n * (C.bit_length() - 1) > max(mv.bit_length(), 1 << 16):
+        raise huge
+    N = C**n
+    if N >= _PRINTABLE and N > mv:
+        raise huge
+    check_caps(N, max_vertices)
+    return N
 
 
 def read_text(path) -> str:

@@ -8,10 +8,12 @@ center lands both endpoints in that shell (guaranteed for n >= 2C).
 
 The cover gives each edge to the shell of its own center (else, when n < 2C,
 to the lowest shell holding both endpoints) and each such group of edges a
-first-fit induced-matching cover.  Groups are independent, so their
-first-fit runs in lockstep in numpy, one edge of every running group per
-step, with a per-vertex bitset of blocked matchings in place of a scan over
-the matchings.
+first-fit induced-matching cover.  The graph is nearly complete, so for an
+edge uv of group z the small set is S_e = V_z minus N[u] and N[v]: every
+vertex of a matching uv can join lies in it.  An edge with no edge of its
+group inside S_e stands alone, and the packed rows of S_e find nearly all
+of them; only the rest are placed in order, every group in lockstep, with
+one free set per matching.
 
 All band predicates are evaluated in exact integer arithmetic after scaling
 away the denominators (6 for mu, 24 for mu/4); no floats ever decide an edge.
@@ -24,15 +26,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MAX_COVER_WORK, InternalCheckError, ParameterError, ResourceLimitError
-from .errors import VerificationError, check_caps
+from .errors import VerificationError, check_lattice
 from .graphs import Graph, MatchingCover, adjacency_matrix, graph_of_rows
 from .lattice import lattice_points, vertex_coords
 
 # Bytes of temporary arrays a step may hold at once: each block of distance,
-# band or edge-by-shell membership rows, and the packed blocked[group,
-# matching, vertex] bits of one lockstep chunk of groups (a chunk always
-# takes at least one group).
+# band or edge-by-shell membership rows, each block of S_e rows, and the
+# free sets of one lockstep chunk of groups (a chunk always takes at least
+# one group).
 _CHUNK_BYTES = 1 << 22
+# The number of set bits of each byte value.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 class GeomParams(NamedTuple("GeomParams", [("C", int), ("n", int)])):
@@ -92,8 +96,7 @@ def _pair_sq_dists(block: np.ndarray, pts: np.ndarray, sq: np.ndarray, sq_block:
 
 def build_geometric_graph(p: GeomParams, max_vertices: int | None = None) -> Graph:
     """Materialize the band graph on [1..C]^n with mixed-radix vertex ids."""
-    N = p.vertex_count
-    check_caps(N, max_vertices)
+    N = check_lattice(p.C, p.n, max_vertices)
     pts = lattice_points(p.C, p.n)
     sq = (pts * pts).sum(axis=1)
     block = max(1, _CHUNK_BYTES // (8 * max(N, 1)))  # rows of int64 distances
@@ -167,41 +170,120 @@ def _edge_centers(p: GeomParams, eu: np.ndarray, ev: np.ndarray):
     return zid, in_shell_band(dx, p) & in_shell_band(dy, p)
 
 
-def _lockstep_first_fit(seqs, eu, ev, closed: np.ndarray, match: np.ndarray) -> None:
-    """Write into match the first-fit matching index of every edge of every
-    group in one chunk.
+def _bit_rows(rows: np.ndarray) -> np.ndarray:
+    """Bool rows as little-endian 64-bit words: column x is bit x % 64 of
+    word x // 64."""
+    bits = np.packbits(rows, axis=1, bitorder="little")
+    out = np.zeros((len(rows), -(-rows.shape[1] // 64) * 8), dtype=np.uint8)
+    out[:, : bits.shape[1]] = bits
+    return out.view("<u8")
 
-    seqs[c] holds group c's edge ids in processing order, longest group
-    first.  Step k places the k-th edge of every group still running, so the
-    running groups are always a prefix.  blocked[c, :, x] is a bitset over
-    group c's matchings: bit i is set once matching i has a vertex in N[x],
-    so edge uv fits matching i iff bit i is clear in blocked[c, :, u] and in
-    blocked[c, :, v]; placing it ORs the contiguous row blocked[c, j] of its
-    word j.
+
+def _ordered_edges(group, eu, ev, non: np.ndarray, mem: np.ndarray) -> np.ndarray:
+    """Mask of the edges that the first-fit must place in order.
+
+    Row x of non holds the vertices outside N[x], row z of mem the shell
+    V_z, so S_e = non[u] & non[v] & mem[z] for edge e = uv of group z.
+    Every vertex of a matching that e can join lies in S_e, and the relation
+    is symmetric, so an edge with no edge of its group inside S_e can join
+    or be joined by nothing: it opens a matching of its own.  That holds
+    when |S_e| < 2, and is checked pair by pair when fewer than one group
+    edge is expected inside S_e (C(|S_e|, 2) m_z < C(|V_z|, 2) for m_z edges
+    in the group); every other edge is placed in order.
     """
-    lengths = np.array([len(s) for s in seqs])
-    steps = int(lengths[0])
-    at = np.zeros((len(seqs), steps), dtype=np.intp)  # edge ids, padded past each group's end
-    for c, s in enumerate(seqs):
-        at[c, : len(s)] = s
-    running = len(seqs) - np.searchsorted(lengths[::-1], np.arange(steps), side="right")
-    # A group never has more matchings than edges, so steps + 1 bits suffice.
-    blocked = np.zeros((len(seqs), steps // 64 + 1, len(closed)), dtype=np.uint64)
-    rows = np.arange(len(seqs))
-    top = -1  # highest matching index used so far in this chunk
-    for k in range(steps):
-        r = rows[: running[k]]
-        e = at[r, k]
-        u, v = eu[e], ev[e]
-        words = (top + 1) // 64 + 1  # bit top+1 is clear in every group
-        free = ~(blocked[r, :words, u] | blocked[r, :words, v])
-        j = (free != 0).argmax(axis=1)
-        word = free[r, j]
-        low = word & (~word + np.uint64(1))  # lowest clear bit of the blocked word
-        i = 64 * j + np.frexp(low.astype(np.float64))[1] - 1
-        match[e] = i
-        top = max(top, int(i.max()))
-        blocked[r, j] |= (closed[u] | closed[v]) * low[:, None]
+    E, N = len(eu), len(non)
+    m = np.bincount(group, minlength=N)
+    s = _POPCOUNT[mem.view(np.uint8)].sum(axis=1).astype(np.int64)
+    gid = np.full((N, N), -1, dtype=np.min_scalar_type(-N))  # group of each edge
+    gid[eu, ev] = group
+    ordered = np.zeros(E, dtype=bool)
+    block = max(1, _CHUNK_BYTES // (8 * non.shape[1]))
+    for start in range(0, E, block):
+        stop = min(E, start + block)
+        z = group[start:stop]
+        S = non[eu[start:stop]] & non[ev[start:stop]] & mem[z]
+        flat = np.flatnonzero(S.ravel() != 0)
+        if not len(flat):
+            continue
+        r, w = np.divmod(flat, S.shape[1])
+        words = S.ravel()[flat]
+        ones = _POPCOUNT[words.view(np.uint8)].reshape(-1, 8).sum(axis=1)
+        size = np.bincount(r, ones, minlength=stop - start).astype(np.int64)
+        likely = size * (size - 1) * m[z] >= s[z] * (s[z] - 1)
+        ordered[start:stop] = (size >= 2) & likely
+        scan = ((size >= 2) & ~likely)[r]
+        if not scan.any():
+            continue
+        bits = np.unpackbits(words[scan].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+        k, j = np.nonzero(bits)
+        el, x = r[scan][k], 64 * w[scan][k] + j  # S_e of each scanned edge, ascending
+        # every pair x < y inside one S_e: each member pairs with the later ones
+        run = np.flatnonzero(np.diff(el, prepend=-1))
+        end = np.repeat(np.append(run[1:], len(el)), np.diff(np.append(run, len(el))))
+        later = end - np.arange(len(el)) - 1
+        a = np.repeat(np.arange(len(el)), later)
+        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+        inside = gid[x[a], x[b]] == z[el[a]]
+        ordered[start + el[a[inside]]] = True
+    return ordered
+
+
+def _free_set_first_fit(order, group, eu, ev, non: np.ndarray, mem: np.ndarray) -> np.ndarray:
+    """First-fit matching index, within its group, of each edge in `order`
+    (edge ids, ascending).
+
+    The free set F_i of matching i holds the vertices of V_z adjacent to
+    none of its vertices, so edge e = uv fits matching i iff u and v lie in
+    F_i.  A new matching's free set is S_e, and a join intersects it with
+    S_e.  Groups are independent, so they run in lockstep, longest first:
+    step k places the k-th edge of every group still running, and the
+    running groups are always a prefix.  free[c, :, i] holds F_i of group c
+    in the words of a row of non.
+    """
+    N, W = non.shape
+    z = group[order]
+    sizes = np.bincount(z, minlength=N)
+    seqs = np.split(np.argsort(z, kind="stable"), np.cumsum(sizes)[:-1])
+    groups = sorted(np.flatnonzero(sizes), key=lambda g: -sizes[g])
+    match = np.empty(len(order), dtype=np.int64)
+    one = np.uint64(1)
+    start = 0
+    while start < len(groups):
+        chunk = groups[start : start + max(1, _CHUNK_BYTES // (8 * W * sizes[groups[start]]))]
+        start += len(chunk)
+        lengths = sizes[chunk]
+        steps = int(lengths[0])
+        at = np.zeros((len(chunk), steps), dtype=np.intp)  # positions in order, padded
+        for c, g in enumerate(chunk):
+            at[c, : lengths[c]] = seqs[g]
+        running = len(chunk) - np.searchsorted(lengths[::-1], np.arange(steps), side="right")
+        e = order[at]
+        ends = np.stack([eu[e], ev[e]], axis=2)
+        rows = np.arange(len(chunk))
+        # the row of free2 and the bit that hold each endpoint in a free set of its group
+        word = rows[:, None, None] * W + (ends >> 6)
+        bit = (ends & 63).astype(np.uint64)[..., None]
+        # Columns no matching has used yet are all ones, so the first of them fits any edge.
+        free = np.full((len(chunk), W, steps), ~np.uint64(0))
+        free2 = free.reshape(-1, steps)
+        count = np.zeros(len(chunk), dtype=np.int64)  # matchings of each group so far
+        for k in range(steps):
+            n = running[k]
+            both = free2[word[:n, k], : int(count[:n].max()) + 1]
+            both >>= bit[:n, k]
+            fits = both[:, 0] & both[:, 1] & one
+            i = fits.argmax(axis=1)
+            u, v = ends[:n, k].T
+            free[rows[:n], :, i] &= non[u] & non[v] & mem[group[e[:n, k]]]
+            count[:n] += i == count[:n]
+            match[at[:n, k]] = i
+    return match
+
+
+def _check_work(work: int, what: str) -> None:
+    if work > MAX_COVER_WORK:
+        raise ResourceLimitError(f"the shell cover needs {what} = {work} word operations, "
+                                 f"over {MAX_COVER_WORK}")
 
 
 def decompose_geometric(p: GeomParams, g: Graph) -> MatchingCover:
@@ -214,18 +296,22 @@ def decompose_geometric(p: GeomParams, g: Graph) -> MatchingCover:
     that stays induced in all of G.  The cover is ordered by (group id,
     matching index, edge order).
 
-    The groups run in lockstep (see _lockstep_first_fit), each edge updating
-    one word per vertex; over MAX_COVER_WORK updates raise ResourceLimitError
-    first.  An edge in no shell raises VerificationError.
+    An edge that no other edge of its group can share a matching with
+    opens one of its own (see _ordered_edges); the rest are placed in order
+    (see _free_set_first_fit).  The work counted against MAX_COVER_WORK is
+    |E| x ceil(N/64) words for the S_e rows, checked before they are made,
+    plus the sum over groups of the squared count of edges placed in order,
+    checked before they are placed; over the cap raises ResourceLimitError.
+    An edge in no shell raises VerificationError.
     """
     eu, ev = g.pairs.T
-    if len(eu) * g.n > MAX_COVER_WORK:
-        raise ResourceLimitError(f"the shell cover needs {len(eu)} edges x {g.n} vertices "
-                                 f"= {len(eu) * g.n} lockstep updates, over {MAX_COVER_WORK}")
+    E, W = len(eu), -(-g.n // 64)
+    _check_work(E * W, f"{E} edges x {W} row words")
+    member = _shell_membership(p)
     group, inside = _edge_centers(p, eu, ev)
     out = np.flatnonzero(~inside)
     if len(out):
-        group[out] = _first_shells(_shell_membership(p), eu[out], ev[out])
+        group[out] = _first_shells(member, eu[out], ev[out])
     uncovered = out[group[out] < 0]
     if len(uncovered):
         e = (int(eu[uncovered[0]]), int(ev[uncovered[0]]))
@@ -234,20 +320,24 @@ def decompose_geometric(p: GeomParams, g: Graph) -> MatchingCover:
             f"edge {e} = {x}-{y} lies in no shell (n >= 2C hypothesis "
             f"{'held' if p.n >= 2 * p.C else 'violated'})"
         )
-    sizes = np.bincount(group, minlength=g.n)
-    seqs = np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1])
-    order = sorted(np.flatnonzero(sizes), key=lambda z: -sizes[z])
     closed = adjacency_matrix(g)
     np.fill_diagonal(closed, True)
-    match = np.empty(len(eu), dtype=np.int64)  # matching index within the group
-    start = 0
-    while start < len(order):
-        per_group = g.n * (sizes[order[start]] // 64 + 1) * 8
-        chunk = order[start : start + max(1, _CHUNK_BYTES // per_group)]
-        start += len(chunk)
-        _lockstep_first_fit([seqs[z] for z in chunk], eu, ev, closed, match)
-    # A stable sort on (group, matching index) keeps edge order within a matching.
-    key = group * len(eu) + match
+    non, mem = _bit_rows(~closed), _bit_rows(member)
+    opener = np.arange(E)  # the edge that opened each edge's matching
+    order = np.flatnonzero(_ordered_edges(group, eu, ev, non, mem))
+    if len(order):
+        sizes = np.bincount(group[order])
+        reads = int(sizes @ sizes)  # two words per earlier matching of the group, for each edge
+        _check_work(E * W + reads, f"{E} edges x {W} row words + {reads} free-set reads "
+                                   f"for the {len(order)} edges placed in order")
+        match = _free_set_first_fit(order, group, eu, ev, non, mem)
+        # a matching's index is its rank among its group's matchings, so its
+        # first edge stands for it in the cover's order
+        _, first, which = np.unique(group[order] * E + match, return_index=True,
+                                    return_inverse=True)
+        opener[order] = order[first][which.reshape(-1)]
+    # A stable sort on (group, opening edge) keeps edge order within a matching.
+    key = group * E + opener
     rank = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[rank], prepend=-1))
     cover = MatchingCover(g.pairs[rank], np.append(starts, len(rank)))

@@ -260,24 +260,41 @@ def test_edge_list_header_is_capped_before_the_graph_is_built(tmp_path, capsys, 
     assert "edge (0,7) outside vertex range 0..4" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["construct geometric --c 3 --n 7",
-                                     "channel shifts --c 3 --n 7 --channels 2"])
+@pytest.mark.parametrize("command", ["construct geometric --c {c} --n {n}",
+                                     "channel shifts --c {c} --n {n} --channels 2"])
 def test_geometric_cover_is_capped_before_the_lockstep(capsys, monkeypatch, command):
-    def lockstep(*args):
-        raise AssertionError("the lockstep ran before the cap")
+    def refuse(name):
+        def kernel(*args):
+            raise AssertionError(f"{name} ran before the cap")
+        monkeypatch.setattr(geometric, name, kernel)
 
-    monkeypatch.setattr(geometric, "_lockstep_first_fit", lockstep)
-    assert run(command.split()) == 3
-    # 2,232,785 edges, each updating one word per vertex
-    assert "2232785 edges x 2187 vertices = 4883100795 lockstep updates" in capsys.readouterr().err
+    # C=3 n=5: the S_e rows of 26,337 edges, 4 words each, are not made
+    refuse("_ordered_edges")
+    monkeypatch.setattr(geometric, "MAX_COVER_WORK", 26337 * 4 - 1)
+    assert run(command.format(c=3, n=5).split()) == 3
+    assert "26337 edges x 4 row words = 105348 word operations, over 105347" in \
+        capsys.readouterr().err
+    # C=4 n=4: the rows pass, and the 16,594 edges placed in order are not placed
+    monkeypatch.undo()
+    refuse("_free_set_first_fit")
+    monkeypatch.setattr(geometric, "MAX_COVER_WORK", 18336 * 4 + 3059786 - 1)
+    assert run(command.format(c=4, n=4).split()) == 3
+    assert ("18336 edges x 4 row words + 3059786 free-set reads for the 16594 edges placed "
+            "in order = 3133130 word operations, over 3133129") in capsys.readouterr().err
 
 
 def test_geometric_cover_cap_is_inclusive(capsys, monkeypatch):
-    # C=3 n=4: 2712 edges x 81 vertices
+    # C=3 n=4: 2712 edges x 2 row words, and no edge placed in order
     argv = ["construct", "geometric", "--c", "3", "--n", "4"]
-    monkeypatch.setattr(geometric, "MAX_COVER_WORK", 2712 * 81)
+    monkeypatch.setattr(geometric, "MAX_COVER_WORK", 2712 * 2)
     assert run(argv) == 0
-    monkeypatch.setattr(geometric, "MAX_COVER_WORK", 2712 * 81 - 1)
+    monkeypatch.setattr(geometric, "MAX_COVER_WORK", 2712 * 2 - 1)
+    assert run(argv) == 3
+    # C=4 n=4 places edges in order: both counts together
+    argv = ["construct", "geometric", "--c", "4", "--n", "4"]
+    monkeypatch.setattr(geometric, "MAX_COVER_WORK", 3133130)
+    assert run(argv) == 0
+    monkeypatch.setattr(geometric, "MAX_COVER_WORK", 3133129)
     assert run(argv) == 3
 
 
@@ -538,6 +555,38 @@ def cli_process(argv, cwd) -> subprocess.CompletedProcess:
     """The CLI run in a Python of its own; a hang fails the test at 20 s."""
     return subprocess.run([sys.executable, "-m", "rsgraphs.cli", *argv], capture_output=True,
                           text=True, env=child_env(), cwd=cwd, timeout=20)
+
+
+# Each sizes a lattice or a parity-check matrix far past the caps; forming
+# C^n, printing it or doing n-sized work first would hang or raise.
+OVERSIZED = {
+    "construct geometric --c 3 --n 100000": "3^100000 vertices exceed the cap of 100000;",
+    "construct geometric --c 3 --n 100000000": "3^100000000 vertices exceed the cap",
+    "channel shifts --c 3 --n 10000 --channels 1": "3^10000 vertices exceed the cap",
+    "construct code --c 3 --n 100000000 --d 2 --gv-seed 1": "3^100000000 vertices exceed",
+    "channel two --c 3 --n 100000000 --d 2": "3^100000000 vertices exceed the cap",
+    "vempala --c 3 --n 100000000 --d 2 --gen gen.txt": "3^100000000 vertices exceed the cap",
+    "codes gv --n 100000000 --k 2 --d 1":
+        "99999998 parity-check rows x 100000000 bits exceed the cap of 100000000 pair checks",
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERSIZED))
+def test_an_oversized_n_is_refused_at_once(tmp_path, command):
+    (tmp_path / "gen.txt").write_text(PINNED_TEXT)
+    proc = cli_process(command.split(), tmp_path)
+    assert proc.returncode == 3, proc.stderr[-500:]
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("resource refusal: ") and proc.stderr.count("\n") == 1
+    assert OVERSIZED[command] in proc.stderr
+
+
+def test_a_vertex_count_is_printed_while_int_to_str_prints_it(capsys):
+    # 3^9000 has 4294 digits and is printed as before; 3^9100 has 4342
+    assert run(["construct", "geometric", "--c", "3", "--n", "9000"]) == 3
+    assert f"{3**9000} vertices exceed the cap of 100000;" in capsys.readouterr().err
+    assert run(["construct", "geometric", "--c", "3", "--n", "9100"]) == 3
+    assert "3^9100 vertices exceed the cap of 100000;" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", ["0", "-2"])
@@ -809,8 +858,9 @@ EXIT_CASES = {
 
 @pytest.mark.parametrize("exit_code", sorted(EXIT_CASES))
 def test_the_process_entry_point_matches_run(tmp_path, capsys, monkeypatch, exit_code):
-    """main() in a process of its own, with the collector off and frozen
-    before exit, writes what run() writes in-process; run() leaves gc alone."""
+    """main() in a process of its own, with the collector off and no
+    interpreter teardown, writes what run() writes in-process; run() leaves
+    gc alone."""
     argv = EXIT_CASES[exit_code].split()
     dirs = {"process": tmp_path / "process", "run": tmp_path / "run"}
     for d in dirs.values():
@@ -837,6 +887,40 @@ def test_the_process_entry_point_matches_run(tmp_path, capsys, monkeypatch, exit
     if exit_code == 0:
         assert files["run"]["r.json"] == proc.stdout
         assert {"e.txt", "c.txt"} <= set(files["run"])
+
+
+def test_main_runs_atexit_callbacks_flushes_and_prints_an_escaped_traceback(tmp_path):
+    """main() leaves through os._exit: a callback registered before it still
+    runs, output still buffered reaches the pipe, argparse's own exit keeps
+    its code, and an exception that escapes run() prints its traceback and
+    exits 1."""
+    (tmp_path / "gen.txt").write_text(PINNED_TEXT)
+    probe = ("import atexit, sys\n"
+             "from rsgraphs import cli\n"
+             "atexit.register(print, 'atexit ran')\n"
+             "if sys.argv[1] == 'escape':\n"
+             "    def run(argv):\n"
+             "        print('before the escape')\n"
+             "        raise RuntimeError('escaped run()')\n"
+             "    cli.run = run\n"
+             "sys.argv[1:2] = []\n"
+             "cli.main()\n")
+
+    def main(*argv):
+        return subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                              text=True, env=child_env(), cwd=tmp_path, timeout=120)
+
+    report = main("run", "codes", "verify", "gen.txt")
+    assert report.returncode == 0, report.stderr
+    assert json.loads(report.stdout.removesuffix("atexit ran\n"))["proper"] is True
+    assert report.stdout.endswith("}\natexit ran\n") and report.stderr == ""
+    version = main("run", "--version")
+    assert (version.returncode, version.stdout) == (0, f"{rsgraphs.__version__}\natexit ran\n")
+    escape = main("escape", "codes", "verify", "gen.txt")
+    assert escape.returncode == 1
+    assert escape.stdout == "before the escape\natexit ran\n"
+    assert escape.stderr.startswith("Traceback (most recent call last):\n")
+    assert escape.stderr.endswith("RuntimeError: escaped run()\n")
 
 
 def test_only_the_commands_that_read_an_artifact_load_its_readers():

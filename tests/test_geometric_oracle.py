@@ -4,10 +4,13 @@ center_cover is the rule decompose_geometric implements: each edge goes to
 the shell of its center (center_for_edge), or, when that shell misses an
 endpoint, to the lowest shell holding both; each group, in ascending id, is
 covered by first-fit in edge order.  decompose_geometric must return exactly
-its matchings, in the same order.  reference_cover is the earlier rule (every
-shell covered in full, each edge kept at its first shell), kept as a second
-valid cover to compare against; its first-fit, bitset_first_fit, gives
-greedy_cover_within's cover from a bool matrix of blocked matchings.
+its matchings, in the same order.  lockstep_cover is the same rule run as
+decompose_geometric ran it before the free-set first-fit: every group's
+first-fit in lockstep, with a per-vertex bitset of blocked matchings over all
+N vertices.  reference_cover is the earlier rule (every shell covered in
+full, each edge kept at its first shell), kept as a second valid cover to
+compare against; its first-fit, bitset_first_fit, gives greedy_cover_within's
+cover from a bool matrix of blocked matchings.
 """
 
 import json
@@ -30,7 +33,7 @@ from rsgraphs.geometric import (
     in_shell_band,
     max_shell_degree,
 )
-from rsgraphs.graphs import Graph, adjacency_matrix, verify_cover
+from rsgraphs.graphs import Graph, MatchingCover, adjacency_matrix, verify_cover
 from rsgraphs.lattice import lattice_points, vertex_coords
 from test_graph_oracle import bit_graph, bits_of, cover_of, first_fit, greedy_cover_within
 
@@ -191,6 +194,68 @@ def reference_cover(p: GeomParams, g: Graph) -> list[list[tuple[int, int]]]:
     return deduped
 
 
+def _lockstep_first_fit(seqs, eu, ev, closed: np.ndarray, match: np.ndarray) -> None:
+    """Write into match the first-fit matching index of every edge of every
+    group in one chunk.
+
+    seqs[c] holds group c's edge ids in processing order, longest group
+    first.  Step k places the k-th edge of every group still running, so the
+    running groups are always a prefix.  blocked[c, :, x] is a bitset over
+    group c's matchings: bit i is set once matching i has a vertex in N[x],
+    so edge uv fits matching i iff bit i is clear in blocked[c, :, u] and in
+    blocked[c, :, v]; placing it ORs the contiguous row blocked[c, j] of its
+    word j.
+    """
+    lengths = np.array([len(s) for s in seqs])
+    steps = int(lengths[0])
+    at = np.zeros((len(seqs), steps), dtype=np.intp)  # edge ids, padded past each group's end
+    for c, s in enumerate(seqs):
+        at[c, : len(s)] = s
+    running = len(seqs) - np.searchsorted(lengths[::-1], np.arange(steps), side="right")
+    # A group never has more matchings than edges, so steps + 1 bits suffice.
+    blocked = np.zeros((len(seqs), steps // 64 + 1, len(closed)), dtype=np.uint64)
+    rows = np.arange(len(seqs))
+    top = -1  # highest matching index used so far in this chunk
+    for k in range(steps):
+        r = rows[: running[k]]
+        e = at[r, k]
+        u, v = eu[e], ev[e]
+        words = (top + 1) // 64 + 1  # bit top+1 is clear in every group
+        free = ~(blocked[r, :words, u] | blocked[r, :words, v])
+        j = (free != 0).argmax(axis=1)
+        word = free[r, j]
+        low = word & (~word + np.uint64(1))  # lowest clear bit of the blocked word
+        i = 64 * j + np.frexp(low.astype(np.float64))[1] - 1
+        match[e] = i
+        top = max(top, int(i.max()))
+        blocked[r, j] |= (closed[u] | closed[v]) * low[:, None]
+
+
+def lockstep_cover(p: GeomParams, g: Graph) -> MatchingCover:
+    """The center-group first-fit cover by _lockstep_first_fit, in
+    decompose_geometric's order, with no work cap."""
+    eu, ev = g.pairs.T
+    group, inside = geometric._edge_centers(p, eu, ev)
+    out = np.flatnonzero(~inside)
+    if len(out):
+        group[out] = geometric._first_shells(geometric._shell_membership(p), eu[out], ev[out])
+    uncovered = out[group[out] < 0]
+    if len(uncovered):
+        raise no_shell_error((int(eu[uncovered[0]]), int(ev[uncovered[0]])), p)
+    sizes = np.bincount(group, minlength=g.n)
+    seqs = np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1])
+    closed = adjacency_matrix(g)
+    np.fill_diagonal(closed, True)
+    match = np.empty(len(eu), dtype=np.int64)
+    order = sorted(np.flatnonzero(sizes), key=lambda z: -sizes[z])
+    if order:
+        _lockstep_first_fit([seqs[z] for z in order], eu, ev, closed, match)
+    key = group * len(eu) + match
+    rank = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[rank], prepend=-1))
+    return MatchingCover(g.pairs[rank], np.append(starts, len(rank)))
+
+
 def reference_max_shell_degree(p: GeomParams, g: Graph) -> int:
     g = bit_graph(g)
     best = 0
@@ -316,6 +381,28 @@ def test_cover_equals_reference_after_edge_deletions(cn, drop, rnd):
     cover = decompose_geometric(p, g)
     assert cover.matchings == center_cover(p, g)
     assert verify_cover(g, cover).valid
+
+
+# Every (C, n) with 2 <= C <= 5 and C^n <= 300; n < 2C for all but C=2 n >= 4.
+LOCKSTEP_SIZES = [(C, n) for C in range(2, 6) for n in range(1, 9) if C**n <= 300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cn=st.sampled_from(LOCKSTEP_SIZES), drop=st.sampled_from([0.0, 0.05, 0.3, 0.7]),
+       rnd=st.randoms(use_true_random=False))
+def test_cover_equals_the_lockstep_oracle(cn, drop, rnd):
+    # Byte for byte the cover of the kernel it replaced, on the band graph and
+    # with random edges deleted, edges in no shell included.
+    p = GeomParams(*cn)
+    g = build_geometric_graph(p)
+    if drop:
+        g = Graph.from_edges(g.n, [e for e in g.edges() if rnd.random() >= drop])
+
+    def pairs(cover):
+        return cover.pairs.tolist(), cover.offsets.tolist()
+
+    assert outcome(lambda: pairs(decompose_geometric(p, g))) == \
+        outcome(lambda: pairs(lockstep_cover(p, g)))
 
 
 def test_empty_lattice_dimension(capsys):
