@@ -54,13 +54,15 @@ class ChannelPartition:
 
 
 def validate_partition(cp: ChannelPartition) -> None:
-    """Each subchannel cover must be valid and the pair sets must tile K_{N,N};
-    a defect raises VerificationError."""
+    """Each subchannel cover must be valid with no empty matching, and the
+    pair sets must tile K_{N,N}; a defect raises VerificationError."""
     n = cp.n_stations
     acc = np.zeros((n, n), dtype=bool)
     for idx, (mat, cover) in enumerate(cp.subchannels):
         if mat.shape != (n, n):
             raise VerificationError(f"subchannel {idx} is not on {n}x{n} stations")
+        if (np.diff(cover.offsets) == 0).any():
+            raise VerificationError(f"subchannel {idx} cover has an empty matching")
         rep = verify_cover_bipartite(mat, cover)
         if not rep.valid:
             raise VerificationError(
@@ -78,15 +80,13 @@ def validate_partition(cp: ChannelPartition) -> None:
 
 def partition_two(p: "CodeGraphParams") -> ChannelPartition:
     """Two subchannels: the doubled code graph with its flip-class cover, and
-    the remainder (diagonal plus high-agreement pairs) as singleton rounds."""
+    the remainder (diagonal plus high-agreement pairs) as singleton rounds,
+    gated by validate_partition.  channel two schedules this partition and
+    vempala reads its parts (vempala.counterexample_partition)."""
     from . import codegraph
 
-    split = codegraph.two_channel_split(p)
-    cp = ChannelPartition(
-        n_stations=len(split.covered),
-        subchannels=[(split.covered, split.cover), (split.remainder, split.singles)],
-        overflow_index=1,
-    )
+    subchannels = codegraph.two_channel_split(p)
+    cp = ChannelPartition(len(subchannels[0][0]), subchannels, overflow_index=1)
     validate_partition(cp)
     return cp
 
@@ -198,14 +198,25 @@ class Schedule:
         return max(self.per_subchannel_rounds(), default=0)
 
 
+def joined_cover(cp: ChannelPartition) -> MatchingCover:
+    """The subchannel covers laid end to end, subchannel by subchannel:
+    the rounds of build_schedule and the parts of vempala's partition.
+    Each cover's offsets are shifted into place, with no temporaries."""
+    covers = [cover for _, cover in cp.subchannels]
+    offsets = np.zeros(1 + sum(c.t for c in covers), dtype=np.int64)
+    at = 0
+    for c in covers:
+        np.add(c.offsets[1:], offsets[at], out=offsets[at + 1 : at + 1 + c.t])
+        at += c.t
+    return MatchingCover(np.concatenate([c.pairs for c in covers]), offsets)
+
+
 def build_schedule(cp: ChannelPartition) -> Schedule:
     """Flatten a partition into rounds of (transmitter, receiver) station
     pairs, subchannel by subchannel; total rounds = sum of cover sizes."""
-    covers = [cover for _, cover in cp.subchannels]
-    chans = np.repeat(np.arange(len(covers)), [c.t for c in covers])
-    sizes = np.concatenate([np.diff(c.offsets) for c in covers])
-    pairs = np.concatenate([c.pairs for c in covers])
-    return Schedule(cp.n_stations, len(covers), chans, offsets_of(sizes), pairs)
+    joined = joined_cover(cp)
+    chans = np.repeat(np.arange(len(cp.subchannels)), [c.t for _, c in cp.subchannels])
+    return Schedule(cp.n_stations, len(cp.subchannels), chans, joined.offsets, joined.pairs)
 
 
 class SimReport(NamedTuple):

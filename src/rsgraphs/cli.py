@@ -150,6 +150,8 @@ def _chain_from_args(args, n: int, d: int) -> codes.CodeChain:
     k seeded by --gv-seed (construct code) or --seed."""
     from . import codes
 
+    if not 1 <= d <= n:  # before the GV search, which would name d - 1
+        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
     if args.gen:
         root = codes.read_generator(args.gen)
         if root.n != n:
@@ -338,7 +340,10 @@ def _delivery_report(args, schedule: channels.Schedule, kind: str, **params) -> 
     return report
 
 
-def _cmd_channel_two(args) -> int:
+def _code_partition(args) -> tuple[channels.ChannelPartition, dict]:
+    """The second construction's partition of K_{N,N} for channel two and
+    vempala: after the station caps, partition_two builds and gates it,
+    and its built counts must be exact.  Returns it with those counts."""
     _check_stations(args.c, args.n, args.max_vertices)
     import numpy as np
 
@@ -347,12 +352,19 @@ def _cmd_channel_two(args) -> int:
     chain = _chain_from_args(args, args.n, args.d)
     p = codegraph.CodeGraphParams(args.c, args.n, args.d, chain)
     cp = channels.partition_two(p)
-    (covered, cover), (remainder, singles) = cp.subchannels
+    (covered, cover), (remainder, _) = cp.subchannels
     counts = {"covered_pairs": int(np.count_nonzero(covered)), "t": cover.t,
               "remainder_pairs": int(np.count_nonzero(remainder))}
     _check_counts(p, counts)
+    return cp, counts
+
+
+def _cmd_channel_two(args) -> int:
+    cp, counts = _code_partition(args)
+    from . import channels
+
     schedule = channels.build_schedule(cp)
-    del cp, cover, singles  # the schedule holds a copy of every pair
+    del cp  # the schedule holds a copy of every pair
     report = _delivery_report(args, schedule, "two-channel", c=args.c, n=args.n, d=args.d,
                               gen=args.gen)
     report.update(covered_pairs=counts["covered_pairs"], remainder_pairs=counts["remainder_pairs"])
@@ -472,28 +484,28 @@ def _cmd_lintest(args) -> int:
 
 
 def _cmd_vempala(args) -> int:
-    _check_stations(args.c, args.n, args.max_vertices)
+    cp, _ = _code_partition(args)
     from . import codegraph, vempala
 
-    chain = _chain_from_args(args, args.n, args.d)
-    p = codegraph.CodeGraphParams(args.c, args.n, args.d, chain)
-    parts = vempala.counterexample_partition(p)  # raises unless its checks pass
-    N = parts.partition.left_n
-    verdict = vempala.conjecture_verdict(parts.total, N, N)
+    parts = vempala.counterexample_partition(cp)  # raises unless its fill check passes
+    N = cp.n_stations
+    matching_parts, missing_pairs = (cover.t for _, cover in cp.subchannels)
+    del cp  # parts holds a copy of every pair
+    verdict = vempala.conjecture_verdict(parts.t, N, N)  # the sum is the part count
     if args.out_partition:
-        vempala.write_partition(parts.partition, args.out_partition)
+        vempala.write_partition(parts, args.out_partition)
     e_formula, f_formula = codegraph.cover_exponents(args.c, args.n, args.d)
     report = _base_report(args, "vempala", c=args.c, n=args.n, d=args.d,
                           gen=args.gen)
     report.update(
         N=N,
-        k=parts.partition.right_n,
-        matching_parts=parts.matching_parts,
-        missing_pairs=parts.missing_pairs,
+        k=N,
+        matching_parts=matching_parts,
+        missing_pairs=missing_pairs,
         sum=verdict.total,
         threshold=verdict.threshold,
         refutes_conjectured_bound=verdict.refutes,
-        per_part_identity_ok=True,  # the K_{N,N} gate passed
+        per_part_identity_ok=True,  # validate_partition passed: matching parts are induced in H
         e_formula=e_formula,
         f_formula=f_formula,
     )

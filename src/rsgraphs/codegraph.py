@@ -173,29 +173,18 @@ def cover_counts(C: int, n: int, d: int, k: int) -> CoverCounts:
     return CoverCounts(edges, edges >> (k - 1), N * N - 2 * edges)
 
 
-class TwoChannelSplit:
-    """K_{N,N} split into the bipartite double of the code graph with its
-    doubled cover, and the rest with its pairs as one-pair matchings; each
-    part is a bool (N, N) station matrix.  == is identity."""
-
-    __slots__ = ("covered", "cover", "remainder", "singles")
-
-    def __init__(self, covered: np.ndarray, cover: MatchingCover, remainder: np.ndarray,
-                 singles: MatchingCover):
-        self.covered, self.cover, self.remainder, self.singles = covered, cover, remainder, singles
-
-
-def two_channel_split(p: CodeGraphParams) -> TwoChannelSplit:
-    """Split K_{N,N} into the doubled code graph plus everything else.
+def two_channel_split(p: CodeGraphParams) -> list[tuple[np.ndarray, MatchingCover]]:
+    """Split K_{N,N} into the doubled code graph plus everything else: the
+    two (bool (N, N) station matrix, cover) subchannels of partition_two.
 
     Station pair (u, v) belongs to the covered part iff uv is a code-graph
     edge: the covered part is the adjacency matrix.  The diagonal and all
     high-agreement pairs form the remainder, whose pairs are its one-pair
-    matchings in ascending order.  The doubled cover is checked where it is
-    used, by the K_{N,N} gate.
+    matchings in ascending order.  Neither cover is checked here; both are
+    gated by channels.validate_partition.
     """
     g = build_code_graph(p)
     cover = enumerate_cover(p, g)
     adj = adjacency_matrix(g)
     rest = ~adj
-    return TwoChannelSplit(adj, doubled_cover(cover, g.n), rest, singles_cover(rest))
+    return [(adj, doubled_cover(cover, g.n)), (rest, singles_cover(rest))]

@@ -319,19 +319,21 @@ def _criterion_9() -> dict:
 
 def _criterion_10() -> dict:
     p, _, _ = desk_instance()
-    parts = counterexample_partition(p)
-    idents = per_part_identity(parts.partition, parts.h)
-    matching = idents[: parts.matching_parts]
-    total = vempala_sum(parts.partition)  # the cell-by-cell sum, independent of the count
-    assert total == parts.total
-    verdict = conjecture_verdict(total, parts.partition.left_n, parts.partition.right_n)
+    cp = partition_two(p)
+    (h, cover), (_, fill) = cp.subchannels
+    parts = counterexample_partition(cp)
+    idents = per_part_identity(parts, h)
+    matching = idents[: cover.t]
+    total = vempala_sum(parts, *h.shape)  # the cell-by-cell sum, independent of the count
+    assert total == parts.t
+    verdict = conjecture_verdict(total, *h.shape)
     return {
-        "matching_parts": parts.matching_parts,
-        "missing_pairs": parts.missing_pairs,
+        "matching_parts": cover.t,
+        "missing_pairs": fill.t,
         "unit_identity_parts": sum(1 for s in matching if s == 1),
         "sum": verdict.total,
-        "bound": parts.matching_parts + parts.missing_pairs,
-        "within_bound": verdict.total <= parts.matching_parts + parts.missing_pairs,
+        "bound": cover.t + fill.t,
+        "within_bound": verdict.total <= cover.t + fill.t,
     }
 
 

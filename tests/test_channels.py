@@ -24,17 +24,11 @@ from rsgraphs.channels import (
     validate_partition,
     write_schedule,
 )
-from rsgraphs.codegraph import (
-    CodeGraphParams,
-    build_code_graph,
-    enumerate_cover,
-    two_channel_split,
-)
+from rsgraphs.codegraph import CodeGraphParams, build_code_graph, enumerate_cover
 from rsgraphs.codes import LinearCode, build_chain, gv_search
 from rsgraphs.errors import ParameterError, SearchFailureError, VerificationError
 from rsgraphs.geometric import GeomParams, build_geometric_graph, decompose_geometric
 from rsgraphs.graphs import write_cover
-from rsgraphs.vempala import counterexample_partition
 from test_codegraph_oracle import oracle_enumerate_cover
 from test_cover_oracle import doubled_matchings, station_matrix
 from test_graph_oracle import bit_graph, bits_of, cover_of, schedule_of
@@ -385,12 +379,11 @@ def test_partition_shifts_matches_oracle(cn, num_channels, seed, attempts):
 
 
 def test_partition_parts_compare_by_identity():
-    # each holds station matrices; == must answer, not raise on the arrays,
+    # it holds station matrices; == must answer, not raise on the arrays,
     # and a copy holding the same arrays is another object
     p = small_params()
-    for make in (partition_two, two_channel_split, counterexample_partition):
-        a = make(p)
-        assert a == a and a != make(p) and a != copy.copy(a)
+    a = partition_two(p)
+    assert a == a and a != partition_two(p) and a != copy.copy(a)
 
 
 def test_meshulam_bound():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import rsgraphs
-from rsgraphs import channels, cli, codegraph, geometric, graphs, vempala
+from rsgraphs import channels, cli, codegraph, geometric, graphs
 from rsgraphs.cli import _jsonable, run
 from rsgraphs.graphs import MatchingCover, read_cover, read_edge_list, verify_cover
 from test_cover_oracle import is_induced_matching, two_sided
@@ -638,67 +638,82 @@ REAL_SPLIT = codegraph.two_channel_split
 
 
 def tampered_split(*args, **kwargs):
-    """The real split, with matching 0 merged with the first later matching
-    that makes it non-induced; every pair stays covered exactly once."""
-    split = REAL_SPLIT(*args, **kwargs)
-    ms = split.cover.matchings
-    g, pairs = two_sided(split.covered, ms)
+    """The real split, with matching 0 of the doubled cover merged with the
+    first later matching that makes it non-induced; every pair stays
+    covered exactly once."""
+    (covered, cover), rest = REAL_SPLIT(*args, **kwargs)
+    ms = cover.matchings
+    g, pairs = two_sided(covered, ms)
     j = next(j for j in range(1, len(ms)) if not is_induced_matching(g, pairs[0] + pairs[j]))
     ms[0] = sorted(ms[0] + ms.pop(j))
-    split.cover = cover_of(ms)
-    return split
+    return [(covered, cover_of(ms)), rest]
 
 
 @pytest.mark.parametrize("command,exit_code", [("channel two", 2), ("vempala", 2)])
 def test_tampered_subchannel_cover_trips_the_gate(tmp_path, capsys, monkeypatch, command, exit_code):
-    # two_channel_split does not check its matchings; each artifact's gate must.
+    # two_channel_split does not check its matchings; partition_two's gate must.
     monkeypatch.setattr(codegraph, "two_channel_split", tampered_split)
-    monkeypatch.setattr(vempala, "two_channel_split", tampered_split)
     gen = tmp_path / "gen.txt"
     gen.write_text(PINNED_TEXT)
     argv = command.split() + ["--c", "3", "--n", "4", "--d", "2", "--gen", str(gen)]
     assert run(argv) == exit_code
-    err = capsys.readouterr().err
-    if command == "channel two":
-        assert "subchannel 0 cover invalid" in err
-    else:
-        assert "lost inducedness" in err
+    assert "subchannel 0 cover invalid" in capsys.readouterr().err
 
 
 def split_with_singles(edit):
     """The real split, with its one-pair remainder cover replaced by edit(singles)."""
     def split(*args, **kwargs):
-        s = REAL_SPLIT(*args, **kwargs)
-        s.singles = edit(s.singles)
-        return s
+        covered, (remainder, singles) = REAL_SPLIT(*args, **kwargs)
+        return [covered, (remainder, edit(singles))]
     return split
+
+
+def merged_diagonal(singles):
+    """The one-pair parts with (0, 0) and (v, v) made one part, v the least
+    code-graph neighbour of 0: an induced matching of the remainder, so it
+    passes the gate, yet a fill part of two pairs."""
+    pairs = [tuple(q) for q in singles.pairs.tolist()]
+    row = {v for u, v in pairs if u == 0}
+    v = next(v for v in range(len(pairs)) if v not in row)
+    pairs.remove((v, v))
+    return cover_of([[pairs[0], (v, v)]] + [[q] for q in pairs[1:]])
 
 
 # vempala's sum is t + missing only once the partition passes every check;
 # each defect below fails one of them (the desk instance has N^2 = 6561).
+# Only the fill check is vempala's own: channel two schedules that
+# partition, since a two-pair induced matching is a clean round.
 BROKEN_PARTITIONS = {
-    "gate": (tampered_split, "matching part lost inducedness in H"),
+    "gate": (tampered_split, "subchannel 0 cover invalid (12 violations)"),
     "tiling": (split_with_singles(lambda c: MatchingCover(c.pairs[:-1], c.offsets[:-1])),
-               "parts cover 6560 of 6561 pairs"),
-    "fill": (split_with_singles(lambda c: MatchingCover(c.pairs, np.delete(c.offsets, 1))),
-             "fill parts hold 2673 pairs in 2672 parts"),
+               "subchannel 1 cover invalid (1 violations)"),
+    "fill": (split_with_singles(merged_diagonal), "fill parts hold 2673 pairs in 2672 parts"),
+    "empty": (split_with_singles(lambda c: MatchingCover(c.pairs, np.insert(c.offsets, 1, 1))),
+              "subchannel 1 cover has an empty matching"),
 }
 
 
 @pytest.mark.parametrize("defect", BROKEN_PARTITIONS)
 def test_a_broken_vempala_partition_is_a_verification_failure(tmp_path, capsys, monkeypatch, defect):
     broken, message = BROKEN_PARTITIONS[defect]
-    monkeypatch.setattr(vempala, "two_channel_split", broken)
+    monkeypatch.setattr(codegraph, "two_channel_split", broken)
     gen = tmp_path / "gen.txt"
     gen.write_text(PINNED_TEXT)
-    assert run(["vempala", "--c", "3", "--n", "4", "--d", "2", "--gen", str(gen)]) == 2
+    instance = ["--c", "3", "--n", "4", "--d", "2", "--gen", str(gen)]
+    assert run(["vempala", *instance]) == 2
+    assert capsys.readouterr() == ("", f"verification failure: {message}\n")
+    # channel two reads the same partition through the same gate
+    code = run(["channel", "two", *instance])
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"verification failure: {message}\n"
+    if defect == "fill":
+        assert code == 0 and json.loads(out)["per_subchannel_rounds"] == [972, 2672]
+    else:
+        assert (code, out, err) == (2, "", f"verification failure: {message}\n")
 
 
 @pytest.mark.parametrize("command,field", [("construct code", "edges"),
-                                           ("channel two", "remainder")])
+                                           ("channel two", "remainder"),
+                                           ("vempala", "remainder"), ("vempala", "t")])
 def test_tampered_exact_count_trips_the_gate(tmp_path, capsys, monkeypatch, command, field):
     exact = codegraph.cover_counts
 
@@ -713,6 +728,13 @@ def test_tampered_exact_count_trips_the_gate(tmp_path, capsys, monkeypatch, comm
     assert "built counts differ from the exact counts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["construct code --gv-seed 1", "channel two", "vempala"])
+@pytest.mark.parametrize("d", [0, 5])
+def test_d_outside_1_to_n_is_named_as_given(capsys, command, d):
+    assert run(command.split() + ["--c", "3", "--n", "4", "--d", str(d)]) == 1
+    assert capsys.readouterr().err == f"parameter error: need 1 <= d <= n, got d={d}, n=4\n"
+
+
 # Beside rsgraphs, rsgraphs.cli and rsgraphs.errors, the modules each command
 # loads: the ones it runs and what they import, nothing more.  Only the
 # commands that read an artifact load the readers.
@@ -722,7 +744,7 @@ COMMAND_MODULES = {
     "limits triangle --edges e.txt --cover c.txt": "graphs limits readers",
     "limits mindeg --edges e.txt --r 2": "graphs limits readers",
     "lintest --edges e.txt --cover c.txt --m 4 --f and --trials 20": "graphs lintest readers",
-    "vempala --c 3 --n 4 --d 2 --gen gen.txt": "codegraph codes graphs lattice vempala",
+    "vempala --c 3 --n 4 --d 2 --gen gen.txt": "channels codegraph codes graphs lattice vempala",
     "channel two --c 3 --n 4 --d 2 --gen gen.txt": "channels codegraph codes graphs lattice",
     # the same with its schedule written, so write_groups runs too
     "channel two --c 3 --n 4 --d 2 --gen gen.txt --out-schedule s2.txt":

@@ -170,18 +170,18 @@ def test_cover_exponents_headline_regime():
 def test_two_channel_split_desk():
     p = desk_params()
     g = build_code_graph(p)
-    split = two_channel_split(p)
-    assert np.count_nonzero(split.covered) == 2 * 1944
-    assert np.count_nonzero(split.remainder) == 81 * 81 - 2 * 1944
-    assert np.count_nonzero(split.remainder) == 2673
+    (covered, _), (remainder, _) = two_channel_split(p)
+    assert np.count_nonzero(covered) == 2 * 1944
+    assert np.count_nonzero(remainder) == 81 * 81 - 2 * 1944
+    assert np.count_nonzero(remainder) == 2673
     # remainder holds the diagonal and every high-agreement pair; station
     # pair (u, v) is covered iff uv is a code-graph edge
-    assert split.remainder.shape == split.covered.shape == (81, 81)
-    assert split.remainder[0, 0]
-    assert not split.covered[0, 0]
+    assert remainder.shape == covered.shape == (81, 81)
+    assert remainder[0, 0]
+    assert not covered[0, 0]
     for u, v in itertools.islice(g.edges(), 200):
-        assert split.covered[u, v] and split.covered[v, u]
-        assert not split.remainder[u, v]
+        assert covered[u, v] and covered[v, u]
+        assert not remainder[u, v]
 
 
 @pytest.mark.parametrize("params,want", [
@@ -195,21 +195,21 @@ def test_cover_counts_equal_the_built_split(params, want):
     assert cover_counts(p.C, p.n, p.d, p.k) == want
     g = build_code_graph(p)
     cover = enumerate_cover(p, g)
-    split = two_channel_split(p)
-    remainder = np.count_nonzero(split.remainder)
-    assert (g.edge_count, cover.t, remainder) == (want.edges, want.t, want.remainder)
-    assert np.count_nonzero(split.covered) == 2 * want.edges
-    assert split.singles.t == want.remainder
+    (covered, _), (remainder, singles) = two_channel_split(p)
+    assert (g.edge_count, cover.t, np.count_nonzero(remainder)) == (want.edges, want.t,
+                                                                   want.remainder)
+    assert np.count_nonzero(covered) == 2 * want.edges
+    assert singles.t == want.remainder
 
 
 def test_two_channel_split_matchings_stay_induced():
     p = desk_params()
-    split = two_channel_split(p)
-    g, ms = two_sided(split.covered, split.cover.matchings[:40])
+    (covered, cover), _ = two_channel_split(p)
+    g, ms = two_sided(covered, cover.matchings[:40])
     for m in ms:
         assert is_induced_matching(g, m)
-    assert split.cover.t == 972
-    assert all(len(m) == 4 for m in split.cover.matchings)  # doubled pairs
+    assert cover.t == 972
+    assert all(len(m) == 4 for m in cover.matchings)  # doubled pairs
 
 
 def test_chain_validation_happens_at_params():

@@ -31,7 +31,6 @@ from rsgraphs.lintest import load_table
 from rsgraphs.readers import parse_pairs, read_cover, read_edge_list, read_schedule
 from rsgraphs.vempala import write_partition
 from test_graph_oracle import cover_of, schedule_of
-from test_vempala import partition
 
 # ---------------------------------------------------------------------------
 # oracles: the per-token readers
@@ -568,7 +567,7 @@ def test_writers_match_one_format_per_pair(tmp_path, write_ids, groups, chans, o
         write_edge_list(g, tmp_path / "e.txt")
         write_cover(cover_of(groups), tmp_path / "c.txt")
         write_schedule(schedule_of(41, 10, list(zip(chans, groups))), tmp_path / "s.txt")
-        write_partition(partition(3, 4, parts), tmp_path / "p.txt")
+        write_partition(cover_of(parts), tmp_path / "p.txt")
 
     def lines(groups, head, sep):
         return "".join(head(i) + "".join(f" {u}{sep}{v}" for u, v in g) + "\n"
